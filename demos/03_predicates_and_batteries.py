@@ -4,7 +4,6 @@
 # least mediating elements) or the first counterexample.
 
 from ordsgp import (
-    dual_predicates,
     left_pi_t_simple_direct,
     lz2,
     n2,
@@ -48,4 +47,5 @@ results = theorem5_conditions(lz2())
 print("thm5 on LZ2:", [r.holds for r in results], results[2].counterexample)
 
 # %% Duals come from the mirrored formulas.
-print("\nRZ2 duals:", {k: v.holds for k, v in dual_predicates(rz2()).items()})
+duals = ("left-pi-inverse", "right-pi-t-simple", "pi-inverse", "pi-t-simple")
+print("\nRZ2 duals:", {name: named_predicate(rz2(), name).holds for name in duals})

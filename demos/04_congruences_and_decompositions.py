@@ -4,12 +4,12 @@
 from ordsgp import (
     Partition,
     classify_partition,
-    corollary_suites,
     enumerate_semilattice_congruences,
     lz2,
     semilattice_decomposition,
     sl2,
     theorem8_conditions,
+    verify,
 )
 from ordsgp.predicates import _thm2_all_hold
 
@@ -38,5 +38,7 @@ print("LZ2 decomposition:", semilattice_decomposition(lz2(), _thm2_all_hold).dat
 print("\nthm8 on SL2:", [r.holds for r in theorem8_conditions(sl2())])
 print("thm8 on LZ2:", [r.holds for r in theorem8_conditions(lz2())])
 
-# %% Corollary batteries with their hypothesis flags.
-print("\ncorollary suites on SL2:", corollary_suites(sl2()))
+# %% Corollary batteries with their hypothesis flags, through the harness.
+for tid in ("cor-hstar", "cor-cpr"):
+    rep = verify(sl2(), tid)
+    print(f"\n{tid} on SL2:", rep.hypothesis, [c["holds"] for c in rep.conditions], rep.verdict)

@@ -10,7 +10,6 @@ over exhaustively enumerated small models.
 from .congruences import (
     CongruenceCertificate,
     classify_partition,
-    corollary_suites,
     enumerate_semilattice_congruences,
     semilattice_decomposition,
     theorem8_conditions,
@@ -34,7 +33,6 @@ from .core import (
     structure_from_dict,
     structure_from_key,
     structure_key,
-    structure_to_dict,
     subset_product,
     t1,
     validate,
@@ -61,7 +59,6 @@ from .harness import (
 from .predicates import (
     PREDICATE_NAMES,
     STRUCTURE_PREDICATE_NAMES,
-    dual_predicates,
     left_pi_inverse_def,
     left_pi_t_simple_direct,
     lemma3_predicate,

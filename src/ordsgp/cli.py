@@ -1,7 +1,9 @@
 """Command-line front end: validate, analyze, enumerate, verify, search.
 
 Exit codes: 0 success, 1 invalid structure (or search exhausted), 2 parse
-error, 3 mathematical discrepancy, 64 usage error.  Machine output goes to
+error, 3 mathematical discrepancy, 64 usage error (including a request
+beyond a size cap, such as ``analyze`` on a structure with more elements
+than the partition or subset searches accept).  Machine output goes to
 stdout as canonical JSON (sorted keys, compact separators) so identical
 runs are byte-identical; human-oriented notes go to stderr.
 """
@@ -93,7 +95,11 @@ def cmd_analyze(args):
     if isinstance(result, ValidationReport):
         print(_dump(_report_dict(result)))
         return EXIT_INVALID
-    analysis = _analysis(result)
+    try:
+        analysis = _analysis(result)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.json:
         print(_dump(analysis))
         return EXIT_OK

@@ -254,27 +254,3 @@ def cor_cpr_conditions(S):
 
     return S.cached(("cor-cpr",), build)
 
-
-def corollary_suites(S):
-    """Both corollary batteries with their hypothesis flags and verdicts."""
-    from .predicates import pi_inverse_def, right_pi_inverse_def, structure_predicate
-
-    out = {}
-    hyp = pi_inverse_def(S).holds
-    conds = cor_hstar_conditions(S)
-    out["cor-hstar"] = {
-        "hypothesis": {"pi_inverse": hyp},
-        "conditions": [c.holds for c in conds],
-        "agree": len({c.holds for c in conds}) == 1,
-    }
-    hyp2 = {
-        "right_pi_inverse": right_pi_inverse_def(S).holds,
-        "left_pi_regular": structure_predicate(S, "left-pi-regular").holds,
-    }
-    conds2 = cor_cpr_conditions(S)
-    out["cor-cpr"] = {
-        "hypothesis": hyp2,
-        "conditions": [c.holds for c in conds2],
-        "agree": len({c.holds for c in conds2}) == 1,
-    }
-    return out

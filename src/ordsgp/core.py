@@ -309,10 +309,6 @@ def structure_from_key(key):
     return OrderedSemigroup(table, leq)
 
 
-def structure_to_dict(S):
-    return S.to_dict()
-
-
 def structure_from_dict(d):
     """Build a structure from the JSON dict format.
 
@@ -388,8 +384,8 @@ def subset_product(S, A, B):
 PRINCIPAL_KINDS = ("left", "right", "two_sided", "bi")
 
 
-def principal_ideal(S, a, kind):
-    """Principal left/right/two-sided/bi-ideal generated by a."""
+def _principal_bits(S, a, kind):
+    """Bitmask of the principal ideal of the given kind generated by a."""
     bit = 1 << a
     if kind == "left":
         bits = bit | _prod(S, S.full, bit)
@@ -403,7 +399,12 @@ def principal_ideal(S, a, kind):
         bits = bit | _prod(S, _prod(S, bit, S.full), bit)
     else:
         raise ValueError(f"unknown ideal kind {kind!r}")
-    return SubsetMask(S.order, _close(S, bits))
+    return _close(S, bits)
+
+
+def principal_ideal(S, a, kind):
+    """Principal left/right/two-sided/bi-ideal generated by a."""
+    return SubsetMask(S.order, _principal_bits(S, a, kind))
 
 
 @dataclass(frozen=True)
@@ -492,11 +493,12 @@ def restrict(S, bits):
     return OrderedSemigroup(table, leq), elems
 
 
-# -- named fixtures -------------------------------------------------------
-
 def _discrete(n):
-    return [[i == j for j in range(n)] for i in range(n)]
+    """The discrete order (equality) on {0..n-1}, which every table admits."""
+    return tuple(tuple(i == j for j in range(n)) for i in range(n))
 
+
+# -- named fixtures -------------------------------------------------------
 
 def t1():
     """One-element semigroup."""

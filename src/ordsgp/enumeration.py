@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .core import OrderedSemigroup
+from .core import OrderedSemigroup, _discrete
 
 EXHAUSTIVE_TABLE_CAP = 4
 CANONICAL_CAP = 6
@@ -21,7 +21,6 @@ class GenerationConfig:
     order: int
     up_to_iso: bool = False
     order_mode: str = "all_partial_orders"
-    seed: int | None = None
     limit: int | None = None
 
     def __post_init__(self):
@@ -170,18 +169,16 @@ def _compatible_orders_cached(table):
     return tuple(enumerate_compatible_orders(table))
 
 
-def _discrete(n):
-    return tuple(tuple(i == j for j in range(n)) for i in range(n))
-
-
 def enumerate_ordered_semigroups(config):
-    """Validated structures for every (table, compatible order) pair."""
+    """Validated structures for every (table, compatible order) pair, or
+    for every table with the discrete order under ``discrete_only``."""
     n = config.order
     emitted = 0
     seen = set()
+    discrete = (_discrete(n),)
     for table in enumerate_tables(n):
         if config.order_mode == "discrete_only":
-            orders = (_discrete(n),)
+            orders = discrete
         else:
             orders = enumerate_compatible_orders(table)
         for leq in orders:
@@ -289,21 +286,18 @@ def _antisymmetric(leq):
     return not any(leq[a][b] and leq[b][a] for a in range(n) for b in range(a + 1, n))
 
 
-def sample_structures(n, count, seed, nontrivial_orders=True):
+def sample_structures(n, count, seed):
     """Seeded sample of structures at order n: uniformly random associative
-    table from the exhaustive catalog, then a random compatible order
-    (non-discrete when nontrivial_orders is set; tables admitting only the
-    discrete order are skipped)."""
+    table from the exhaustive catalog, then a random non-discrete compatible
+    order (tables admitting only the discrete order are skipped)."""
     tables = tuple(enumerate_tables(n))
     rng = random.Random(seed)
     emitted = 0
     while emitted < count:
         table = tables[rng.randrange(len(tables))]
-        orders = _compatible_orders_cached(table)
-        if nontrivial_orders:
-            orders = tuple(o for o in orders if sum(map(sum, o)) > n)
-            if not orders:
-                continue
+        orders = tuple(o for o in _compatible_orders_cached(table) if sum(map(sum, o)) > n)
+        if not orders:
+            continue
         leq = orders[rng.randrange(len(orders))]
         yield OrderedSemigroup(table, leq)
         emitted += 1

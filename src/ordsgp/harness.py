@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from .congruences import (
     cor_cpr_conditions,
@@ -21,32 +22,25 @@ from .congruences import (
     theorem8_conditions,
 )
 from .core import OrderedSemigroup, structure_key
+from .enumeration import (
+    EXHAUSTIVE_TABLE_CAP,
+    GenerationConfig,
+    enumerate_ordered_semigroups,
+    sample_structures,
+)
 from .predicates import (
     PREDICATES,
     _conj,
     _pi_inverse_side_all_powers,
-    left_pi_inverse_def,
-    left_pi_t_simple_direct,
     lemma3_predicate,
     lemma7_predicate,
     lstar_unique_idempotent,
     named_predicate,
-    pi_inverse_def,
-    pi_t_simple_direct,
-    right_pi_inverse_def,
-    right_pi_t_simple_direct,
-    structure_predicate,
     theorem2_conditions,
     theorem4_conditions,
     theorem5_conditions,
     theorem51_conditions,
     theorem6_condition,
-)
-from .enumeration import (
-    EXHAUSTIVE_TABLE_CAP,
-    enumerate_compatible_orders,
-    enumerate_tables,
-    sample_structures,
 )
 
 WORKERS_ENV = "ORDSGP_WORKERS"
@@ -56,174 +50,139 @@ VERDICT_HYPOTHESIS = "hypothesis_not_met"
 VERDICT_DISCREPANCY = "DISCREPANCY"
 
 
-def _suite_thm2(S):
-    return list(enumerate(theorem2_conditions(S), start=1))
-
-
-def _suite_thm4(S):
-    return list(enumerate(theorem4_conditions(S), start=1))
-
-
-def _diag_thm4(S):
-    plain = [c.holds for c in theorem4_conditions(S)]
-    complete = [c.holds for c in theorem4_conditions(S, complete_only=True)]
-    return {"complete_reading_agrees": plain == complete}
-
-
-def _suite_thm5(S):
-    return list(enumerate(theorem5_conditions(S), start=1))
-
-
-def _diag_thm5(S):
-    default = [c.holds for c in theorem5_conditions(S)]
-    strict = [c.holds for c in theorem5_conditions(S, all_powers=True)]
-    return {"readings_agree": default == strict}
-
-
-def _suite_thm6(S):
-    return [(1, right_pi_inverse_def(S)), (2, theorem6_condition(S))]
-
-
-def _diag_thm6(S):
-    strict = _pi_inverse_side_all_powers(S, "left")
-    return {"strict_reading_agrees": strict.holds == right_pi_inverse_def(S).holds}
-
-
-def _suite_thm7_open(S):
-    c1 = _conj(
-        ("left_simple", structure_predicate(S, "left-simple")),
-        ("pi_regular", structure_predicate(S, "pi-regular")),
-    )
-    return [(1, c1), (2, lstar_unique_idempotent(S))]
-
-
-def _suite_thm8(S):
-    return list(enumerate(theorem8_conditions(S), start=1))
-
-
-def _diag_thm8(S):
-    plain = theorem8_conditions(S)[2]
-    complete = semilattice_decomposition(
+def _decomposition(name, complete_only=False):
+    """Reading: S is a semilattice of ordered semigroups meeting ``name``."""
+    return lambda S: semilattice_decomposition(
         S,
-        lambda sub: right_pi_t_simple_direct(sub).holds,
-        cache_key="right-pi-t-simple",
-        complete_only=True,
+        lambda sub: named_predicate(sub, name).holds,
+        cache_key=name,
+        complete_only=complete_only,
     )
-    return {"complete_reading_agrees": plain.holds == complete.holds}
 
 
-def _suite_thm51(S):
-    return list(enumerate(theorem51_conditions(S), start=1))
+# Named readings beyond the public predicate vocabulary.  A battery reading
+# returns a tuple of results in source numbering; the others return one.
+_READINGS = {
+    "lstar-unique-idempotent": lstar_unique_idempotent,
+    "lemma3": lemma3_predicate,
+    "lemma7": lemma7_predicate,
+    "thm2": theorem2_conditions,
+    "thm4": theorem4_conditions,
+    "thm4-complete": lambda S: theorem4_conditions(S, complete_only=True),
+    "thm5": theorem5_conditions,
+    "thm5-all-powers": lambda S: theorem5_conditions(S, all_powers=True),
+    "thm6": theorem6_condition,
+    "thm8": theorem8_conditions,
+    "thm51": theorem51_conditions,
+    # Corollary 1 restates thm2 conditions 8, 5, 4, 6, 7 in its own order.
+    "cor1": lambda S: tuple(theorem2_conditions(S)[i - 1] for i in (8, 5, 4, 6, 7)),
+    "cor-hstar": cor_hstar_conditions,
+    "cor-cpr": cor_cpr_conditions,
+    "right-pi-inverse-all-powers": lambda S: _pi_inverse_side_all_powers(S, "left"),
+    "right-pi-t-simple-decomposition": _decomposition("right-pi-t-simple"),
+    "right-pi-t-simple-complete-decomposition": _decomposition("right-pi-t-simple", True),
+    "pi-t-simple-decomposition": _decomposition("pi-t-simple"),
+    "pi-t-simple-complete-decomposition": _decomposition("pi-t-simple", True),
+}
 
 
-def _suite_thm_wc(S):
-    return [(1, left_pi_t_simple_direct(S))]
+def _read(S, name):
+    if name in _READINGS:
+        return _READINGS[name](S)
+    return named_predicate(S, name)
 
 
-def _suite_lemma3(S):
-    return [(1, lemma3_predicate(S))]
+def _key(name):
+    return name.replace("-", "_")
 
 
-def _suite_lemma7(S):
-    return [(1, lemma7_predicate(S))]
+def _truths(result):
+    if isinstance(result, tuple):
+        return tuple(r.holds for r in result)
+    return result.holds
 
 
-def _suite_cor1(S):
-    t = theorem2_conditions(S)
-    return [(1, t[7]), (2, t[4]), (3, t[3]), (4, t[5]), (5, t[6])]
-
-
-def _suite_cor_pi_inverse(S):
-    both = _conj(
-        ("left_pi_inverse", left_pi_inverse_def(S)),
-        ("right_pi_inverse", right_pi_inverse_def(S)),
-    )
-    return [(1, pi_inverse_def(S)), (2, both)]
-
-
-def _suite_cor_pi_t_simple(S):
-    return [(1, pi_t_simple_direct(S))]
-
-
-def _suite_cor_hstar(S):
-    return list(enumerate(cor_hstar_conditions(S), start=1))
-
-
-def _diag_cor_hstar(S):
-    plain = cor_hstar_conditions(S)[2]
-    complete = semilattice_decomposition(
-        S,
-        lambda sub: pi_t_simple_direct(sub).holds,
-        cache_key="pi-t-simple",
-        complete_only=True,
-    )
-    return {"complete_reading_agrees": plain.holds == complete.holds}
-
-
-def _suite_cor_cpr(S):
-    return list(enumerate(cor_cpr_conditions(S), start=1))
-
-
-def _hyp_none(S):
-    return {}
-
-
-def _hyp_regular(S):
-    return {"regular": structure_predicate(S, "regular").holds}
-
-
-def _hyp_pi_regular(S):
-    return {"pi_regular": structure_predicate(S, "pi-regular").holds}
-
-
-def _hyp_right_pi_inverse(S):
-    return {"right_pi_inverse": right_pi_inverse_def(S).holds}
-
-
-def _hyp_thm_wc(S):
-    return {
-        "right_weakly_commutative": structure_predicate(S, "right-weakly-commutative").holds,
-        "right_archimedean": structure_predicate(S, "right-archimedean").holds,
-        "lstar_unique_idempotent": lstar_unique_idempotent(S).holds,
-    }
-
-
-def _hyp_cor_pi_t_simple(S):
-    return {
-        "right_pi_inverse": right_pi_inverse_def(S).holds,
-        "left_pi_t_simple": left_pi_t_simple_direct(S).holds,
-    }
-
-
-def _hyp_pi_inverse(S):
-    return {"pi_inverse": pi_inverse_def(S).holds}
-
-
-def _hyp_cor_cpr(S):
-    return {
-        "right_pi_inverse": right_pi_inverse_def(S).holds,
-        "left_pi_regular": structure_predicate(S, "left-pi-regular").holds,
-    }
-
-
-# (kind, hypothesis, conditions, diagnostics): kind "equivalence" wants all
-# condition booleans equal, "law" and "implication" want them all true.
+# suite id -> (kind, hypotheses, conditions, diagnostics).  kind
+# "equivalence" wants all condition booleans equal, "law" and
+# "implication" want them all true.  Hypotheses are reading names,
+# reported under their snake_case keys.  A condition is a reading (a
+# battery contributes each of its results) or a tuple of readings that
+# must all hold; conditions are numbered from 1.  A diagnostic
+# (name, plain, other) records whether two readings give the same truth
+# values.
 _SUITES = {
-    "thm2": ("equivalence", _hyp_none, _suite_thm2, None),
-    "thm4": ("equivalence", _hyp_none, _suite_thm4, _diag_thm4),
-    "thm5": ("equivalence", _hyp_pi_regular, _suite_thm5, _diag_thm5),
-    "thm6": ("equivalence", _hyp_none, _suite_thm6, _diag_thm6),
-    "thm7-open": ("equivalence", _hyp_regular, _suite_thm7_open, None),
-    "thm8": ("equivalence", _hyp_right_pi_inverse, _suite_thm8, _diag_thm8),
-    "thm51": ("equivalence", _hyp_regular, _suite_thm51, None),
-    "thm-wc": ("implication", _hyp_thm_wc, _suite_thm_wc, None),
-    "lemma3": ("law", _hyp_none, _suite_lemma3, None),
-    "lemma7": ("law", _hyp_right_pi_inverse, _suite_lemma7, None),
-    "cor1": ("equivalence", _hyp_none, _suite_cor1, None),
-    "cor-pi-inverse": ("equivalence", _hyp_none, _suite_cor_pi_inverse, None),
-    "cor-pi-t-simple": ("implication", _hyp_cor_pi_t_simple, _suite_cor_pi_t_simple, None),
-    "cor-hstar": ("equivalence", _hyp_pi_inverse, _suite_cor_hstar, _diag_cor_hstar),
-    "cor-cpr": ("equivalence", _hyp_cor_cpr, _suite_cor_cpr, None),
+    "thm2": ("equivalence", (), ("thm2",), ()),
+    "thm4": (
+        "equivalence",
+        (),
+        ("thm4",),
+        (("complete_reading_agrees", "thm4", "thm4-complete"),),
+    ),
+    "thm5": (
+        "equivalence",
+        ("pi-regular",),
+        ("thm5",),
+        (("readings_agree", "thm5", "thm5-all-powers"),),
+    ),
+    "thm6": (
+        "equivalence",
+        (),
+        ("right-pi-inverse", "thm6"),
+        (("strict_reading_agrees", "right-pi-inverse", "right-pi-inverse-all-powers"),),
+    ),
+    "thm7-open": (
+        "equivalence",
+        ("regular",),
+        (("left-simple", "pi-regular"), "lstar-unique-idempotent"),
+        (),
+    ),
+    "thm8": (
+        "equivalence",
+        ("right-pi-inverse",),
+        ("thm8",),
+        (
+            (
+                "complete_reading_agrees",
+                "right-pi-t-simple-decomposition",
+                "right-pi-t-simple-complete-decomposition",
+            ),
+        ),
+    ),
+    "thm51": ("equivalence", ("regular",), ("thm51",), ()),
+    "thm-wc": (
+        "implication",
+        ("right-weakly-commutative", "right-archimedean", "lstar-unique-idempotent"),
+        ("left-pi-t-simple",),
+        (),
+    ),
+    "lemma3": ("law", (), ("lemma3",), ()),
+    "lemma7": ("law", ("right-pi-inverse",), ("lemma7",), ()),
+    "cor1": ("equivalence", (), ("cor1",), ()),
+    "cor-pi-inverse": (
+        "equivalence",
+        (),
+        ("pi-inverse", ("left-pi-inverse", "right-pi-inverse")),
+        (),
+    ),
+    "cor-pi-t-simple": (
+        "implication",
+        ("right-pi-inverse", "left-pi-t-simple"),
+        ("pi-t-simple",),
+        (),
+    ),
+    "cor-hstar": (
+        "equivalence",
+        ("pi-inverse",),
+        ("cor-hstar",),
+        (
+            (
+                "complete_reading_agrees",
+                "pi-t-simple-decomposition",
+                "pi-t-simple-complete-decomposition",
+            ),
+        ),
+    ),
+    "cor-cpr": ("equivalence", ("right-pi-inverse", "left-pi-regular"), ("cor-cpr",), ()),
 }
 
 THEOREM_IDS = tuple(_SUITES)
@@ -260,20 +219,34 @@ def _condition_entry(index, result):
     return entry
 
 
+def _conditions(S, specs):
+    out = []
+    for spec in specs:
+        if isinstance(spec, tuple):
+            out.append(_conj(*((_key(name), _read(S, name)) for name in spec)))
+        else:
+            result = _read(S, spec)
+            out.extend(result if isinstance(result, tuple) else (result,))
+    return out
+
+
 def verify(S, theorem_id):
     """Evaluate one suite on one structure and render the verdict."""
     try:
-        kind, hyp_fn, cond_fn, diag_fn = _SUITES[theorem_id]
+        kind, hypotheses, specs, readings = _SUITES[theorem_id]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
-    hypothesis = hyp_fn(S)
-    conditions = cond_fn(S)
-    diagnostics = diag_fn(S) if diag_fn else {}
+    hypothesis = {_key(name): _read(S, name).holds for name in hypotheses}
+    conditions = _conditions(S, specs)
+    diagnostics = {
+        name: _truths(_read(S, plain)) == _truths(_read(S, other))
+        for name, plain, other in readings
+    }
     met = all(hypothesis.values())
     if kind == "equivalence":
-        ok = len({res.holds for _, res in conditions}) == 1
+        ok = len({res.holds for res in conditions}) == 1
     else:
-        ok = all(res.holds for _, res in conditions)
+        ok = all(res.holds for res in conditions)
     if not met:
         verdict = VERDICT_HYPOTHESIS
     elif ok:
@@ -284,7 +257,7 @@ def verify(S, theorem_id):
         theorem_id,
         structure_key(S),
         hypothesis,
-        tuple(_condition_entry(i, res) for i, res in conditions),
+        tuple(_condition_entry(i, res) for i, res in enumerate(conditions, start=1)),
         verdict,
         diagnostics,
     )
@@ -309,13 +282,10 @@ def iter_catalog(max_order, sample_count=10_000, sample_seed=0):
     if max_order > EXHAUSTIVE_TABLE_CAP:
         raise ValueError(f"verification catalog capped at order {EXHAUSTIVE_TABLE_CAP}")
     for n in range(1, min(max_order, 3) + 1):
-        for table in enumerate_tables(n):
-            for leq in enumerate_compatible_orders(table):
-                yield OrderedSemigroup(table, leq)
+        yield from enumerate_ordered_semigroups(GenerationConfig(n))
     if max_order >= 4:
-        discrete = tuple(tuple(i == j for j in range(4)) for i in range(4))
-        for table in enumerate_tables(4):
-            yield OrderedSemigroup(table, discrete)
+        discrete = GenerationConfig(4, order_mode="discrete_only")
+        yield from enumerate_ordered_semigroups(discrete)
         yield from sample_structures(4, sample_count, sample_seed)
 
 
@@ -365,25 +335,47 @@ def effective_workers(workers=None):
     return max(1, workers)
 
 
-def _verify_chunk(payload):
-    ids, chunk = payload
+def _verify_chunk(ids, S):
+    """Verdict rows of one structure, one per suite id: (suite id, verdict,
+    report dict for a DISCREPANCY else None, disagreeing diagnostics)."""
     out = []
-    for table, leq in chunk:
-        S = OrderedSemigroup(table, leq)
-        for tid in ids:
-            report = verify(S, tid)
-            disagreements = tuple(
-                name for name, agree in report.diagnostics.items() if not agree
+    for tid in ids:
+        report = verify(S, tid)
+        disagreements = tuple(
+            name for name, agree in report.diagnostics.items() if not agree
+        )
+        out.append(
+            (
+                tid,
+                report.verdict,
+                report.to_dict() if report.verdict == VERDICT_DISCREPANCY else None,
+                disagreements,
             )
-            out.append(
-                (
-                    tid,
-                    report.verdict,
-                    report.to_dict() if report.verdict == VERDICT_DISCREPANCY else None,
-                    disagreements,
-                )
-            )
+        )
     return out
+
+
+def _verify_batch(payload):
+    """Pool task: rows of each (table, leq) pair.  Structures are rebuilt
+    here because OrderedSemigroup does not pickle."""
+    ids, batch = payload
+    return [_verify_chunk(ids, OrderedSemigroup(table, leq)) for table, leq in batch]
+
+
+def _structure_rows(ids, catalog, workers):
+    """Verdict rows per catalog structure, in catalog order."""
+    if workers == 1:
+        for S in catalog:
+            yield _verify_chunk(ids, S)
+        return
+
+    def batches():
+        while batch := tuple((S.table, S.leq) for S in islice(catalog, 64)):
+            yield ids, batch
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for rows in pool.map(_verify_batch, batches()):
+            yield from rows
 
 
 def run_suite(
@@ -397,7 +389,8 @@ def run_suite(
     """Run suites over the verification catalog.
 
     The report is independent of the worker count: structures are processed
-    in catalog order and merged deterministically.  Wall-clock time lives
+    in catalog order and merged deterministically, and ``fail_fast`` stops
+    after the first structure with a discrepancy.  Wall-clock time lives
     only in ``runtime_seconds``, which the canonical serialization omits.
     """
     ids = _resolve_ids(theorems)
@@ -410,30 +403,9 @@ def run_suite(
     structures = 0
 
     catalog = iter_catalog(max_order, sample_count, sample_seed)
-    if workers == 1:
-        def results():
-            for S in catalog:
-                chunk = ((S.table, S.leq),)
-                yield _verify_chunk((ids, chunk))
-    else:
-        def results():
-            def chunks():
-                batch = []
-                for S in catalog:
-                    batch.append((S.table, S.leq))
-                    if len(batch) == 64:
-                        yield ids, tuple(batch)
-                        batch = []
-                if batch:
-                    yield ids, tuple(batch)
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(_verify_chunk, chunks())
-
-    stop = False
-    for chunk_result in results():
-        structures += len(chunk_result) // len(ids)
-        for tid, verdict, report, disagreements in chunk_result:
+    for rows in _structure_rows(ids, catalog, workers):
+        structures += 1
+        for tid, verdict, report, disagreements in rows:
             totals[verdict] += 1
             by_theorem[tid][verdict] += 1
             if report is not None:
@@ -441,9 +413,7 @@ def run_suite(
             for name in disagreements:
                 key = f"{tid}.{name}"
                 reading_disagreements[key] = reading_disagreements.get(key, 0) + 1
-            if verdict == VERDICT_DISCREPANCY and fail_fast:
-                stop = True
-        if stop:
+        if fail_fast and discrepancies:
             break
 
     config = {
@@ -501,25 +471,23 @@ def search_model(satisfy=(), violate=(), max_order=3):
             raise ValueError(f"unknown predicate name {name!r}")
     checked = 0
     for n in range(1, max_order + 1):
-        for table in enumerate_tables(n):
-            for leq in enumerate_compatible_orders(table):
-                S = OrderedSemigroup(table, leq)
-                checked += 1
-                details = {}
-                ok = True
-                for name in satisfy:
+        for S in enumerate_ordered_semigroups(GenerationConfig(n)):
+            checked += 1
+            details = {}
+            ok = True
+            for name in satisfy:
+                res = named_predicate(S, name)
+                details[name] = res.to_dict()
+                if not res.holds:
+                    ok = False
+                    break
+            if ok:
+                for name in violate:
                     res = named_predicate(S, name)
-                    details[name] = res.to_dict()
-                    if not res.holds:
+                    details[f"not:{name}"] = res.to_dict()
+                    if res.holds:
                         ok = False
                         break
-                if ok:
-                    for name in violate:
-                        res = named_predicate(S, name)
-                        details[f"not:{name}"] = res.to_dict()
-                        if res.holds:
-                            ok = False
-                            break
-                if ok:
-                    return SearchResult(S, checked, satisfy, violate, details)
+            if ok:
+                return SearchResult(S, checked, satisfy, violate, details)
     return SearchResult(None, checked, satisfy, violate, {})

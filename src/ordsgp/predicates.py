@@ -16,6 +16,7 @@ from .core import (
     _close,
     _prod,
     _sa,
+    _sas,
     bits_iter,
     joint_power_exponents,
     power_profile,
@@ -164,10 +165,7 @@ def _p_right_simple(S):
 
 
 def _p_simple(S):
-    def sas(S, a):
-        return _close(S, _prod(S, _prod(S, S.full, 1 << a), S.full))
-
-    return _only_ideal_is_all(S, sas)
+    return _only_ideal_is_all(S, _sas)
 
 
 def _power_pair_search(S, base, check):
@@ -297,28 +295,6 @@ def _closed_under_product(S, bits):
     return True
 
 
-def _is_left_simple(S):
-    return all(_sa(S, a) == S.full for a in S.elements())
-
-
-def _is_right_simple(S):
-    return all(_as(S, a) == S.full for a in S.elements())
-
-
-def _is_simple(S):
-    return all(
-        _close(S, _prod(S, _prod(S, S.full, 1 << a), S.full)) == S.full
-        for a in S.elements()
-    )
-
-
-def _is_pi_regular(S):
-    return all(
-        any(_regular_value(S, v) is not None for _, v in power_profile(S, a).exponents())
-        for a in S.elements()
-    )
-
-
 def _nil_exponents(S, bits):
     """Smallest power of each element landing inside bits, or None."""
     exps = {}
@@ -332,88 +308,78 @@ def _nil_exponents(S, bits):
     return exps
 
 
-_SIDE_CHECKS = {
-    "left": (_is_left_simple,),
-    "right": (_is_right_simple,),
-    "both": (_is_left_simple, _is_right_simple),
+# Kernel tag -> simplicity checks the absorbing subset must pass as an
+# ordered semigroup in its own right, besides pi-regularity.
+_KERNEL_CHECKS = {
+    "left_simple": (_p_left_simple,),
+    "right_simple": (_p_right_simple,),
+    "t_simple": (_p_left_simple, _p_right_simple),
+    "simple": (_p_simple,),
 }
 
 
-def _t_simple_search(S, side):
-    """First product-closed subset that is simple on the given side(s),
-    pi-regular in its own right, and absorbs a power of every element."""
+def _is_ideal(S, bits):
+    """bits is a downward-closed two-sided ideal."""
+    return (
+        _close(S, bits) == bits
+        and not _prod(S, S.full, bits) & ~bits
+        and not _prod(S, bits, S.full) & ~bits
+    )
+
+
+def _absorbing_search(S, candidate, kernel_tag, label, **extra):
+    """First subset, fewest elements first, that passes ``candidate``,
+    absorbs a power of every element, and is pi-regular and passes the
+    tag's simplicity checks as an ordered semigroup in its own right.  The
+    subset is reported under ``label`` in the result data."""
     if S.order > SUBSET_SEARCH_CAP:
         raise ValueError(f"subset search capped at {SUBSET_SEARCH_CAP} elements")
-    checks = _SIDE_CHECKS[side]
+    checks = _KERNEL_CHECKS[kernel_tag]
     for mask in _subset_masks(S.order):
-        if not _closed_under_product(S, mask):
+        if not candidate(S, mask):
             continue
         exps = _nil_exponents(S, mask)
         if exps is None:
             continue
         sub, elems = restrict(S, mask)
-        if all(check(sub) for check in checks) and _is_pi_regular(sub):
+        if all(check(sub).holds for check in checks) and _p_pi_regular(sub).holds:
             return PredicateResult(
-                True, data={"subsemigroup": list(elems), "exponents": exps}
+                True, data={label: list(elems), "exponents": exps, **extra}
             )
     return PredicateResult(
         False, counterexample={"searched_subsets": (1 << S.order) - 1}
     )
 
 
+def _t_simple_search(S, kernel_tag):
+    return _absorbing_search(S, _closed_under_product, kernel_tag, "subsemigroup")
+
+
 def left_pi_t_simple_direct(S):
     """Direct definition: some left simple, pi-regular subsemigroup absorbs
     a power of every element."""
-    return S.cached(("t-simple", "left"), lambda: _t_simple_search(S, "left"))
+    return S.cached(("t-simple", "left"), lambda: _t_simple_search(S, "left_simple"))
 
 
 def right_pi_t_simple_direct(S):
     """Mirror of :func:`left_pi_t_simple_direct` with a right simple kernel."""
-    return S.cached(("t-simple", "right"), lambda: _t_simple_search(S, "right"))
+    return S.cached(("t-simple", "right"), lambda: _t_simple_search(S, "right_simple"))
 
 
 def pi_t_simple_direct(S):
     """Two-sided variant: the absorbing subsemigroup is left and right simple."""
-    return S.cached(("t-simple", "both"), lambda: _t_simple_search(S, "both"))
-
-
-_KERNEL_TAGS = {
-    "left_simple": (_is_left_simple,),
-    "right_simple": (_is_right_simple,),
-    "t_simple": (_is_left_simple, _is_right_simple),
-    "simple": (_is_simple,),
-}
+    return S.cached(("t-simple", "both"), lambda: _t_simple_search(S, "t_simple"))
 
 
 def nil_extension_search(S, kernel_tag):
     """First two-sided ideal K with the tagged property (and pi-regularity)
     such that every element has a power inside K."""
-    if kernel_tag not in _KERNEL_TAGS:
+    if kernel_tag not in _KERNEL_CHECKS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
-    if S.order > SUBSET_SEARCH_CAP:
-        raise ValueError(f"ideal search capped at {SUBSET_SEARCH_CAP} elements")
-
-    def build():
-        checks = _KERNEL_TAGS[kernel_tag]
-        for mask in _subset_masks(S.order):
-            if _close(S, mask) != mask:
-                continue
-            if _prod(S, S.full, mask) & ~mask or _prod(S, mask, S.full) & ~mask:
-                continue
-            exps = _nil_exponents(S, mask)
-            if exps is None:
-                continue
-            sub, elems = restrict(S, mask)
-            if all(check(sub) for check in checks) and _is_pi_regular(sub):
-                return PredicateResult(
-                    True,
-                    data={"kernel": list(elems), "exponents": exps, "tag": kernel_tag},
-                )
-        return PredicateResult(
-            False, counterexample={"searched_subsets": (1 << S.order) - 1}
-        )
-
-    return S.cached(("nilext", kernel_tag), build)
+    return S.cached(
+        ("nilext", kernel_tag),
+        lambda: _absorbing_search(S, _is_ideal, kernel_tag, "kernel", tag=kernel_tag),
+    )
 
 
 # -- the eight-way battery for left pi-t-simple ---------------------------
@@ -953,16 +919,6 @@ def theorem51_conditions(S):
         return (_thm51_c1(S), _thm51_c2(S), _thm51_c3(S), _thm51_c4(S), _thm51_c5(S))
 
     return S.cached(("thm51",), build)
-
-
-def dual_predicates(S):
-    """Left/right mirrors and the two-sided variants, as one report."""
-    return {
-        "left_pi_inverse": left_pi_inverse_def(S),
-        "right_pi_t_simple": right_pi_t_simple_direct(S),
-        "pi_inverse": pi_inverse_def(S),
-        "pi_t_simple": pi_t_simple_direct(S),
-    }
 
 
 # -- lemma-level predicates -------------------------------------------------

@@ -8,7 +8,7 @@ from .core import (
     PredicateResult,
     SubsetMask,
     _above,
-    _close,
+    _principal_bits,
     _prod,
     _sas,
     bits_iter,
@@ -85,16 +85,7 @@ class Partition:
 
 GREEN_KINDS = ("L", "R", "J", "H")
 
-
-def _ideal_mask(S, a, kind):
-    bit = 1 << a
-    if kind == "L":
-        return _close(S, bit | _prod(S, S.full, bit))
-    if kind == "R":
-        return _close(S, bit | _prod(S, bit, S.full))
-    sa = _prod(S, S.full, bit)
-    as_ = _prod(S, bit, S.full)
-    return _close(S, bit | sa | as_ | _prod(S, sa, S.full))
+_IDEAL_KIND = {"L": "left", "R": "right", "J": "two_sided"}
 
 
 def green(S, kind):
@@ -105,7 +96,8 @@ def green(S, kind):
     def build():
         if kind == "H":
             return green(S, "L").meet(green(S, "R"))
-        return Partition(S.order, tuple(_ideal_mask(S, a, kind) for a in S.elements()))
+        ideal = _IDEAL_KIND[kind]
+        return Partition(S.order, tuple(_principal_bits(S, a, ideal) for a in S.elements()))
 
     return S.cached(("green", kind), build)
 

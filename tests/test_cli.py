@@ -127,6 +127,22 @@ def test_order_caps_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "order, cap",
+    [(11, "partition enumeration capped at 10"), (13, "subset search capped at 12")],
+)
+def test_analyze_beyond_cap_is_usage_error(tmp_path, capsys, order, cap):
+    left_zero_band = {
+        "order": order,
+        "table": [[i] * order for i in range(order)],
+        "leq": [[i == j for j in range(order)] for i in range(order)],
+    }
+    assert main(["analyze", write(tmp_path, "s.json", left_zero_band)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cap} elements\n"
+
+
 def test_usage_error_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

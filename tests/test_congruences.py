@@ -3,7 +3,6 @@ import pytest
 from ordsgp import (
     Partition,
     classify_partition,
-    corollary_suites,
     enumerate_semilattice_congruences,
     lz2,
     n2,
@@ -12,6 +11,7 @@ from ordsgp import (
     sl2,
     t1,
     theorem8_conditions,
+    verify,
 )
 from ordsgp.congruences import all_partitions
 from ordsgp.predicates import right_pi_t_simple_direct
@@ -110,16 +110,22 @@ def test_theorem8_conditions_examples():
 
 
 def test_corollary_suites_report():
-    rep = corollary_suites(sl2())
-    assert rep["cor-hstar"]["hypothesis"] == {"pi_inverse": True}
-    assert rep["cor-hstar"]["agree"]
-    rep = corollary_suites(n2())
-    assert rep["cor-cpr"]["hypothesis"] == {
+    def summary(S, tid):
+        rep = verify(S, tid)
+        holds = [c["holds"] for c in rep.conditions]
+        return rep.hypothesis, holds, len(set(holds)) == 1
+
+    hyp, _, agree = summary(sl2(), "cor-hstar")
+    assert hyp == {"pi_inverse": True}
+    assert agree
+    hyp, holds, _ = summary(n2(), "cor-cpr")
+    assert hyp == {
         "right_pi_inverse": True,
         "left_pi_regular": True,
     }
-    assert rep["cor-cpr"]["conditions"] == [True] * 4
-    rep = corollary_suites(t1())
-    assert rep["cor-hstar"]["conditions"] == [True] * 4
-    assert rep["cor-cpr"]["conditions"] == [True] * 4
-    assert rep["cor-hstar"]["agree"] and rep["cor-cpr"]["agree"]
+    assert holds == [True] * 4
+    _, hstar, hstar_agree = summary(t1(), "cor-hstar")
+    _, cpr, cpr_agree = summary(t1(), "cor-cpr")
+    assert hstar == [True] * 4
+    assert cpr == [True] * 4
+    assert hstar_agree and cpr_agree

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from ordsgp import (
     t1,
     verify,
 )
+from ordsgp import harness
 from ordsgp.harness import iter_catalog
 
 ALL_IDS = (
@@ -37,6 +39,43 @@ ALL_IDS = (
 
 def test_theorem_id_registry():
     assert set(THEOREM_IDS) == set(ALL_IDS)
+
+
+# suite id: (hypothesis keys, condition indices, diagnostic names)
+REPORT_SCHEMA = {
+    "thm2": (set(), range(1, 9), set()),
+    "thm4": (set(), range(1, 6), {"complete_reading_agrees"}),
+    "thm5": ({"pi_regular"}, range(1, 6), {"readings_agree"}),
+    "thm6": (set(), range(1, 3), {"strict_reading_agrees"}),
+    "thm7-open": ({"regular"}, range(1, 3), set()),
+    "thm8": ({"right_pi_inverse"}, range(1, 5), {"complete_reading_agrees"}),
+    "thm51": ({"regular"}, range(1, 6), set()),
+    "thm-wc": (
+        {"right_weakly_commutative", "right_archimedean", "lstar_unique_idempotent"},
+        range(1, 2),
+        set(),
+    ),
+    "lemma3": (set(), range(1, 2), set()),
+    "lemma7": ({"right_pi_inverse"}, range(1, 2), set()),
+    "cor1": (set(), range(1, 6), set()),
+    "cor-pi-inverse": (set(), range(1, 3), set()),
+    "cor-pi-t-simple": ({"right_pi_inverse", "left_pi_t_simple"}, range(1, 2), set()),
+    "cor-hstar": ({"pi_inverse"}, range(1, 5), {"complete_reading_agrees"}),
+    "cor-cpr": ({"right_pi_inverse", "left_pi_regular"}, range(1, 5), set()),
+}
+
+
+@pytest.mark.parametrize("tid", ALL_IDS)
+def test_report_schema_per_suite(tid):
+    # T1 meets every hypothesis, agrees with itself under every reading
+    hypotheses, indices, diagnostics = REPORT_SCHEMA[tid]
+    rep = verify(t1(), tid)
+    assert set(rep.hypothesis) == hypotheses
+    assert all(rep.hypothesis.values())
+    assert [c["index"] for c in rep.conditions] == list(indices)
+    assert set(rep.diagnostics) == diagnostics
+    assert all(rep.diagnostics.values())
+    assert rep.verdict == "equivalent"
 
 
 def test_verify_examples():
@@ -147,6 +186,27 @@ def test_run_suite_worker_independence():
     assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(
         two.to_dict(), sort_keys=True
     )
+
+
+def test_fail_fast_report_is_worker_independent(monkeypatch):
+    # every order-2 structure is made to look discrepant; forked pool
+    # workers inherit the patch
+    real_verify = harness.verify
+
+    def faulty_verify(S, tid):
+        report = real_verify(S, tid)
+        if S.order == 2:
+            return dataclasses.replace(report, verdict="DISCREPANCY")
+        return report
+
+    monkeypatch.setattr(harness, "verify", faulty_verify)
+    one, two = (
+        run_suite("thm2", max_order=2, workers=w, fail_fast=True).to_dict() for w in (1, 2)
+    )
+    assert one == two
+    assert one["structures"] == 2
+    assert one["totals"] == {"equivalent": 1, "hypothesis_not_met": 0, "DISCREPANCY": 1}
+    assert [d["structure_key"] for d in one["discrepancies"]] == ["n2:0000:1001"]
 
 
 def test_search_model_examples():

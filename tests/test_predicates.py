@@ -2,7 +2,6 @@ import pytest
 
 from ordsgp import (
     FIXTURES,
-    dual_predicates,
     left_pi_inverse_def,
     left_pi_t_simple_direct,
     lemma3_predicate,
@@ -167,11 +166,10 @@ def test_theorem51_battery():
 
 
 def test_dual_predicates():
-    assert dual_predicates(rz2())["right_pi_t_simple"].holds
-    assert dual_predicates(lz2())["left_pi_inverse"].holds
-    duals = dual_predicates(sl2())
-    assert duals["pi_inverse"].holds
-    assert duals["pi_inverse"].holds == (
+    assert named_predicate(rz2(), "right-pi-t-simple").holds
+    assert named_predicate(lz2(), "left-pi-inverse").holds
+    assert named_predicate(sl2(), "pi-inverse").holds
+    assert named_predicate(sl2(), "pi-inverse").holds == (
         left_pi_inverse_def(sl2()).holds and right_pi_inverse_def(sl2()).holds
     )
     assert not pi_t_simple_direct(lz2()).holds
