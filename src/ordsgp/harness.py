@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -363,7 +365,11 @@ def _verify_batch(payload):
 
 
 def _structure_rows(ids, catalog, workers):
-    """Verdict rows per catalog structure, in catalog order."""
+    """Verdict rows per catalog structure, in catalog order.
+
+    The pool path keeps at most ``2 * workers`` batches in flight, so a
+    consumer that stops early (``fail_fast``) and closes this generator
+    leaves only those to finish; queued batches are cancelled."""
     if workers == 1:
         for S in catalog:
             yield _verify_chunk(ids, S)
@@ -373,9 +379,15 @@ def _structure_rows(ids, catalog, workers):
         while batch := tuple((S.table, S.leq) for S in islice(catalog, 64)):
             yield ids, batch
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rows in pool.map(_verify_batch, batches()):
-            yield from rows
+    payloads = batches()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = deque(pool.submit(_verify_batch, b) for b in islice(payloads, 2 * workers))
+        while window:
+            yield from window.popleft().result()
+            window.extend(pool.submit(_verify_batch, b) for b in islice(payloads, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_suite(
@@ -403,18 +415,19 @@ def run_suite(
     structures = 0
 
     catalog = iter_catalog(max_order, sample_count, sample_seed)
-    for rows in _structure_rows(ids, catalog, workers):
-        structures += 1
-        for tid, verdict, report, disagreements in rows:
-            totals[verdict] += 1
-            by_theorem[tid][verdict] += 1
-            if report is not None:
-                discrepancies.append(report)
-            for name in disagreements:
-                key = f"{tid}.{name}"
-                reading_disagreements[key] = reading_disagreements.get(key, 0) + 1
-        if fail_fast and discrepancies:
-            break
+    with closing(_structure_rows(ids, catalog, workers)) as structure_rows:
+        for rows in structure_rows:
+            structures += 1
+            for tid, verdict, report, disagreements in rows:
+                totals[verdict] += 1
+                by_theorem[tid][verdict] += 1
+                if report is not None:
+                    discrepancies.append(report)
+                for name in disagreements:
+                    key = f"{tid}.{name}"
+                    reading_disagreements[key] = reading_disagreements.get(key, 0) + 1
+            if fail_fast and discrepancies:
+                break
 
     config = {
         "theorems": list(ids),

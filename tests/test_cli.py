@@ -90,6 +90,18 @@ def test_enumerate_to_file(tmp_path):
     assert manifest["count"] == 1
 
 
+def test_enumerate_usage_error_leaves_out_file_alone(tmp_path, capsys):
+    kept = tmp_path / "kept.ndjson"
+    kept.write_text("keep\n")
+    assert main(["enumerate", "--order", "5", "--out", str(kept)]) == 64
+    assert kept.read_text() == "keep\n"
+    absent = tmp_path / "absent.ndjson"
+    assert main(["enumerate", "--order", "5", "--out", str(absent)]) == 64
+    assert not absent.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.ndjson"]
+    assert "capped at 4" in capsys.readouterr().err
+
+
 def test_verify_ok(capsys):
     code = main(["verify", "--theorem", "thm2", "--max-order", "2"])
     assert code == 0

@@ -23,6 +23,8 @@ from ordsgp import (
     validate,
 )
 from ordsgp.core import joint_power_exponents
+from ordsgp.harness import iter_catalog
+from ordsgp.predicates import PREDICATE_NAMES, _closed_under_product, named_predicate
 
 import oracles
 
@@ -230,6 +232,44 @@ def test_restrict():
         restrict(N, 0b10)  # {1} is not product-closed: 1*1 = 0
     with pytest.raises(ValueError):
         restrict(N, 0)
+
+
+def test_restrict_full_carrier_is_the_structure():
+    for S in (t1(), lz2(), sl2(), n2()):
+        sub, elems = restrict(S, S.full)
+        assert sub is S
+        assert elems == tuple(range(S.order))
+
+
+def test_restrict_interns_equal_substructures():
+    # {0} re-labels to the same one-element structure in both parents
+    a, _ = restrict(n2(), 0b01)
+    b, _ = restrict(lz2(), 0b01)
+    assert a is b
+    assert a == t1()
+    # {1} of the right-zero pair is the same structure; elems maps back to 1
+    c, elems = restrict(rz2(), 0b10)
+    assert c is a and elems == (1,)
+
+
+def test_interned_substructures_agree_with_validated_builds():
+    # law over the order <= 3 catalog: every product-closed proper subset
+    # restricts to a structure whose predicates equal those of a freshly
+    # validated build of the same table and order
+    checked = set()
+    for S in iter_catalog(3):
+        for mask in range(1, S.full):
+            if not _closed_under_product(S, mask):
+                continue
+            sub, _ = restrict(S, mask)
+            if id(sub) in checked:
+                continue
+            fresh = OrderedSemigroup(sub.table, sub.leq)
+            assert fresh == sub and fresh is not sub
+            for name in PREDICATE_NAMES:
+                assert named_predicate(sub, name).to_dict() == named_predicate(fresh, name).to_dict()
+            checked.add(id(sub))
+    assert len(checked) == 21  # every structure of order <= 2 occurs
 
 
 def test_structures_are_immutable():

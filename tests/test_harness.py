@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from ordsgp import (
     THEOREM_IDS,
+    OrderedSemigroup,
     lz2,
     n2,
     run_suite,
@@ -13,9 +15,10 @@ from ordsgp import (
     sl2,
     structure_key,
     t1,
+    validate,
     verify,
 )
-from ordsgp import harness
+from ordsgp import core, harness
 from ordsgp.harness import iter_catalog
 
 ALL_IDS = (
@@ -207,6 +210,54 @@ def test_fail_fast_report_is_worker_independent(monkeypatch):
     assert one["structures"] == 2
     assert one["totals"] == {"equivalent": 1, "hypothesis_not_met": 0, "DISCREPANCY": 1}
     assert [d["structure_key"] for d in one["discrepancies"]] == ["n2:0000:1001"]
+
+
+def test_fail_fast_pool_stops_within_the_in_flight_window(monkeypatch, tmp_path):
+    # forked pool workers inherit both patches and log each structure they
+    # verify; after the stop only the batches already in flight may finish
+    log = tmp_path / "verified.log"
+    real_verify, real_chunk = harness.verify, harness._verify_chunk
+
+    def faulty_verify(S, tid):
+        report = real_verify(S, tid)
+        if S.order == 2:
+            return dataclasses.replace(report, verdict="DISCREPANCY")
+        return report
+
+    def logging_chunk(ids, S):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(structure_key(S) + "\n")
+        return real_chunk(ids, S)
+
+    monkeypatch.setattr(harness, "verify", faulty_verify)
+    monkeypatch.setattr(harness, "_verify_chunk", logging_chunk)
+    workers = 2
+    report = run_suite("thm4", max_order=3, workers=workers, fail_fast=True)
+    assert report.structures == 2
+    verified = log.read_text().splitlines()
+    assert len(verified) <= 2 * workers * 64  # of the 992 catalog structures
+
+
+def test_golden_report_digest_order3():
+    # byte-level guard for speed-ups: every suite report over the order <= 3
+    # catalog, in catalog order, hashed as canonical JSON
+    digest = hashlib.sha256()
+    for S in iter_catalog(3):
+        for tid in THEOREM_IDS:
+            digest.update(json.dumps(verify(S, tid).to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "93fa82c0bf11ae834af68d39e03f4f9ecca157a1ab7a206b5863fd42de028e31"
+    )
+
+
+def test_interned_substructures_are_valid_after_a_run():
+    run_suite("all", max_order=3)
+    assert core._INTERNED
+    for (table, leq), sub in core._INTERNED.items():
+        assert (sub.table, sub.leq) == (table, leq)
+        checked = validate(table, leq)
+        assert isinstance(checked, OrderedSemigroup)
+        assert checked == OrderedSemigroup(table, leq) == sub
 
 
 def test_search_model_examples():
