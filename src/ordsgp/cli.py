@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 
 from .core import ValidationReport, structure_from_dict, structure_from_key, structure_key
 from .enumeration import GenerationConfig, enumerate_ordered_semigroups
@@ -127,23 +126,18 @@ def cmd_enumerate(args):
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    structures = enumerate_ordered_semigroups(config)
+    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     count = 0
     try:
-        # The order caps raise on the first pull, so take it before --out
-        # is opened: a usage error must not create or truncate the file.
-        first = next(structures, None)
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
-            for S in chain(() if first is None else (first,), structures):
-                sink.write(_dump(S.to_dict()) + "\n")
-                count += 1
-        finally:
-            if args.out:
-                sink.close()
+        for S in enumerate_ordered_semigroups(config):
+            sink.write(_dump(S.to_dict()) + "\n")
+            count += 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if args.out:
+            sink.close()
     manifest = {
         "count": count,
         "config": {

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Largest order whose structures are enumerated exhaustively.  restrict
+# interns only substructures below it: at most the 992 labelled ordered
+# semigroups of order <= 3.
+EXHAUSTIVE_TABLE_CAP = 4
+
 
 def bits_iter(mask):
     """Yield the set bit positions of an int mask, ascending."""
@@ -204,17 +209,12 @@ class OrderedSemigroup:
 
     __slots__ = ("order", "table", "leq", "above", "below", "full", "_cache")
 
-    def __init__(self, table, leq, *, _trusted=False):
-        # _trusted: table and leq are already canonical tuples known to
-        # satisfy every axiom (see restrict); skip normalising and checking.
-        if _trusted:
-            tab, lm = table, leq
-        else:
-            tab, lm = _normalize(table, leq)
-            bad = _violations(tab, lm, first_only=True)
-            if bad:
-                v = bad[0]
-                raise ValueError(f"not an ordered semigroup: {v.axiom} fails at {v.witness}")
+    def __init__(self, table, leq):
+        tab, lm = _normalize(table, leq)
+        bad = _violations(tab, lm, first_only=True)
+        if bad:
+            v = bad[0]
+            raise ValueError(f"not an ordered semigroup: {v.axiom} fails at {v.witness}")
         n = len(tab)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", tab)
@@ -479,7 +479,8 @@ def joint_power_exponents(S, specs):
         m += 1
 
 
-# restrict's intern table: re-labelled (table, leq) -> proper substructure.
+# restrict's intern table: re-labelled (table, leq) -> proper substructure
+# of order < EXHAUSTIVE_TABLE_CAP.
 _INTERNED = {}
 
 
@@ -487,21 +488,21 @@ def restrict(S, bits):
     """Substructure induced on a product-closed subset.
 
     Returns (sub, elems) where elems maps new labels (ascending) back to the
-    original carrier.  Raises ``ValueError`` when the subset is empty or not
-    closed under the product.
+    original carrier.  Raises ``ValueError`` when the mask has a bit outside
+    the carrier or the subset is empty or not closed under the product.
 
     The full carrier gives S itself, so its cached results are reused.  A
-    proper subset is built without re-validation, because a product-closed
-    subset of a validated structure inherits associativity, the order axioms
-    and compatibility.  It is interned process-wide by its re-labelled
-    ``(table, leq)``: equal substructures of different parents are one
-    instance, so their cached predicates, each a pure function of
-    ``(table, leq)``, are computed once per process.  The intern table holds
-    the distinct proper substructures the searches visit: 240 entries,
-    about 1.5 MB, for ``verify --theorem all --max-order 4``.
+    proper substructure of order below ``EXHAUSTIVE_TABLE_CAP`` is interned
+    process-wide by its re-labelled ``(table, leq)``: equal substructures of
+    different parents are one instance, so their cached predicates, each a
+    pure function of ``(table, leq)``, are computed once per process.  The
+    table holds at most the 992 labelled structures of order <= 3; larger
+    substructures are built afresh on every call.
     """
     if bits == S.full:
         return S, tuple(range(S.order))
+    if bits < 0 or bits >> S.order:
+        raise ValueError(f"bitmask {bits:#x} does not fit a carrier of size {S.order}")
     elems = tuple(bits_iter(bits))
     if not elems:
         raise ValueError("cannot restrict to the empty subset")
@@ -511,10 +512,12 @@ def restrict(S, bits):
     except KeyError as exc:
         raise ValueError(f"subset not closed under product: hit {exc.args[0]}") from None
     leq = tuple(tuple(S.leq[a][b] for b in elems) for a in elems)
+    if len(elems) >= EXHAUSTIVE_TABLE_CAP:
+        return OrderedSemigroup(table, leq), elems
     key = (table, leq)
     sub = _INTERNED.get(key)
     if sub is None:
-        sub = _INTERNED[key] = OrderedSemigroup(table, leq, _trusted=True)
+        sub = _INTERNED[key] = OrderedSemigroup(table, leq)
     return sub, elems
 
 

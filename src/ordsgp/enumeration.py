@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .core import OrderedSemigroup, _discrete
+from .core import EXHAUSTIVE_TABLE_CAP, OrderedSemigroup, _discrete
 
-EXHAUSTIVE_TABLE_CAP = 4
 CANONICAL_CAP = 6
 RANDOM_CAP = 8
 
@@ -26,6 +25,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
+        if self.order > EXHAUSTIVE_TABLE_CAP:
+            raise ValueError(f"exhaustive table enumeration capped at {EXHAUSTIVE_TABLE_CAP}")
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}")
         if self.limit is not None and self.limit < 1:

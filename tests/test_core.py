@@ -22,7 +22,8 @@ from ordsgp import (
     t1,
     validate,
 )
-from ordsgp.core import joint_power_exponents
+from ordsgp import core
+from ordsgp.core import _discrete, joint_power_exponents
 from ordsgp.harness import iter_catalog
 from ordsgp.predicates import PREDICATE_NAMES, _closed_under_product, named_predicate
 
@@ -241,6 +242,12 @@ def test_restrict_full_carrier_is_the_structure():
         assert elems == tuple(range(S.order))
 
 
+def test_restrict_rejects_mask_outside_carrier():
+    for bits in (0b101, -1):
+        with pytest.raises(ValueError, match="does not fit"):
+            restrict(n2(), bits)
+
+
 def test_restrict_interns_equal_substructures():
     # {0} re-labels to the same one-element structure in both parents
     a, _ = restrict(n2(), 0b01)
@@ -252,10 +259,22 @@ def test_restrict_interns_equal_substructures():
     assert c is a and elems == (1,)
 
 
-def test_interned_substructures_agree_with_validated_builds():
-    # law over the order <= 3 catalog: every product-closed proper subset
-    # restricts to a structure whose predicates equal those of a freshly
-    # validated build of the same table and order
+def test_restrict_builds_large_substructures_afresh():
+    # only substructures below the exhaustive cap are interned
+    zero5 = OrderedSemigroup([[0] * 5 for _ in range(5)], _discrete(5))
+    small, _ = restrict(zero5, 0b00111)
+    assert restrict(zero5, 0b00111)[0] is small
+    big, elems = restrict(zero5, 0b01111)
+    again, _ = restrict(zero5, 0b01111)
+    assert elems == (0, 1, 2, 3) and big.order == 4
+    assert big == again and big is not again
+    assert (big.table, big.leq) not in core._INTERNED
+
+
+def test_interned_substructures_agree_with_fresh_builds():
+    # law over the order <= 3 catalog: the one interned instance that every
+    # parent's product-closed proper subset restricts to has the same
+    # predicates as a fresh build of its table and order
     checked = set()
     for S in iter_catalog(3):
         for mask in range(1, S.full):

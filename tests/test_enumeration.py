@@ -98,6 +98,8 @@ def test_enumerate_limit_and_config_validation():
     assert len(limited) == 5
     with pytest.raises(ValueError):
         GenerationConfig(0)
+    with pytest.raises(ValueError, match="capped at 4"):
+        GenerationConfig(5)
     with pytest.raises(ValueError):
         GenerationConfig(2, order_mode="sideways")
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 
 from ordsgp import (
     THEOREM_IDS,
-    OrderedSemigroup,
     lz2,
     n2,
     run_suite,
@@ -15,10 +14,9 @@ from ordsgp import (
     sl2,
     structure_key,
     t1,
-    validate,
     verify,
 )
-from ordsgp import core, harness
+from ordsgp import harness
 from ordsgp.harness import iter_catalog
 
 ALL_IDS = (
@@ -248,16 +246,6 @@ def test_golden_report_digest_order3():
     assert digest.hexdigest() == (
         "93fa82c0bf11ae834af68d39e03f4f9ecca157a1ab7a206b5863fd42de028e31"
     )
-
-
-def test_interned_substructures_are_valid_after_a_run():
-    run_suite("all", max_order=3)
-    assert core._INTERNED
-    for (table, leq), sub in core._INTERNED.items():
-        assert (sub.table, sub.leq) == (table, leq)
-        checked = validate(table, leq)
-        assert isinstance(checked, OrderedSemigroup)
-        assert checked == OrderedSemigroup(table, leq) == sub
 
 
 def test_search_model_examples():
