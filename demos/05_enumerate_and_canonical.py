@@ -31,7 +31,9 @@ print("\norder-2 catalog size:", len(catalog))
 discrete = GenerationConfig(3, order_mode="discrete_only")
 print("order-3 discrete slice:", sum(1 for _ in enumerate_ordered_semigroups(discrete)))
 
-# %% Isomorphism rejection via canonical forms (least relabelling).
+# %% One structure per isomorphism class, generated orderly: only tables
+# least among their relabellings, with orders reduced by the table's
+# automorphisms.  Canonical forms (least relabelling) tell classes apart.
 up_to_iso = list(enumerate_ordered_semigroups(GenerationConfig(2, up_to_iso=True)))
 print("order-2 catalog up to isomorphism:", len(up_to_iso))
 print("LZ2 and RZ2 are not isomorphic:", canonical_form(lz2()) != canonical_form(rz2()))

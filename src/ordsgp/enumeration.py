@@ -172,27 +172,72 @@ def _compatible_orders_cached(table):
 
 def enumerate_ordered_semigroups(config):
     """Validated structures for every (table, compatible order) pair, or
-    for every table with the discrete order under ``discrete_only``."""
+    for every table with the discrete order under ``discrete_only``.
+
+    Tables come in ``enumerate_tables`` order and, per table, orders in
+    ``all_partial_orders`` order.  With ``up_to_iso`` the stream holds the
+    first structure of each isomorphism class in that labelled stream, and
+    is generated orderly instead of by canonicalising every structure:
+
+    - A table T that some relabelling maps to a lexicographically smaller
+      table T' is skipped.  Each of its structures (T, <=) is isomorphic to
+      (T', <=') with <=' the relabelled order, which is compatible with T'
+      (and discrete when <= is), so its class was met earlier.
+    - A structure isomorphic to one on an orbit-least table T lies on a
+      relabelling of T, which is T itself or a later table; so the classes
+      met on T are met on no earlier table, and (T, <=1), (T, <=2) are
+      isomorphic exactly when an automorphism of T maps <=1 to <=2.  An
+      order of T is therefore emitted unless it is the image, under
+      ``Aut(T)``, of an order already emitted for T.
+
+    Only emitted structures are built.
+    """
     n = config.order
     emitted = 0
-    seen = set()
     discrete = (_discrete(n),)
+    perms = tuple(permutations(range(n)))
     for table in enumerate_tables(n):
+        automorphisms = _least_table_automorphisms(table, perms) if config.up_to_iso else ()
+        if automorphisms is None:
+            continue
         if config.order_mode == "discrete_only":
             orders = discrete
         else:
             orders = enumerate_compatible_orders(table)
+        images = set()
         for leq in orders:
-            S = OrderedSemigroup(table, leq)
-            if config.up_to_iso:
-                key = canonical_form(S)
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield S
+            if leq in images:
+                continue
+            images.update(_relabel(leq, p, relabel_entries=False) for p in automorphisms)
+            yield OrderedSemigroup(table, leq)
             emitted += 1
             if config.limit is not None and emitted >= config.limit:
                 return
+
+
+def _least_table_automorphisms(table, perms):
+    """The permutations fixing ``table``, or None when one of ``perms``
+    relabels it to a lexicographically smaller table."""
+    automorphisms = []
+    for p in perms:
+        image = _relabel(table, p, relabel_entries=True)
+        if image < table:
+            return None
+        if image == table:
+            automorphisms.append(p)
+    return automorphisms
+
+
+def _relabel(matrix, p, relabel_entries):
+    """``matrix`` with every element a renamed p[a]: row p[a], column p[b]
+    holds matrix[a][b], itself renamed when ``relabel_entries`` (a product
+    table rather than an order)."""
+    inv = [0] * len(p)
+    for a, pa in enumerate(p):
+        inv[pa] = a
+    if relabel_entries:
+        return tuple(tuple(p[matrix[a][b]] for b in inv) for a in inv)
+    return tuple(tuple(matrix[a][b] for b in inv) for a in inv)
 
 
 def canonical_form(S):
@@ -290,9 +335,19 @@ def _antisymmetric(leq):
 def sample_structures(n, count, seed):
     """Seeded sample of structures at order n: uniformly random associative
     table from the exhaustive catalog, then a random non-discrete compatible
-    order (tables admitting only the discrete order are skipped)."""
+    order (tables admitting only the discrete order are skipped).
+
+    Raises ValueError when no table of order n admits a non-discrete
+    compatible order (order 1), where no draw could ever succeed.
+    """
     tables = tuple(enumerate_tables(n))
-    rng = random.Random(seed)
+    # every table admits the discrete order, so a second one is non-discrete
+    if not any(len(_compatible_orders_cached(t)) > 1 for t in tables):
+        raise ValueError(f"no table of order {n} admits a non-discrete compatible order")
+    return _draw_structures(n, tables, count, random.Random(seed))
+
+
+def _draw_structures(n, tables, count, rng):
     emitted = 0
     while emitted < count:
         table = tables[rng.randrange(len(tables))]

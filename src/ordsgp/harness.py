@@ -281,8 +281,12 @@ def iter_catalog(max_order, sample_count=10_000, sample_seed=0):
     """The verification catalog: every structure (all compatible orders) up
     to order 3, plus at order 4 the discrete-order structures exhaustively
     and a seeded sample of non-discrete ones."""
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
     if max_order > EXHAUSTIVE_TABLE_CAP:
         raise ValueError(f"verification catalog capped at order {EXHAUSTIVE_TABLE_CAP}")
+    if sample_count < 0:
+        raise ValueError("sample_count must not be negative")
     for n in range(1, min(max_order, 3) + 1):
         yield from enumerate_ordered_semigroups(GenerationConfig(n))
     if max_order >= 4:
@@ -475,6 +479,8 @@ class SearchResult:
 def search_model(satisfy=(), violate=(), max_order=3):
     """First structure, in catalog order, satisfying every named predicate
     in ``satisfy`` and violating every one in ``violate``."""
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
     if max_order > EXHAUSTIVE_TABLE_CAP:
         raise ValueError(f"model search capped at order {EXHAUSTIVE_TABLE_CAP}")
     satisfy = tuple(satisfy)

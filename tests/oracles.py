@@ -5,7 +5,7 @@ directly, so expected values in the tests never depend on the code paths
 they check.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def closure(leq, subset):
@@ -125,3 +125,17 @@ def green_classes(table, leq, kind):
     for a in range(n):
         keyed.setdefault(frozenset(ideal(table, leq, a)), []).append(a)
     return sorted(sorted(c) for c in keyed.values())
+
+
+def automorphism_count(table, leq):
+    """Number of carrier permutations preserving both product and order."""
+    n = len(table)
+    span = range(n)
+    return sum(
+        all(
+            p[table[a][b]] == table[p[a]][p[b]] and leq[a][b] == leq[p[a]][p[b]]
+            for a in span
+            for b in span
+        )
+        for p in permutations(span)
+    )

@@ -140,6 +140,25 @@ def test_order_caps_are_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--theorem", "all", "--max-order", "0"], "max_order must be at least 1"),
+        (["verify", "--theorem", "all", "--max-order", "-2"], "max_order must be at least 1"),
+        (
+            ["verify", "--theorem", "all", "--max-order", "4", "--sample-count", "-5"],
+            "sample_count must not be negative",
+        ),
+        (["search", "--satisfy", "regular", "--max-order", "0"], "max_order must be at least 1"),
+    ],
+)
+def test_empty_catalog_is_usage_error(capsys, argv, message):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "order, cap",
     [(11, "partition enumeration capped at 10"), (13, "subset search capped at 12")],
 )

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from math import factorial
+
 import pytest
 
 from ordsgp import (
@@ -116,6 +120,68 @@ def test_up_to_iso_stream_is_duplicate_free():
     assert len(seen) < full
 
 
+def reference_iso_stream(n, order_mode, limit=None):
+    """The up-to-iso stream as the first labelled member of each class:
+    the labelled stream deduplicated by ``canonical_form``."""
+    seen = set()
+    out = []
+    for S in enumerate_ordered_semigroups(GenerationConfig(n, order_mode=order_mode)):
+        key = canonical_form(S)
+        if key not in seen:
+            seen.add(key)
+            out.append(S.to_dict())
+            if len(out) == limit:
+                break
+    return out
+
+
+def iso_stream(n, order_mode, limit=None):
+    config = GenerationConfig(n, up_to_iso=True, order_mode=order_mode, limit=limit)
+    return [S.to_dict() for S in enumerate_ordered_semigroups(config)]
+
+
+@pytest.fixture(scope="module")
+def iso4():
+    return iso_stream(4, "all_partial_orders")
+
+
+@pytest.mark.parametrize("limit", (None, 7))
+@pytest.mark.parametrize("order_mode", ("all_partial_orders", "discrete_only"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_up_to_iso_stream_matches_canonical_dedupe(n, order_mode, limit):
+    assert iso_stream(n, order_mode, limit) == reference_iso_stream(n, order_mode, limit)
+
+
+def test_up_to_iso_discrete_order4_matches_canonical_dedupe():
+    assert iso_stream(4, "discrete_only") == reference_iso_stream(4, "discrete_only")
+
+
+def test_up_to_iso_class_counts(iso4):
+    assert [len(iso_stream(n, "all_partial_orders")) for n in (1, 2, 3)] == [1, 11, 173]
+    assert len(iso4) == 4753
+    # semigroups up to isomorphism, OEIS A027851
+    assert [len(iso_stream(n, "discrete_only")) for n in (1, 2, 3, 4)] == [1, 5, 24, 188]
+
+
+def test_up_to_iso_order4_golden_digest(iso4):
+    # one line per structure as ``ordsgp enumerate --order 4 --up-to-iso`` writes it
+    lines = "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in iso4)
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "079909444c6e32322ee1b5a9bb3401678ca4161d83dcba157f14521b8f80ad5a"
+
+
+@pytest.mark.parametrize(
+    "order_mode, labelled",
+    [("all_partial_orders", (1, 20, 971, 107688)), ("discrete_only", (1, 8, 113, 3492))],
+)
+def test_orbit_stabiliser_recovers_labelled_counts(iso4, order_mode, labelled):
+    # each class of order n stands for n!/|Aut(S)| labelled structures
+    for n, expected in zip((1, 2, 3, 4), labelled):
+        stream = iso4 if (n, order_mode) == (4, "all_partial_orders") else iso_stream(n, order_mode)
+        sizes = [factorial(n) // oracles.automorphism_count(d["table"], d["leq"]) for d in stream]
+        assert sum(sizes) == expected
+
+
 def test_canonical_form_examples():
     # SL2 relabelled through the swap: product becomes max, order flips
     swapped = OrderedSemigroup([[0, 1], [1, 1]], [[True, False], [True, True]])
@@ -145,3 +211,9 @@ def test_sample_structures_deterministic_and_nontrivial():
     assert first == second
     for S in sample_structures(3, 10, seed=5):
         assert sum(sum(row) for row in S.leq) > S.order
+
+
+def test_sample_structures_order_one_is_rejected():
+    # the one order-1 table admits only the discrete order
+    with pytest.raises(ValueError, match="non-discrete compatible order"):
+        sample_structures(1, 3, seed=0)

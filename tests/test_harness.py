@@ -140,6 +140,16 @@ def test_iter_catalog_counts():
         list(iter_catalog(5))
 
 
+def test_empty_or_negative_catalog_is_rejected():
+    for max_order in (0, -2):
+        with pytest.raises(ValueError, match="max_order must be at least 1"):
+            list(iter_catalog(max_order))
+        with pytest.raises(ValueError, match="max_order must be at least 1"):
+            search_model(satisfy=["regular"], max_order=max_order)
+    with pytest.raises(ValueError, match="sample_count must not be negative"):
+        list(iter_catalog(4, sample_count=-5))
+
+
 def test_run_suite_small_exhaustive():
     rep = run_suite("all", max_order=2)
     assert rep.structures == 21

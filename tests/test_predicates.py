@@ -2,6 +2,10 @@ import pytest
 
 from ordsgp import (
     FIXTURES,
+    GenerationConfig,
+    OrderedSemigroup,
+    enumerate_ordered_semigroups,
+    green,
     left_pi_inverse_def,
     left_pi_t_simple_direct,
     lemma3_predicate,
@@ -15,6 +19,7 @@ from ordsgp import (
     right_pi_inverse_def,
     rz2,
     sl2,
+    starred,
     structure_predicate,
     t1,
     theorem2_conditions,
@@ -174,6 +179,45 @@ def test_dual_predicates():
     )
     assert not pi_t_simple_direct(lz2()).holds
     assert pi_t_simple_direct(n2()).holds
+
+
+def _mirror(name):
+    for side, other in (("left-", "right-"), ("right-", "left-")):
+        if name.startswith(side):
+            return other + name[len(side):]
+    return name
+
+
+def _iso_representatives():
+    for n in (1, 2, 3):
+        yield from enumerate_ordered_semigroups(GenerationConfig(n, up_to_iso=True))
+    discrete4 = GenerationConfig(4, up_to_iso=True, order_mode="discrete_only")
+    yield from enumerate_ordered_semigroups(discrete4)
+
+
+def test_duality_law_over_iso_classes():
+    # S^op multiplies the other way round under the same order, so every
+    # left notion of S is the right notion of S^op and symmetric ones stay.
+    # Predicates are isomorphism invariant: one structure per class covers
+    # the order <= 3 catalog and the order-4 discrete tables.
+    assert all(_mirror(name) in PREDICATE_NAMES for name in PREDICATE_NAMES)
+    green_mirror = {"L": "R", "R": "L", "J": "J", "H": "H"}
+    count = 0
+    for S in _iso_representatives():
+        dual = OrderedSemigroup([list(col) for col in zip(*S.table)], S.leq)
+        for name in PREDICATE_NAMES:
+            assert (
+                named_predicate(S, name).holds == named_predicate(dual, _mirror(name)).holds
+            ), (name, S.to_dict())
+        for kind, other in green_mirror.items():
+            for relation in (green, starred):
+                assert relation(S, kind).to_lists() == relation(dual, other).to_lists(), (
+                    relation.__name__,
+                    kind,
+                    S.to_dict(),
+                )
+        count += 1
+    assert count == 1 + 11 + 173 + 188
 
 
 def test_lemma_predicates():
