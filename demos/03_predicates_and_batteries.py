@@ -11,7 +11,6 @@ from ordsgp import (
     nil_extension_search,
     rz2,
     sl2,
-    structure_predicate,
     theorem2_conditions,
     theorem5_conditions,
 )
@@ -24,7 +23,7 @@ for name in PREDICATE_NAMES:
     print(f"  {name}: {named_predicate(S, name).holds}")
 
 # %% Witness detail: N2 is left Archimedean with exponent 2 on the pair (1, 0).
-res = structure_predicate(n2(), "left-archimedean")
+res = named_predicate(n2(), "left-archimedean")
 by_pair = {(w["a"], w["b"]): w for w in res.witnesses}
 print("\nN2 left-archimedean witness for (1,0):", by_pair[(1, 0)])
 

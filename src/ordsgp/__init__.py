@@ -39,12 +39,9 @@ from .core import (
 )
 from .enumeration import (
     GenerationConfig,
-    SamplingBudgetExceeded,
-    canonical_form,
     enumerate_compatible_orders,
     enumerate_ordered_semigroups,
     enumerate_tables,
-    random_ordered_semigroup,
     sample_structures,
 )
 from .harness import (
@@ -58,7 +55,6 @@ from .harness import (
 )
 from .predicates import (
     PREDICATE_NAMES,
-    STRUCTURE_PREDICATE_NAMES,
     left_pi_inverse_def,
     left_pi_t_simple_direct,
     lemma3_predicate,
@@ -69,7 +65,6 @@ from .predicates import (
     pi_t_simple_direct,
     right_pi_inverse_def,
     right_pi_t_simple_direct,
-    structure_predicate,
     theorem2_conditions,
     theorem4_conditions,
     theorem5_conditions,

@@ -242,13 +242,13 @@ def cor_hstar_conditions(S):
 def cor_cpr_conditions(S):
     """Completely pi-regular variant (suite id ``cor-cpr``); meaningful when
     S is right pi-inverse and left pi-regular."""
-    from .predicates import _conj, structure_predicate
+    from .predicates import _conj, named_predicate
 
     def build():
         c1, c2, c3, _ = theorem8_conditions(S)
         c4 = _conj(
-            ("completely_pi_regular", structure_predicate(S, "completely-pi-regular")),
-            ("left_weakly_commutative", structure_predicate(S, "left-weakly-commutative")),
+            ("completely_pi_regular", named_predicate(S, "completely-pi-regular")),
+            ("left_weakly_commutative", named_predicate(S, "left-weakly-commutative")),
         )
         return (c1, c2, c3, c4)
 

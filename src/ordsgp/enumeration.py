@@ -1,4 +1,10 @@
-"""Exhaustive and seeded-random generation of finite ordered semigroups."""
+"""Exhaustive generation of finite ordered semigroups.
+
+Every associative table of order n by a deterministic backtrack, every
+compatible partial order of a table, the labelled catalog and its orderly
+up-to-isomorphism stream, and the seeded sample of non-discrete order-n
+structures that the order-4 verification regime draws.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +14,6 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .core import EXHAUSTIVE_TABLE_CAP, OrderedSemigroup, _discrete
-
-CANONICAL_CAP = 6
-RANDOM_CAP = 8
 
 ORDER_MODES = ("all_partial_orders", "discrete_only")
 
@@ -33,14 +36,6 @@ class GenerationConfig:
             raise ValueError("limit must be at least 1 when present")
 
 
-class SamplingBudgetExceeded(RuntimeError):
-    """Random generation ran out of attempts; carries the attempt count."""
-
-    def __init__(self, attempts):
-        super().__init__(f"sampling budget exhausted after {attempts} attempts")
-        self.attempts = attempts
-
-
 def enumerate_tables(n):
     """All associative tables on {0..n-1}, generated by backtracking with
     associativity pruning; deterministic lexicographic order."""
@@ -51,7 +46,23 @@ def enumerate_tables(n):
 
 @lru_cache(maxsize=None)
 def _all_tables(n):
-    return tuple(_tables_backtrack(n, None, None))
+    """Depth-first row-major cell fill pruned by partial associativity."""
+    table = [[-1] * n for _ in range(n)]
+    found = []
+
+    def fill(k):
+        if k == n * n:
+            found.append(tuple(tuple(row) for row in table))
+            return
+        i, j = divmod(k, n)
+        for v in range(n):
+            table[i][j] = v
+            if _partial_consistent(table, n):
+                fill(k + 1)
+        table[i][j] = -1
+
+    fill(0)
+    return tuple(found)
 
 
 def _partial_consistent(table, n):
@@ -74,42 +85,6 @@ def _partial_consistent(table, n):
                 if left >= 0 and right >= 0 and left != right:
                     return False
     return True
-
-
-def _tables_backtrack(n, rng, budget):
-    """Depth-first cell fill pruned by partial associativity.
-
-    Deterministic lexicographic order without rng; with rng the values are
-    shuffled and cells are filled by leading principal submatrices, which
-    surfaces contradictions early enough to sample large tables.  ``budget``
-    caps the total number of cell placements.
-    """
-    if rng is None:
-        cells = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        cells = sorted(((i, j) for i in range(n) for j in range(n)), key=lambda c: (max(c), c))
-    table = [[-1] * n for _ in range(n)]
-    placements = 0
-
-    def fill(k):
-        nonlocal placements
-        if k == len(cells):
-            yield tuple(tuple(row) for row in table)
-            return
-        i, j = cells[k]
-        values = list(range(n))
-        if rng is not None:
-            rng.shuffle(values)
-        for v in values:
-            placements += 1
-            if budget is not None and placements > budget:
-                raise SamplingBudgetExceeded(placements)
-            table[i][j] = v
-            if _partial_consistent(table, n):
-                yield from fill(k + 1)
-            table[i][j] = -1
-
-    yield from fill(0)
 
 
 @lru_cache(maxsize=None)
@@ -240,106 +215,17 @@ def _relabel(matrix, p, relabel_entries):
     return tuple(tuple(matrix[a][b] for b in inv) for a in inv)
 
 
-def canonical_form(S):
-    """Least relabelling of (table, order) over all carrier permutations.
-
-    Equal keys mean the structures are isomorphic as ordered semigroups,
-    i.e. related by a product- and order-preserving bijection.
-    """
-    n = S.order
-    if n > CANONICAL_CAP:
-        raise ValueError(f"canonicalization capped at {CANONICAL_CAP} elements")
-    table, leq = S.table, S.leq
-    best = None
-    for p in permutations(range(n)):
-        flat_t = []
-        flat_o = []
-        inv = [0] * n
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        for i in range(n):
-            a = inv[i]
-            row_t = table[a]
-            row_o = leq[a]
-            for j in range(n):
-                b = inv[j]
-                flat_t.append(p[row_t[b]])
-                flat_o.append(row_o[b])
-        key = (tuple(flat_t), tuple(flat_o))
-        if best is None or key < best:
-            best = key
-    return (n,) + best
-
-
-def random_ordered_semigroup(n, seed, max_attempts=500_000):
-    """Seeded random structure: a random associative table (randomized
-    backtracking with associativity pruning, restarted in slices so one bad
-    prefix cannot eat the budget) plus a random compatible order.
-    Deterministic for a fixed seed; raises :class:`SamplingBudgetExceeded`
-    with the attempt count when the placement budget runs out."""
-    if n > RANDOM_CAP:
-        raise ValueError(f"random generation capped at {RANDOM_CAP} elements")
-    rng = random.Random(seed)
-    per_restart = min(max_attempts, 30_000)
-    spent = 0
-    while spent < max_attempts:
-        try:
-            for table in _tables_backtrack(n, rng, min(per_restart, max_attempts - spent)):
-                leq = _random_compatible_order(table, rng)
-                return OrderedSemigroup(table, leq)
-            spent += per_restart
-        except SamplingBudgetExceeded as exc:
-            spent += exc.attempts
-    raise SamplingBudgetExceeded(spent)
-
-
-def _random_compatible_order(table, rng):
-    """Random compatible order by incremental pair insertion."""
-    n = len(table)
-    if n <= EXHAUSTIVE_TABLE_CAP:
-        orders = _compatible_orders_cached(tuple(map(tuple, table)))
-        return orders[rng.randrange(len(orders))]
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for _ in range(2 * n * n):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j or leq[i][j] or leq[j][i]:
-            continue
-        trial = [row[:] for row in leq]
-        trial[i][j] = True
-        _close_transitively(trial)
-        if _antisymmetric(trial) and is_compatible(table, trial):
-            leq = trial
-    return tuple(tuple(row) for row in leq)
-
-
-def _close_transitively(leq):
-    n = len(leq)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if leq[a][b]:
-                    for c in range(n):
-                        if leq[b][c] and not leq[a][c]:
-                            leq[a][c] = True
-                            changed = True
-
-
-def _antisymmetric(leq):
-    n = len(leq)
-    return not any(leq[a][b] and leq[b][a] for a in range(n) for b in range(a + 1, n))
-
-
 def sample_structures(n, count, seed):
     """Seeded sample of structures at order n: uniformly random associative
     table from the exhaustive catalog, then a random non-discrete compatible
     order (tables admitting only the discrete order are skipped).
 
-    Raises ValueError when no table of order n admits a non-discrete
-    compatible order (order 1), where no draw could ever succeed.
+    Raises ValueError for a negative count, and when no table of order n
+    admits a non-discrete compatible order (order 1), where no draw could
+    ever succeed.
     """
+    if count < 0:
+        raise ValueError("count must not be negative")
     tables = tuple(enumerate_tables(n))
     # every table admits the discrete order, so a second one is non-discrete
     if not any(len(_compatible_orders_cached(t)) > 1 for t in tables):

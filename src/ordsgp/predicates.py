@@ -250,36 +250,6 @@ _p_left_weakly_commutative = _weakly_commutative_family(
 )
 
 
-_STRUCTURE_PREDICATES = {
-    "regular": _p_regular,
-    "completely-regular": _p_completely_regular,
-    "intra-regular": _p_intra_regular,
-    "pi-regular": _p_pi_regular,
-    "completely-pi-regular": _p_completely_pi_regular,
-    "left-pi-regular": _p_left_pi_regular,
-    "right-pi-regular": _p_right_pi_regular,
-    "left-simple": _p_left_simple,
-    "right-simple": _p_right_simple,
-    "simple": _p_simple,
-    "left-archimedean": _p_left_archimedean,
-    "right-archimedean": _p_right_archimedean,
-    "archimedean": _p_archimedean,
-    "left-weakly-commutative": _p_left_weakly_commutative,
-    "right-weakly-commutative": _p_right_weakly_commutative,
-    "weakly-commutative": _p_weakly_commutative,
-}
-
-STRUCTURE_PREDICATE_NAMES = tuple(sorted(_STRUCTURE_PREDICATES))
-
-
-def structure_predicate(S, name):
-    """Evaluate a named structure-level predicate; names are kebab-case."""
-    key = name.replace("_", "-")
-    if key not in _STRUCTURE_PREDICATES:
-        raise ValueError(f"unknown predicate name {name!r}")
-    return S.cached(("pred", key), lambda: _STRUCTURE_PREDICATES[key](S))
-
-
 # -- subsemigroup and ideal searches --------------------------------------
 
 def _subset_masks(n):
@@ -493,19 +463,19 @@ def theorem2_conditions(S):
         return (
             left_pi_t_simple_direct(S),
             _conj(
-                ("pi_regular", structure_predicate(S, "pi-regular")),
+                ("pi_regular", named_predicate(S, "pi-regular")),
                 ("lstar_unique_idempotent", lstar_unique_idempotent(S)),
             ),
             _conj(
-                ("pi_regular", structure_predicate(S, "pi-regular")),
+                ("pi_regular", named_predicate(S, "pi-regular")),
                 ("lstar_one_class", _one_lstar_class(S)),
             ),
             _thm2_c4(S),
             _thm2_c5(S),
             _thm2_c6(S),
             _conj(
-                ("pi_regular", structure_predicate(S, "pi-regular")),
-                ("left_archimedean", structure_predicate(S, "left-archimedean")),
+                ("pi_regular", named_predicate(S, "pi-regular")),
+                ("left_archimedean", named_predicate(S, "left-archimedean")),
             ),
             nil_extension_search(S, "left_simple"),
         )
@@ -569,12 +539,12 @@ def theorem4_conditions(S, complete_only=False):
             complete_only=complete_only,
         )
         c2 = _conj(
-            ("pi_regular", structure_predicate(S, "pi-regular")),
+            ("pi_regular", named_predicate(S, "pi-regular")),
             ("ab_lstar_ba", _thm4_c2(S)),
         )
         c3 = _conj(
-            ("pi_regular", structure_predicate(S, "pi-regular")),
-            ("right_weakly_commutative", structure_predicate(S, "right-weakly-commutative")),
+            ("pi_regular", named_predicate(S, "pi-regular")),
+            ("right_weakly_commutative", named_predicate(S, "right-weakly-commutative")),
         )
         c4 = _thm4_c4(S)
         c5 = semilattice_decomposition(
@@ -980,26 +950,38 @@ def lemma7_predicate(S):
 
 # -- public vocabulary ------------------------------------------------------
 
-PREDICATES = dict(_STRUCTURE_PREDICATES)
-PREDICATES.update(
-    {
-        "left-pi-t-simple": left_pi_t_simple_direct,
-        "right-pi-t-simple": right_pi_t_simple_direct,
-        "pi-t-simple": pi_t_simple_direct,
-        "right-pi-inverse": right_pi_inverse_def,
-        "left-pi-inverse": left_pi_inverse_def,
-        "pi-inverse": pi_inverse_def,
-    }
-)
+PREDICATES = {
+    "regular": _p_regular,
+    "completely-regular": _p_completely_regular,
+    "intra-regular": _p_intra_regular,
+    "pi-regular": _p_pi_regular,
+    "completely-pi-regular": _p_completely_pi_regular,
+    "left-pi-regular": _p_left_pi_regular,
+    "right-pi-regular": _p_right_pi_regular,
+    "left-simple": _p_left_simple,
+    "right-simple": _p_right_simple,
+    "simple": _p_simple,
+    "left-archimedean": _p_left_archimedean,
+    "right-archimedean": _p_right_archimedean,
+    "archimedean": _p_archimedean,
+    "left-weakly-commutative": _p_left_weakly_commutative,
+    "right-weakly-commutative": _p_right_weakly_commutative,
+    "weakly-commutative": _p_weakly_commutative,
+    "left-pi-t-simple": left_pi_t_simple_direct,
+    "right-pi-t-simple": right_pi_t_simple_direct,
+    "pi-t-simple": pi_t_simple_direct,
+    "right-pi-inverse": right_pi_inverse_def,
+    "left-pi-inverse": left_pi_inverse_def,
+    "pi-inverse": pi_inverse_def,
+}
 
 PREDICATE_NAMES = tuple(sorted(PREDICATES))
 
 
 def named_predicate(S, name):
-    """Evaluate any predicate from the public kebab-case vocabulary."""
+    """Evaluate any predicate from the public kebab-case vocabulary (a
+    snake_case name is read as its kebab-case form); cached on S."""
     key = name.replace("_", "-")
     if key not in PREDICATES:
         raise ValueError(f"unknown predicate name {name!r}")
-    if key in _STRUCTURE_PREDICATES:
-        return structure_predicate(S, key)
-    return PREDICATES[key](S)
+    return S.cached(("pred", key), lambda: PREDICATES[key](S))

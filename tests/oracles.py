@@ -139,3 +139,25 @@ def automorphism_count(table, leq):
         )
         for p in permutations(span)
     )
+
+
+def canonical_form(table, leq):
+    """Least relabelled (table, order) over all carrier permutations.
+
+    Equal forms mean the structures are isomorphic as ordered semigroups,
+    i.e. related by a product- and order-preserving bijection.
+    """
+    n = len(table)
+    span = range(n)
+    best = None
+    for p in permutations(span):
+        inv = [0] * n
+        for a, pa in enumerate(p):
+            inv[pa] = a
+        key = (
+            tuple(p[table[inv[i]][inv[j]]] for i in span for j in span),
+            tuple(leq[inv[i]][inv[j]] for i in span for j in span),
+        )
+        if best is None or key < best:
+            best = key
+    return (n,) + best

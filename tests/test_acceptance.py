@@ -18,8 +18,8 @@ from ordsgp.predicates import (
     _thm2_c4,
     _thm5_c3,
     left_pi_t_simple_direct,
+    named_predicate,
     right_pi_inverse_def,
-    structure_predicate,
     theorem2_conditions,
     theorem4_conditions,
     theorem5_conditions,
@@ -96,8 +96,8 @@ def test_criterion_3_oracle_agreement():
             direct = left_pi_t_simple_direct(S).holds
             c4 = _thm2_c4(S).holds
             c7 = (
-                structure_predicate(S, "pi-regular").holds
-                and structure_predicate(S, "left-archimedean").holds
+                named_predicate(S, "pi-regular").holds
+                and named_predicate(S, "left-archimedean").holds
             )
             assert direct == c4 == c7, S
             rpi = right_pi_inverse_def(S).holds

@@ -7,13 +7,10 @@ import pytest
 from ordsgp import (
     GenerationConfig,
     OrderedSemigroup,
-    SamplingBudgetExceeded,
-    canonical_form,
     enumerate_compatible_orders,
     enumerate_ordered_semigroups,
     enumerate_tables,
     lz2,
-    random_ordered_semigroup,
     rz2,
     sample_structures,
     sl2,
@@ -27,6 +24,10 @@ import oracles
 LZ2_TABLE = ((0, 0), (1, 1))
 N2_TABLE = ((0, 0), (0, 0))
 Z2_TABLE = ((0, 1), (1, 0))
+
+
+def canonical_form(S):
+    return oracles.canonical_form(S.table, S.leq)
 
 
 def test_table_counts_match_naive_filter():
@@ -191,20 +192,6 @@ def test_canonical_form_examples():
     assert canonical_form(sl2()) != canonical_form(sl2_discrete)
 
 
-def test_random_ordered_semigroup():
-    a = random_ordered_semigroup(4, seed=11)
-    b = random_ordered_semigroup(4, seed=11)
-    assert a == b
-    assert structure_key(random_ordered_semigroup(1, seed=0)) == "n1:0:1"
-    for S in (a, random_ordered_semigroup(2, seed=1)):
-        revalidated = validate([list(r) for r in S.table], [list(r) for r in S.leq])
-        assert isinstance(revalidated, OrderedSemigroup)
-    with pytest.raises(ValueError):
-        random_ordered_semigroup(9, seed=0)
-    with pytest.raises(SamplingBudgetExceeded):
-        random_ordered_semigroup(8, seed=0, max_attempts=10)
-
-
 def test_sample_structures_deterministic_and_nontrivial():
     first = [structure_key(S) for S in sample_structures(3, 25, seed=5)]
     second = [structure_key(S) for S in sample_structures(3, 25, seed=5)]
@@ -217,3 +204,10 @@ def test_sample_structures_order_one_is_rejected():
     # the one order-1 table admits only the discrete order
     with pytest.raises(ValueError, match="non-discrete compatible order"):
         sample_structures(1, 3, seed=0)
+
+
+def test_sample_structures_negative_count_is_rejected():
+    # rejected when called, before any draw, as iter_catalog rejects it
+    with pytest.raises(ValueError, match="count must not be negative"):
+        sample_structures(4, -5, seed=0)
+    assert list(sample_structures(4, 0, seed=0)) == []

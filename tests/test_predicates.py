@@ -20,7 +20,6 @@ from ordsgp import (
     rz2,
     sl2,
     starred,
-    structure_predicate,
     t1,
     theorem2_conditions,
     theorem4_conditions,
@@ -35,22 +34,32 @@ def holds_vector(results):
     return [r.holds for r in results]
 
 
-def test_structure_predicate_examples():
-    assert structure_predicate(lz2(), "left-simple").holds
-    res = structure_predicate(sl2(), "left_simple")
+def test_named_predicate_examples():
+    assert named_predicate(lz2(), "left-simple").holds
+    res = named_predicate(sl2(), "left_simple")
     assert not res.holds
     assert res.counterexample == {"a": 0, "ideal": [0]}
     for name in PREDICATE_NAMES:
         assert named_predicate(t1(), name).holds, name
-    res = structure_predicate(n2(), "left-archimedean")
+    res = named_predicate(n2(), "left-archimedean")
     assert res.holds
     by_pair = {(w["a"], w["b"]): w for w in res.witnesses}
     assert by_pair[(1, 0)]["n"] == 2
     with pytest.raises(ValueError):
-        structure_predicate(t1(), "bogus-name")
+        named_predicate(t1(), "bogus-name")
 
 
-def test_structure_predicates_on_fixtures():
+def test_named_predicate_is_cached_per_structure():
+    # every name, and its snake_case alias, returns the result computed first
+    for build in FIXTURES.values():
+        S = build()
+        for name in PREDICATE_NAMES:
+            first = named_predicate(S, name)
+            assert named_predicate(S, name) is first, name
+            assert named_predicate(S, name.replace("-", "_")) is first, name
+
+
+def test_named_predicates_on_fixtures():
     S = sl2()
     expect = {
         "regular": True,
@@ -64,28 +73,28 @@ def test_structure_predicates_on_fixtures():
         "archimedean": False,
     }
     for name, want in expect.items():
-        assert structure_predicate(S, name).holds == want, name
+        assert named_predicate(S, name).holds == want, name
     N = n2()
-    assert not structure_predicate(N, "regular").holds
-    assert structure_predicate(N, "pi-regular").holds
-    assert structure_predicate(N, "archimedean").holds
-    assert structure_predicate(N, "completely-pi-regular").holds
+    assert not named_predicate(N, "regular").holds
+    assert named_predicate(N, "pi-regular").holds
+    assert named_predicate(N, "archimedean").holds
+    assert named_predicate(N, "completely-pi-regular").holds
 
 
 def test_witnesses_recheck_against_defining_inequalities():
     for build in FIXTURES.values():
         S = build()
-        res = structure_predicate(S, "pi-regular")
+        res = named_predicate(S, "pi-regular")
         if res.holds:
             for w in res.witnesses:
                 v = S.pow(w["a"], w["m"])
                 assert S.leq[v][S.table[S.table[v][w["x"]]][v]]
-        res = structure_predicate(S, "left-archimedean")
+        res = named_predicate(S, "left-archimedean")
         if res.holds:
             for w in res.witnesses:
                 v = S.pow(w["a"], w["n"])
                 assert S.leq[v][S.table[w["s"]][w["b"]]]
-        res = structure_predicate(S, "right-weakly-commutative")
+        res = named_predicate(S, "right-weakly-commutative")
         if res.holds:
             for w in res.witnesses:
                 v = S.pow(S.table[w["a"]][w["b"]], w["n"])
