@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ordsgp import (
@@ -27,6 +30,7 @@ from ordsgp import (
     theorem6_condition,
     theorem51_conditions,
 )
+from ordsgp.harness import iter_catalog
 from ordsgp.predicates import PREDICATE_NAMES, lstar_unique_idempotent
 
 
@@ -57,6 +61,21 @@ def test_named_predicate_is_cached_per_structure():
             first = named_predicate(S, name)
             assert named_predicate(S, name) is first, name
             assert named_predicate(S, name.replace("-", "_")) is first, name
+
+
+def test_golden_named_predicate_digest_order3():
+    # byte-level guard for the predicate layer: every named predicate's
+    # verdict, full witness list, counterexample and data over the order <= 3
+    # catalog, in catalog order, hashed as canonical JSON
+    digest = hashlib.sha256()
+    for S in iter_catalog(3):
+        for name in PREDICATE_NAMES:
+            r = named_predicate(S, name)
+            blob = [r.holds, r.witnesses, r.counterexample, r.data]
+            digest.update(json.dumps(blob, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "fd41a5725003145e73a13ecd9147dda5c4f08f36f93eadfa5a543dfa50ec0eea"
+    )
 
 
 def test_named_predicates_on_fixtures():
