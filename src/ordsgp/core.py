@@ -232,12 +232,6 @@ class OrderedSemigroup:
     def elements(self):
         return range(self.order)
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def le(self, a, b):
-        return self.leq[a][b]
-
     def pow(self, a, m):
         """a**m for m >= 1 under the semigroup product."""
         v = a
@@ -424,10 +418,6 @@ class PowerProfile:
     index: int
     period: int
     powers: tuple
-
-    @property
-    def max_exponent(self):
-        return self.index + self.period - 1
 
     def value(self, m):
         """Value of a^m for any exponent m >= 1."""

@@ -33,7 +33,7 @@ from .enumeration import (
 from .predicates import (
     PREDICATES,
     _conj,
-    _pi_inverse_side_all_powers,
+    _pi_inverse_side,
     lemma3_predicate,
     lemma7_predicate,
     lstar_unique_idempotent,
@@ -80,7 +80,7 @@ _READINGS = {
     "cor1": lambda S: tuple(theorem2_conditions(S)[i - 1] for i in (8, 5, 4, 6, 7)),
     "cor-hstar": cor_hstar_conditions,
     "cor-cpr": cor_cpr_conditions,
-    "right-pi-inverse-all-powers": lambda S: _pi_inverse_side_all_powers(S, "left"),
+    "right-pi-inverse-all-powers": lambda S: _pi_inverse_side(S, "left", all_powers=True),
     "right-pi-t-simple-decomposition": _decomposition("right-pi-t-simple"),
     "right-pi-t-simple-complete-decomposition": _decomposition("right-pi-t-simple", True),
     "pi-t-simple-decomposition": _decomposition("pi-t-simple"),

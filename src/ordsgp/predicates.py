@@ -1,11 +1,13 @@
 """Structure predicates and the equivalence-condition batteries.
 
-Every predicate decides a universally quantified condition whose
-existential exponents are bounded through power profiles (the power
-sequence of an element cycles, so its distinct values exhaust all powers).
-Results carry witnesses with the smallest satisfying exponent and the
-lexicographically least mediating elements, or the first counterexample
-in input order.
+Every universally quantified condition goes through ``_forall``: the
+condition yields one ``(case, witness)`` pair per input, in input order,
+and the first case whose witness is None is the counterexample.  A witness
+is found by one flattened generator that scans exponents first, smallest
+first, and mediating elements second, lexicographically least first, so it
+carries the smallest satisfying exponent and the least mediators for it.
+Existential exponents are bounded through power profiles: the power
+sequence of an element cycles, so its distinct values exhaust all powers.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .core import (
 )
 from .relations import (
     _inverses_bits,
-    _regular_value,
     green,
     is_rho_unique,
     ordered_idempotents,
+    regularity_profile,
     smallest_regular_power,
     starred,
 )
@@ -35,115 +37,95 @@ from .relations import (
 SUBSET_SEARCH_CAP = 12
 
 
+def _forall(found):
+    """All witnesses of ``found``'s (case, witness) pairs, or the first case
+    whose witness is None as the counterexample."""
+    wits = []
+    for case, wit in found:
+        if wit is None:
+            return PredicateResult(False, counterexample=case)
+        wits.append(wit)
+    return PredicateResult(True, tuple(wits))
+
+
+def _squares(S):
+    """(a, a*a) for every element a."""
+    return [(a, row[a]) for a, row in enumerate(S.table)]
+
+
 # -- structure-level predicates -------------------------------------------
 
 def _p_regular(S):
-    wits = []
-    for a in S.elements():
-        x = _regular_value(S, a)
-        if x is None:
-            return PredicateResult(False, counterexample={"a": a})
-        wits.append({"a": a, "x": x})
-    return PredicateResult(True, tuple(wits))
+    prof = regularity_profile(S)
+    return _forall(
+        ({"a": a}, {"a": a, "x": x} if regular else None)
+        for a, (regular, x) in enumerate(zip(prof.regular, prof.witness))
+    )
 
 
 def _p_completely_regular(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        a2 = table[a][a]
-        for x in S.elements():
-            if S.leq[a][table[table[a2][x]][a2]]:
-                wits.append({"a": a, "x": x})
-                break
-        else:
-            return PredicateResult(False, counterexample={"a": a})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a}, next((
+            {"a": a, "x": x} for x in elems if leq[a][table[table[a2][x]][a2]]
+        ), None))
+        for a, a2 in _squares(S)
+    )
 
 
 def _p_intra_regular(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        a2 = table[a][a]
-        hit = next(
-            (
-                (s, t)
-                for s in S.elements()
-                for t in S.elements()
-                if S.leq[a][table[table[s][a2]][t]]
-            ),
-            None,
-        )
-        if hit is None:
-            return PredicateResult(False, counterexample={"a": a})
-        wits.append({"a": a, "s": hit[0], "t": hit[1]})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a}, next((
+            {"a": a, "s": s, "t": t}
+            for s in elems for t in elems if leq[a][table[table[s][a2]][t]]
+        ), None))
+        for a, a2 in _squares(S)
+    )
 
 
 def _p_pi_regular(S):
-    wits = []
-    for a in S.elements():
-        for m, v in power_profile(S, a).exponents():
-            x = _regular_value(S, v)
-            if x is not None:
-                wits.append({"a": a, "m": m, "x": x})
-                break
-        else:
-            return PredicateResult(False, counterexample={"a": a})
-    return PredicateResult(True, tuple(wits))
-
-
-def _shared_power_search(S, a, check):
-    """First (m, witness) with check(a^m, a^2m) truthy, scanning one cycle."""
-    for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
-        hit = check(u, w)
-        if hit is not None:
-            return m, hit
-    return None
+    prof = regularity_profile(S)
+    return _forall(
+        ({"a": a}, {"a": a, "m": m, "x": x})
+        for a, (m, x) in enumerate(zip(prof.smallest_regular_power, prof.witness))
+    )
 
 
 def _p_completely_pi_regular(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        found = _shared_power_search(
-            S,
-            a,
-            lambda u, w: next(
-                (x for x in S.elements() if S.leq[u][table[table[w][x]][w]]), None
-            ),
-        )
-        if found is None:
-            return PredicateResult(False, counterexample={"a": a})
-        wits.append({"a": a, "m": found[0], "x": found[1]})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a}, next((
+            {"a": a, "m": m, "x": x}
+            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))
+            for x in elems if leq[u][table[table[w][x]][w]]
+        ), None))
+        for a in elems
+    )
 
 
 def _p_left_pi_regular(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        found = _shared_power_search(
-            S, a, lambda u, w: next((s for s in S.elements() if S.leq[u][table[s][w]]), None)
-        )
-        if found is None:
-            return PredicateResult(False, counterexample={"a": a})
-        wits.append({"a": a, "m": found[0], "s": found[1]})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a}, next((
+            {"a": a, "m": m, "s": s}
+            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))
+            for s in elems if leq[u][table[s][w]]
+        ), None))
+        for a in elems
+    )
 
 
 def _p_right_pi_regular(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        found = _shared_power_search(
-            S, a, lambda u, w: next((s for s in S.elements() if S.leq[u][table[w][s]]), None)
-        )
-        if found is None:
-            return PredicateResult(False, counterexample={"a": a})
-        wits.append({"a": a, "m": found[0], "s": found[1]})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a}, next((
+            {"a": a, "m": m, "s": s}
+            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))
+            for s in elems if leq[u][table[w][s]]
+        ), None))
+        for a in elems
+    )
 
 
 def _only_ideal_is_all(S, ideal_of):
@@ -168,86 +150,76 @@ def _p_simple(S):
     return _only_ideal_is_all(S, _sas)
 
 
-def _power_pair_search(S, base, check):
-    """Smallest (n, witness) with check(base^n) truthy over distinct powers."""
-    for n, v in power_profile(S, base).exponents():
-        hit = check(v)
-        if hit is not None:
-            return n, hit
-    return None
-
-
-def _archimedean_family(target_of):
-    def pred(S):
-        table = S.table
-        wits = []
-        for a in S.elements():
-            for b in S.elements():
-                found = _power_pair_search(S, a, lambda v: target_of(S, table, v, b))
-                if found is None:
-                    return PredicateResult(False, counterexample={"a": a, "b": b})
-                n, hit = found
-                wits.append({"a": a, "b": b, "n": n, **hit})
-        return PredicateResult(True, tuple(wits))
-
-    return pred
-
-
-_p_left_archimedean = _archimedean_family(
-    lambda S, table, v, b: next(
-        ({"s": s} for s in S.elements() if S.leq[v][table[s][b]]), None
+def _p_left_archimedean(S):
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "n": n, "s": s}
+            for n, v in power_profile(S, a).exponents()
+            for s in elems if leq[v][table[s][b]]
+        ), None))
+        for a in elems for b in elems
     )
-)
-_p_right_archimedean = _archimedean_family(
-    lambda S, table, v, b: next(
-        ({"s": s} for s in S.elements() if S.leq[v][table[b][s]]), None
-    )
-)
-_p_archimedean = _archimedean_family(
-    lambda S, table, v, b: next(
-        (
-            {"s": s, "t": t}
-            for s in S.elements()
-            for t in S.elements()
-            if S.leq[v][table[table[s][b]][t]]
-        ),
-        None,
-    )
-)
 
 
-def _weakly_commutative_family(target_of):
-    def pred(S):
-        table = S.table
-        wits = []
-        for a in S.elements():
-            for b in S.elements():
-                ab = table[a][b]
-                found = _power_pair_search(S, ab, lambda v: target_of(S, table, v, a, b))
-                if found is None:
-                    return PredicateResult(False, counterexample={"a": a, "b": b})
-                n, hit = found
-                wits.append({"a": a, "b": b, "n": n, **hit})
-        return PredicateResult(True, tuple(wits))
-
-    return pred
+def _p_right_archimedean(S):
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "n": n, "s": s}
+            for n, v in power_profile(S, a).exponents()
+            for s in elems if leq[v][table[b][s]]
+        ), None))
+        for a in elems for b in elems
+    )
 
 
-_p_weakly_commutative = _weakly_commutative_family(
-    lambda S, table, v, a, b: next(
-        ({"s": s} for s in S.elements() if S.leq[v][table[table[b][s]][a]]), None
+def _p_archimedean(S):
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "n": n, "s": s, "t": t}
+            for n, v in power_profile(S, a).exponents()
+            for s in elems for t in elems if leq[v][table[table[s][b]][t]]
+        ), None))
+        for a in elems for b in elems
     )
-)
-_p_right_weakly_commutative = _weakly_commutative_family(
-    lambda S, table, v, a, b: next(
-        ({"s": s} for s in S.elements() if S.leq[v][table[s][a]]), None
+
+
+def _p_weakly_commutative(S):
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "n": n, "s": s}
+            for n, v in power_profile(S, table[a][b]).exponents()
+            for s in elems if leq[v][table[table[b][s]][a]]
+        ), None))
+        for a in elems for b in elems
     )
-)
-_p_left_weakly_commutative = _weakly_commutative_family(
-    lambda S, table, v, a, b: next(
-        ({"s": s} for s in S.elements() if S.leq[v][table[b][s]]), None
+
+
+def _p_right_weakly_commutative(S):
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "n": n, "s": s}
+            for n, v in power_profile(S, table[a][b]).exponents()
+            for s in elems if leq[v][table[s][a]]
+        ), None))
+        for a in elems for b in elems
     )
-)
+
+
+def _p_left_weakly_commutative(S):
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "n": n, "s": s}
+            for n, v in power_profile(S, table[a][b]).exponents()
+            for s in elems if leq[v][table[b][s]]
+        ), None))
+        for a in elems for b in elems
+    )
 
 
 # -- subsemigroup and ideal searches --------------------------------------
@@ -299,9 +271,11 @@ def _is_ideal(S, bits):
 
 def _absorbing_search(S, candidate, kernel_tag, label, **extra):
     """First subset, fewest elements first, that passes ``candidate``,
-    absorbs a power of every element, and is pi-regular and passes the
-    tag's simplicity checks as an ordered semigroup in its own right.  The
-    subset is reported under ``label`` in the result data."""
+    absorbs a power of every element, and passes the tag's simplicity
+    checks as an ordered semigroup in its own right.  It is pi-regular as
+    well, as every finite ordered semigroup is: some power of each element
+    is idempotent, hence regular.  The subset is reported under ``label``
+    in the result data."""
     if S.order > SUBSET_SEARCH_CAP:
         raise ValueError(f"subset search capped at {SUBSET_SEARCH_CAP} elements")
     checks = _KERNEL_CHECKS[kernel_tag]
@@ -312,7 +286,7 @@ def _absorbing_search(S, candidate, kernel_tag, label, **extra):
         if exps is None:
             continue
         sub, elems = restrict(S, mask)
-        if all(check(sub).holds for check in checks) and _p_pi_regular(sub).holds:
+        if all(check(sub).holds for check in checks):
             return PredicateResult(
                 True, data={label: list(elems), "exponents": exps, **extra}
             )
@@ -328,22 +302,22 @@ def _t_simple_search(S, kernel_tag):
 def left_pi_t_simple_direct(S):
     """Direct definition: some left simple, pi-regular subsemigroup absorbs
     a power of every element."""
-    return S.cached(("t-simple", "left"), lambda: _t_simple_search(S, "left_simple"))
+    return named_predicate(S, "left-pi-t-simple")
 
 
 def right_pi_t_simple_direct(S):
     """Mirror of :func:`left_pi_t_simple_direct` with a right simple kernel."""
-    return S.cached(("t-simple", "right"), lambda: _t_simple_search(S, "right_simple"))
+    return named_predicate(S, "right-pi-t-simple")
 
 
 def pi_t_simple_direct(S):
     """Two-sided variant: the absorbing subsemigroup is left and right simple."""
-    return S.cached(("t-simple", "both"), lambda: _t_simple_search(S, "t_simple"))
+    return named_predicate(S, "pi-t-simple")
 
 
 def nil_extension_search(S, kernel_tag):
-    """First two-sided ideal K with the tagged property (and pi-regularity)
-    such that every element has a power inside K."""
+    """First two-sided ideal K with the tagged property such that every
+    element has a power inside K."""
     if kernel_tag not in _KERNEL_CHECKS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
     return S.cached(
@@ -385,75 +359,43 @@ def lstar_unique_idempotent(S):
     return S.cached(("lstar-unique-E",), build)
 
 
-def _c2_power_search(S, a, b, check):
-    wits = None
-    for m, v in power_profile(S, a).exponents():
-        hit = check(v)
-        if hit is not None:
-            wits = {"a": a, "b": b, "m": m, **hit}
-            break
-    return wits
-
-
 def _thm2_c4(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        for b in S.elements():
-            wit = _c2_power_search(
-                S,
-                a,
-                b,
-                lambda v: next(
-                    ({"s": s} for s in S.elements() if S.leq[v][table[table[v][s]][b]]),
-                    None,
-                ),
-            )
-            if wit is None:
-                return PredicateResult(False, counterexample={"a": a, "b": b})
-            wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "m": m, "s": s}
+            for m, v in power_profile(S, a).exponents()
+            for s in elems if leq[v][table[table[v][s]][b]]
+        ), None))
+        for a in elems for b in elems
+    )
 
 
 def _thm2_c5(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        for b in S.elements():
-            b_powers = power_profile(S, b).powers
-
-            def all_n(v):
-                for w in b_powers:
-                    if not any(
-                        S.leq[v][table[table[v][s]][w]] for s in S.elements()
-                    ):
-                        return None
-                return {}
-
-            wit = _c2_power_search(S, a, b, all_n)
-            if wit is None:
-                return PredicateResult(False, counterexample={"a": a, "b": b})
-            wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "m": m}
+            for m, v in power_profile(S, a).exponents()
+            if all(
+                any(leq[v][table[table[v][s]][w]] for s in elems)
+                for w in power_profile(S, b).powers
+            )
+        ), None))
+        for a in elems for b in elems
+    )
 
 
 def _thm2_c6(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        for b in S.elements():
-            wit = None
-            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0))):
-                s = next(
-                    (s for s in S.elements() if S.leq[u][table[table[u][s]][w]]), None
-                )
-                if s is not None:
-                    wit = {"a": a, "b": b, "m": m, "s": s}
-                    break
-            if wit is None:
-                return PredicateResult(False, counterexample={"a": a, "b": b})
-            wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "m": m, "s": s}
+            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0)))
+            for s in elems if leq[u][table[table[u][s]][w]]
+        ), None))
+        for a in elems for b in elems
+    )
 
 
 def theorem2_conditions(S):
@@ -503,23 +445,17 @@ def _thm4_c2(S):
 
 
 def _thm4_c4(S):
-    table = S.table
-    wits = []
-    for a in S.elements():
-        for b in S.elements():
-            ab, ba = table[a][b], table[b][a]
-            wit = None
-            for m, (u, w) in joint_power_exponents(S, ((ab, 1, 0), (ba, 1, 1))):
-                s = next(
-                    (s for s in S.elements() if S.leq[u][table[table[u][s]][w]]), None
-                )
-                if s is not None:
-                    wit = {"a": a, "b": b, "m": m, "s": s}
-                    break
-            if wit is None:
-                return PredicateResult(False, counterexample={"a": a, "b": b})
-            wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "m": m, "s": s}
+            for m, (u, w) in joint_power_exponents(
+                S, ((table[a][b], 1, 0), (table[b][a], 1, 1))
+            )
+            for s in elems if leq[u][table[table[u][s]][w]]
+        ), None))
+        for a in elems for b in elems
+    )
 
 
 def theorem4_conditions(S, complete_only=False):
@@ -560,202 +496,147 @@ def theorem4_conditions(S, complete_only=False):
 
 # -- right pi-inverse and its battery --------------------------------------
 
-def _ideal_generators(S, ideal_bits, side):
-    """Ordered idempotents generating the given principal ideal."""
-    gen_ideal = _sa if side == "left" else _as
-    return [e for e in bits_iter(ordered_idempotents(S).bits) if gen_ideal(S, e) == ideal_bits]
+def _ideal_generators(S, side, v):
+    """The ordered idempotents generating (Sv] (side "left") or (vS], and
+    whether they are R-unique (L-unique)."""
+    ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
+    ideal = ideal_of(S, v)
+    gens = [e for e in bits_iter(ordered_idempotents(S).bits) if ideal_of(S, e) == ideal]
+    return gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])
 
 
-def _pi_inverse_side(S, side):
-    """Every (Sa^m] (or (a^mS]) is generated by an R-unique (L-unique)
-    ordered idempotent, for a suitable power m per element."""
-    ideal_of = _sa if side == "left" else _as
-    rel = green(S, "R" if side == "left" else "L")
-    wits = []
-    for a in S.elements():
-        first_nonempty = None
-        wit = None
-        for m, v in power_profile(S, a).exponents():
-            gens = _ideal_generators(S, ideal_of(S, v), side)
-            if gens and first_nonempty is None:
-                first_nonempty = (m, gens)
-            if gens and all(rel.same(gens[0], e) for e in gens[1:]):
-                wit = {"a": a, "m": m, "generators": gens}
-                break
-        if wit is None:
-            m, gens = first_nonempty
-            return PredicateResult(
-                False, counterexample={"a": a, "m": m, "generators": gens}
-            )
-        wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+def _pi_inverse_side(S, side, all_powers=False):
+    """For some power m of each element a or, with ``all_powers``, for every
+    power whose ideal has generators at all, the generators of (Sa^m] (side
+    "left") or (a^mS] are R-unique (L-unique).  The counterexample is the
+    first power whose generators are not unique; when no power works, that
+    is the first power with generators."""
+    def found(a):
+        steps = [
+            ({"a": a, "m": m, "generators": gens}, unique)
+            for m, v in power_profile(S, a).exponents()
+            for gens, unique in (_ideal_generators(S, side, v),)
+        ]
+        bad = next((c for c, unique in steps if c["generators"] and not unique), None)
+        if all_powers:
+            return bad, None if bad else {"a": a}
+        return bad, next((c for c, unique in steps if unique), None)
+
+    res = _forall(found(a) for a in S.elements())
+    if all_powers and res.holds:
+        return PredicateResult(True, ({"reading": "all-powers"},))
+    return res
 
 
 def right_pi_inverse_def(S):
     """Definition: some (Sa^m] is generated by an R-unique ordered idempotent."""
-    return S.cached(("pi-inverse", "right"), lambda: _pi_inverse_side(S, "left"))
+    return named_predicate(S, "right-pi-inverse")
 
 
 def left_pi_inverse_def(S):
     """Mirror definition with right ideals (a^mS] and L-uniqueness."""
-    return S.cached(("pi-inverse", "left"), lambda: _pi_inverse_side(S, "right"))
+    return named_predicate(S, "left-pi-inverse")
 
 
-def _pi_inverse_side_all_powers(S, side):
-    """Stricter reading: generator sets of every power's ideal, when
-    nonempty, must already be relation-unique."""
-    ideal_of = _sa if side == "left" else _as
-    rel = green(S, "R" if side == "left" else "L")
-    for a in S.elements():
-        for m, v in power_profile(S, a).exponents():
-            gens = _ideal_generators(S, ideal_of(S, v), side)
-            if gens and not all(rel.same(gens[0], e) for e in gens[1:]):
-                return PredicateResult(
-                    False, counterexample={"a": a, "m": m, "generators": gens}
-                )
-    return PredicateResult(True, ({"reading": "all-powers"},))
+def _unrelated_inverses(S, kind, v):
+    """The ordered inverses of v, and the first pair of them, led by the
+    least, that Green's relation ``kind`` does not relate (or None)."""
+    rel = green(S, kind)
+    inverses = list(bits_iter(_inverses_bits(S, v)))
+    return inverses, next(
+        ((inverses[0], y) for y in inverses[1:] if not rel.same(inverses[0], y)), None
+    )
 
 
 def pi_inverse_def(S):
     """Some power of each element has all its ordered inverses H-related."""
-    def build():
-        H = green(S, "H")
-        wits = []
-        for a in S.elements():
-            wit = None
-            first_bad = None
-            for m, v in power_profile(S, a).exponents():
-                members = list(bits_iter(_inverses_bits(S, v)))
-                bad = next(
-                    (
-                        (members[0], y)
-                        for y in members[1:]
-                        if not H.same(members[0], y)
-                    ),
-                    None,
-                )
-                if bad is None:
-                    wit = {"a": a, "m": m, "inverses": members}
-                    break
-                if first_bad is None:
-                    first_bad = {"a": a, "m": m, "pair": bad}
-            if wit is None:
-                return PredicateResult(False, counterexample=first_bad)
-            wits.append(wit)
-        return PredicateResult(True, tuple(wits))
+    return named_predicate(S, "pi-inverse")
 
-    return S.cached(("pi-inverse", "both"), build)
+
+def _p_pi_inverse(S):
+    # when no power works, the first offending power is m = 1
+    return _forall(
+        ({"a": a, "m": 1, "pair": _unrelated_inverses(S, "H", a)[1]}, next((
+            {"a": a, "m": m, "inverses": inverses}
+            for m, v in power_profile(S, a).exponents()
+            for inverses, pair in (_unrelated_inverses(S, "H", v),) if pair is None
+        ), None))
+        for a in S.elements()
+    )
 
 
 def _thm5_c2(S, all_powers=False):
-    R = green(S, "R")
-
-    def bad_pair(v):
-        members = list(bits_iter(_inverses_bits(S, v)))
-        return next(
-            ((members[0], y) for y in members[1:] if not R.same(members[0], y)), None
-        )
-
-    wits = []
-    for a in S.elements():
+    """The ordered inverses of a^m are R-related for some m or, with
+    ``all_powers``, for every m.  The counterexample is the first m whose
+    inverses are not; when no m works, that is m = 1."""
+    def found(a):
+        steps = [
+            (m, _unrelated_inverses(S, "R", v)[1]) for m, v in power_profile(S, a).exponents()
+        ]
+        bad = next(({"a": a, "m": m, "pair": pair} for m, pair in steps if pair), None)
         if all_powers:
-            for m, v in power_profile(S, a).exponents():
-                bad = bad_pair(v)
-                if bad is not None:
-                    return PredicateResult(
-                        False, counterexample={"a": a, "m": m, "pair": bad}
-                    )
-            wits.append({"a": a})
-        else:
-            wit = None
-            first_bad = None
-            for m, v in power_profile(S, a).exponents():
-                bad = bad_pair(v)
-                if bad is None:
-                    wit = {"a": a, "m": m}
-                    break
-                if first_bad is None:
-                    first_bad = {"a": a, "m": m, "pair": bad}
-            if wit is None:
-                return PredicateResult(False, counterexample=first_bad)
-            wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+            return bad, None if bad else {"a": a}
+        return bad, next(({"a": a, "m": m} for m, pair in steps if pair is None), None)
+
+    return _forall(found(a) for a in S.elements())
 
 
 def _thm5_c3(S):
-    table = S.table
-    E = list(ordered_idempotents(S))
-    wits = []
-    for e in E:
-        for f in E:
-            found = _power_pair_search(
-                S,
-                table[e][f],
-                lambda v: next(
-                    ({"s": s} for s in S.elements() if S.leq[v][table[table[f][s]][f]]),
-                    None,
-                ),
-            )
-            if found is None:
-                return PredicateResult(False, counterexample={"e": e, "f": f})
-            n, hit = found
-            wits.append({"e": e, "f": f, "n": n, **hit})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    idem = list(ordered_idempotents(S))
+    return _forall(
+        ({"e": e, "f": f}, next((
+            {"e": e, "f": f, "n": n, "s": s}
+            for n, v in power_profile(S, table[e][f]).exponents()
+            for s in elems if leq[v][table[table[f][s]][f]]
+        ), None))
+        for e in idem for f in idem
+    )
 
 
 def _thm5_c4(S):
-    table = S.table
-    E = list(ordered_idempotents(S))
-    wits = []
-    for e in E:
-        for f in E:
-            cap = _as(S, e) & _as(S, f)
-            found = _power_pair_search(
-                S, table[e][f], lambda v: {} if not _as(S, v) & ~cap else None
-            )
-            if found is None:
-                return PredicateResult(False, counterexample={"e": e, "f": f})
-            wits.append({"e": e, "f": f, "n": found[0]})
-    return PredicateResult(True, tuple(wits))
+    idem = list(ordered_idempotents(S))
+    return _forall(
+        ({"e": e, "f": f}, next((
+            {"e": e, "f": f, "n": n}
+            for n, v in power_profile(S, S.table[e][f]).exponents()
+            if not _as(S, v) & ~(_as(S, e) & _as(S, f))
+        ), None))
+        for e in idem for f in idem
+    )
+
+
+def _es_offence(S, e, values):
+    """First (x, y) with values[x] in (Se] and y an ordered inverse of
+    values[x] outside (eS], or None."""
+    se, es = _sa(S, e), _as(S, e)
+    return next(
+        (
+            (x, (bad & -bad).bit_length() - 1)
+            for x, v in enumerate(values)
+            if se >> v & 1 and (bad := _inverses_bits(S, v) & ~es)
+        ),
+        None,
+    )
 
 
 def _thm5_c5(S, all_powers=False):
+    """For every ordered idempotent e, the ordered inverses of each x^m in
+    (Se] lie in (eS], with one exponent m shared by all x: for some m or,
+    with ``all_powers``, for every m.  The counterexample is the first m
+    that fails; when no m works, that is m = 1."""
     specs = tuple((x, 1, 0) for x in S.elements())
-    wits = []
-    for e in list(ordered_idempotents(S)):
-        se, es = _sa(S, e), _as(S, e)
 
-        def offender(values):
-            for x, v in enumerate(values):
-                if se >> v & 1:
-                    bad = _inverses_bits(S, v) & ~es
-                    if bad:
-                        return x, (bad & -bad).bit_length() - 1
-            return None
-
-        wit = None
-        first_bad = None
-        for m, values in joint_power_exponents(S, specs):
-            bad = offender(values)
-            if bad is None:
-                if not all_powers:
-                    wit = {"e": e, "m": m}
-                    break
-            else:
-                if all_powers:
-                    return PredicateResult(
-                        False,
-                        counterexample={"e": e, "m": m, "x": bad[0], "inverse": bad[1]},
-                    )
-                if first_bad is None:
-                    first_bad = {"e": e, "m": m, "x": bad[0], "inverse": bad[1]}
+    def found(e):
+        steps = [(m, _es_offence(S, e, vs)) for m, vs in joint_power_exponents(S, specs)]
+        bad = next(
+            ({"e": e, "m": m, "x": off[0], "inverse": off[1]} for m, off in steps if off), None
+        )
         if all_powers:
-            wits.append({"e": e})
-        else:
-            if wit is None:
-                return PredicateResult(False, counterexample=first_bad)
-            wits.append(wit)
-    return PredicateResult(True, tuple(wits))
+            return bad, None if bad else {"e": e}
+        return bad, next(({"e": e, "m": m} for m, off in steps if off is None), None)
+
+    return _forall(found(e) for e in ordered_idempotents(S))
 
 
 def theorem5_conditions(S, all_powers=False):
@@ -795,50 +676,32 @@ def theorem6_condition(S):
 
 def _thm51_c1(S):
     """m = 1 restriction of the right pi-inverse definition."""
-    R = green(S, "R")
-    wits = []
-    for a in S.elements():
-        gens = _ideal_generators(S, _sa(S, a), "left")
-        if not gens or not all(R.same(gens[0], e) for e in gens[1:]):
-            return PredicateResult(False, counterexample={"a": a, "generators": gens})
-        wits.append({"a": a, "generators": gens})
-    return PredicateResult(True, tuple(wits))
+    return _forall(
+        ({"a": a, "generators": gens}, {"a": a, "generators": gens} if unique else None)
+        for a in S.elements()
+        for gens, unique in (_ideal_generators(S, "left", a),)
+    )
 
 
 def _thm51_c2(S):
-    R = green(S, "R")
-    wits = []
-    for a in S.elements():
-        members = list(bits_iter(_inverses_bits(S, a)))
-        bad = next(
-            ((members[0], y) for y in members[1:] if not R.same(members[0], y)), None
-        )
-        if bad is not None:
-            return PredicateResult(False, counterexample={"a": a, "pair": bad})
-        wits.append({"a": a, "inverses": members})
-    return PredicateResult(True, tuple(wits))
+    return _forall(
+        ({"a": a, "pair": pair}, None if pair else {"a": a, "inverses": inverses})
+        for a in S.elements()
+        for inverses, pair in (_unrelated_inverses(S, "R", a),)
+    )
 
 
 def _thm51_c3(S):
-    table = S.table
-    E = list(ordered_idempotents(S))
-    wits = []
-    for e in E:
-        for f in E:
-            ef = table[e][f]
-            hit = next(
-                (
-                    (s, t)
-                    for s in S.elements()
-                    for t in S.elements()
-                    if S.leq[ef][table[table[table[table[f][s]][e]][t]][f]]
-                ),
-                None,
-            )
-            if hit is None:
-                return PredicateResult(False, counterexample={"e": e, "f": f})
-            wits.append({"e": e, "f": f, "s": hit[0], "t": hit[1]})
-    return PredicateResult(True, tuple(wits))
+    table, leq, elems = S.table, S.leq, S.elements()
+    idem = list(ordered_idempotents(S))
+    return _forall(
+        ({"e": e, "f": f}, next((
+            {"e": e, "f": f, "s": s, "t": t}
+            for s in elems for t in elems
+            if leq[table[e][f]][table[table[table[table[f][s]][e]][t]][f]]
+        ), None))
+        for e in idem for f in idem
+    )
 
 
 def _thm51_c4(S):
@@ -862,24 +725,11 @@ def _thm51_c4(S):
 
 
 def _thm51_c5(S):
-    wits = []
-    for e in list(ordered_idempotents(S)):
-        se, es = _sa(S, e), _as(S, e)
-        for x in S.elements():
-            if not (se >> x & 1):
-                continue
-            bad = _inverses_bits(S, x) & ~es
-            if bad:
-                return PredicateResult(
-                    False,
-                    counterexample={
-                        "e": e,
-                        "x": x,
-                        "inverse": (bad & -bad).bit_length() - 1,
-                    },
-                )
-        wits.append({"e": e})
-    return PredicateResult(True, tuple(wits))
+    return _forall(
+        ({"e": e, "x": bad[0], "inverse": bad[1]} if bad else None, None if bad else {"e": e})
+        for e in ordered_idempotents(S)
+        for bad in (_es_offence(S, e, S.elements()),)
+    )
 
 
 def theorem51_conditions(S):
@@ -896,22 +746,15 @@ def theorem51_conditions(S):
 def lemma3_predicate(S):
     """For every a some (Sa^m] is generated by an ordered idempotent."""
     def build():
-        wits = []
-        for a in S.elements():
-            wit = None
-            for m, v in power_profile(S, a).exponents():
-                ideal = _sa(S, v)
-                e = next(
-                    (e for e in bits_iter(ordered_idempotents(S).bits) if _sa(S, e) == ideal),
-                    None,
-                )
-                if e is not None:
-                    wit = {"a": a, "m": m, "e": e}
-                    break
-            if wit is None:
-                return PredicateResult(False, counterexample={"a": a})
-            wits.append(wit)
-        return PredicateResult(True, tuple(wits))
+        idem = list(ordered_idempotents(S))
+        return _forall(
+            ({"a": a}, next((
+                {"a": a, "m": m, "e": e}
+                for m, v in power_profile(S, a).exponents()
+                for e in idem if _sa(S, e) == _sa(S, v)
+            ), None))
+            for a in S.elements()
+        )
 
     return S.cached(("lemma3",), build)
 
@@ -967,12 +810,12 @@ PREDICATES = {
     "left-weakly-commutative": _p_left_weakly_commutative,
     "right-weakly-commutative": _p_right_weakly_commutative,
     "weakly-commutative": _p_weakly_commutative,
-    "left-pi-t-simple": left_pi_t_simple_direct,
-    "right-pi-t-simple": right_pi_t_simple_direct,
-    "pi-t-simple": pi_t_simple_direct,
-    "right-pi-inverse": right_pi_inverse_def,
-    "left-pi-inverse": left_pi_inverse_def,
-    "pi-inverse": pi_inverse_def,
+    "left-pi-t-simple": lambda S: _t_simple_search(S, "left_simple"),
+    "right-pi-t-simple": lambda S: _t_simple_search(S, "right_simple"),
+    "pi-t-simple": lambda S: _t_simple_search(S, "t_simple"),
+    "right-pi-inverse": lambda S: _pi_inverse_side(S, "left"),
+    "left-pi-inverse": lambda S: _pi_inverse_side(S, "right"),
+    "pi-inverse": _p_pi_inverse,
 }
 
 PREDICATE_NAMES = tuple(sorted(PREDICATES))

@@ -146,9 +146,6 @@ class RegularityProfile:
     smallest_regular_power: tuple
     witness: tuple
 
-    def regular_bits(self):
-        return sum(1 << a for a, r in enumerate(self.regular) if r)
-
 
 def _regular_value(S, v):
     """First x with v <= v*x*v, or None."""

@@ -20,6 +20,7 @@ from ordsgp import (
     pi_inverse_def,
     pi_t_simple_direct,
     right_pi_inverse_def,
+    right_pi_t_simple_direct,
     rz2,
     sl2,
     starred,
@@ -61,6 +62,30 @@ def test_named_predicate_is_cached_per_structure():
             first = named_predicate(S, name)
             assert named_predicate(S, name) is first, name
             assert named_predicate(S, name.replace("-", "_")) is first, name
+
+
+def test_direct_definitions_share_the_named_predicate_cache():
+    direct = {
+        "left-pi-t-simple": left_pi_t_simple_direct,
+        "right-pi-t-simple": right_pi_t_simple_direct,
+        "pi-t-simple": pi_t_simple_direct,
+        "left-pi-inverse": left_pi_inverse_def,
+        "right-pi-inverse": right_pi_inverse_def,
+        "pi-inverse": pi_inverse_def,
+    }
+    for build in FIXTURES.values():
+        S = build()
+        for name, definition in direct.items():
+            result = definition(S)
+            assert result is named_predicate(S, name), name
+            assert sum(value is result for value in S._cache.values()) == 1, name
+        S = build()
+        for name in PREDICATE_NAMES:
+            named_predicate(S, name)
+        entries = len(S._cache)
+        for definition in direct.values():
+            definition(S)
+        assert len(S._cache) == entries
 
 
 def test_golden_named_predicate_digest_order3():
