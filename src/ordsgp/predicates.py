@@ -373,14 +373,12 @@ def _thm2_c4(S):
 
 def _thm2_c5(S):
     table, leq, elems = S.table, S.leq, S.elements()
+    powers = [power_profile(S, b).powers for b in elems]
     return _forall(
         ({"a": a, "b": b}, next((
             {"a": a, "b": b, "m": m}
             for m, v in power_profile(S, a).exponents()
-            if all(
-                any(leq[v][table[table[v][s]][w]] for s in elems)
-                for w in power_profile(S, b).powers
-            )
+            if all(any(leq[v][table[table[v][s]][w]] for s in elems) for w in powers[b])
         ), None))
         for a in elems for b in elems
     )
@@ -496,13 +494,20 @@ def theorem4_conditions(S, complete_only=False):
 
 # -- right pi-inverse and its battery --------------------------------------
 
-def _ideal_generators(S, side, v):
-    """The ordered idempotents generating (Sv] (side "left") or (vS], and
-    whether they are R-unique (L-unique)."""
-    ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
-    ideal = ideal_of(S, v)
-    gens = [e for e in bits_iter(ordered_idempotents(S).bits) if ideal_of(S, e) == ideal]
-    return gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])
+def _ideal_generators(S, side):
+    """Per element v: the ordered idempotents generating (Sv] (side "left")
+    or (vS], and whether they are R-unique (L-unique); cached on S."""
+    def build():
+        ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
+        idempotents = list(ordered_idempotents(S))
+        out = []
+        for v in S.elements():
+            ideal = ideal_of(S, v)
+            gens = [e for e in idempotents if ideal_of(S, e) == ideal]
+            out.append((gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])))
+        return out
+
+    return S.cached(("generators", side), build)
 
 
 def _pi_inverse_side(S, side, all_powers=False):
@@ -511,16 +516,23 @@ def _pi_inverse_side(S, side, all_powers=False):
     "left") or (a^mS] are R-unique (L-unique).  The counterexample is the
     first power whose generators are not unique; when no power works, that
     is the first power with generators."""
+    gens = _ideal_generators(S, side)
+
     def found(a):
-        steps = [
-            ({"a": a, "m": m, "generators": gens}, unique)
-            for m, v in power_profile(S, a).exponents()
-            for gens, unique in (_ideal_generators(S, side, v),)
-        ]
-        bad = next((c for c, unique in steps if c["generators"] and not unique), None)
+        powers = power_profile(S, a).exponents()
+        bad = next(
+            (
+                {"a": a, "m": m, "generators": gens[v][0]}
+                for m, v in powers
+                if gens[v][0] and not gens[v][1]
+            ),
+            None,
+        )
         if all_powers:
             return bad, None if bad else {"a": a}
-        return bad, next((c for c, unique in steps if unique), None)
+        return bad, next(
+            ({"a": a, "m": m, "generators": gens[v][0]} for m, v in powers if gens[v][1]), None
+        )
 
     res = _forall(found(a) for a in S.elements())
     if all_powers and res.holds:
@@ -538,14 +550,20 @@ def left_pi_inverse_def(S):
     return named_predicate(S, "left-pi-inverse")
 
 
-def _unrelated_inverses(S, kind, v):
-    """The ordered inverses of v, and the first pair of them, led by the
-    least, that Green's relation ``kind`` does not relate (or None)."""
-    rel = green(S, kind)
-    inverses = list(bits_iter(_inverses_bits(S, v)))
-    return inverses, next(
-        ((inverses[0], y) for y in inverses[1:] if not rel.same(inverses[0], y)), None
-    )
+def _unrelated_inverses(S, kind):
+    """Per element v: its ordered inverses, and the first pair of them, led
+    by the least, that Green's relation ``kind`` does not relate (or None);
+    cached on S."""
+    def build():
+        rel = green(S, kind)
+        out = []
+        for v in S.elements():
+            inv = list(bits_iter(_inverses_bits(S, v)))
+            bad = next(((inv[0], y) for y in inv[1:] if not rel.same(inv[0], y)), None)
+            out.append((inv, bad))
+        return out
+
+    return S.cached(("unrelated-inverses", kind), build)
 
 
 def pi_inverse_def(S):
@@ -555,11 +573,11 @@ def pi_inverse_def(S):
 
 def _p_pi_inverse(S):
     # when no power works, the first offending power is m = 1
+    inverses = _unrelated_inverses(S, "H")
     return _forall(
-        ({"a": a, "m": 1, "pair": _unrelated_inverses(S, "H", a)[1]}, next((
-            {"a": a, "m": m, "inverses": inverses}
-            for m, v in power_profile(S, a).exponents()
-            for inverses, pair in (_unrelated_inverses(S, "H", v),) if pair is None
+        ({"a": a, "m": 1, "pair": inverses[a][1]}, next((
+            {"a": a, "m": m, "inverses": inverses[v][0]}
+            for m, v in power_profile(S, a).exponents() if inverses[v][1] is None
         ), None))
         for a in S.elements()
     )
@@ -569,14 +587,16 @@ def _thm5_c2(S, all_powers=False):
     """The ordered inverses of a^m are R-related for some m or, with
     ``all_powers``, for every m.  The counterexample is the first m whose
     inverses are not; when no m works, that is m = 1."""
+    pair = [p for _, p in _unrelated_inverses(S, "R")]
+
     def found(a):
-        steps = [
-            (m, _unrelated_inverses(S, "R", v)[1]) for m, v in power_profile(S, a).exponents()
-        ]
-        bad = next(({"a": a, "m": m, "pair": pair} for m, pair in steps if pair), None)
+        powers = power_profile(S, a).exponents()
         if all_powers:
+            bad = next(({"a": a, "m": m, "pair": pair[v]} for m, v in powers if pair[v]), None)
             return bad, None if bad else {"a": a}
-        return bad, next(({"a": a, "m": m} for m, pair in steps if pair is None), None)
+        return {"a": a, "m": 1, "pair": pair[a]}, next(
+            ({"a": a, "m": m} for m, v in powers if pair[v] is None), None
+        )
 
     return _forall(found(a) for a in S.elements())
 
@@ -595,12 +615,13 @@ def _thm5_c3(S):
 
 
 def _thm5_c4(S):
+    right = [_as(S, x) for x in S.elements()]
     idem = list(ordered_idempotents(S))
     return _forall(
         ({"e": e, "f": f}, next((
             {"e": e, "f": f, "n": n}
             for n, v in power_profile(S, S.table[e][f]).exponents()
-            if not _as(S, v) & ~(_as(S, e) & _as(S, f))
+            if not right[v] & ~(right[e] & right[f])
         ), None))
         for e in idem for f in idem
     )
@@ -625,16 +646,17 @@ def _thm5_c5(S, all_powers=False):
     (Se] lie in (eS], with one exponent m shared by all x: for some m or,
     with ``all_powers``, for every m.  The counterexample is the first m
     that fails; when no m works, that is m = 1."""
-    specs = tuple((x, 1, 0) for x in S.elements())
+    steps = list(joint_power_exponents(S, tuple((x, 1, 0) for x in S.elements())))
 
     def found(e):
-        steps = [(m, _es_offence(S, e, vs)) for m, vs in joint_power_exponents(S, specs)]
+        offences = [(m, _es_offence(S, e, values)) for m, values in steps]
         bad = next(
-            ({"e": e, "m": m, "x": off[0], "inverse": off[1]} for m, off in steps if off), None
+            ({"e": e, "m": m, "x": off[0], "inverse": off[1]} for m, off in offences if off),
+            None,
         )
         if all_powers:
             return bad, None if bad else {"e": e}
-        return bad, next(({"e": e, "m": m} for m, off in steps if off is None), None)
+        return bad, next(({"e": e, "m": m} for m, off in offences if off is None), None)
 
     return _forall(found(e) for e in ordered_idempotents(S))
 
@@ -678,16 +700,14 @@ def _thm51_c1(S):
     """m = 1 restriction of the right pi-inverse definition."""
     return _forall(
         ({"a": a, "generators": gens}, {"a": a, "generators": gens} if unique else None)
-        for a in S.elements()
-        for gens, unique in (_ideal_generators(S, "left", a),)
+        for a, (gens, unique) in enumerate(_ideal_generators(S, "left"))
     )
 
 
 def _thm51_c2(S):
     return _forall(
         ({"a": a, "pair": pair}, None if pair else {"a": a, "inverses": inverses})
-        for a in S.elements()
-        for inverses, pair in (_unrelated_inverses(S, "R", a),)
+        for a, (inverses, pair) in enumerate(_unrelated_inverses(S, "R"))
     )
 
 
@@ -726,9 +746,9 @@ def _thm51_c4(S):
 
 def _thm51_c5(S):
     return _forall(
-        ({"e": e, "x": bad[0], "inverse": bad[1]} if bad else None, None if bad else {"e": e})
+        ({"e": e, "x": off[0], "inverse": off[1]} if off else None, None if off else {"e": e})
         for e in ordered_idempotents(S)
-        for bad in (_es_offence(S, e, S.elements()),)
+        for off in (_es_offence(S, e, S.elements()),)
     )
 
 
