@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid structure (or search exhausted), 2 parse
 error, 3 mathematical discrepancy, 64 usage error (including a request
 beyond a size cap, such as ``analyze`` on a structure with more elements
-than the partition or subset searches accept, and an empty catalog or a
+than the subset searches accept or more classes of its least semilattice
+congruence than the partition scan accepts, and an empty catalog or a
 negative sample count, such as ``verify --max-order 0``).  Machine output
 goes to stdout as canonical JSON (sorted keys, compact separators) so
 identical runs are byte-identical; human-oriented notes go to stderr.

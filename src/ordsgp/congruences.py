@@ -1,8 +1,15 @@
-"""Congruences, semilattice congruences, and decomposition checks."""
+"""Congruences, semilattice congruences, and decomposition checks.
+
+Semilattice congruences are closed under intersection, so each contains the
+least one, eta (Tamura, Semigroup Forum 4, 1972; Kehayopulu's relation N on
+ordered semigroups).  The search therefore scans only the partitions of the
+eta-classes, and ``PARTITION_CAP`` bounds their number, not the order.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import PredicateResult, bits_iter, restrict
 from .relations import Partition, starred
@@ -84,6 +91,7 @@ def _certificate(S, partition):
     return S.cached(("cert", partition.class_of), lambda: classify_partition(S, partition))
 
 
+@lru_cache(maxsize=None)
 def all_partitions(n):
     """Every partition of {0..n-1} as restricted-growth strings, coarsest
     first (fewest classes, then lexicographic)."""
@@ -102,17 +110,63 @@ def all_partitions(n):
 
     grow([0], 1)
     out.sort(key=lambda rgs: (max(rgs) + 1, rgs))
-    return [Partition(n, rgs) for rgs in out]
+    return tuple(Partition(n, rgs) for rgs in out)
+
+
+def _eta(S):
+    """The least semilattice congruence: the equivalence generated by
+    a ~ a*a and a*b ~ b*a, closed under multiplication on both sides."""
+    table = S.table
+    parent = list(S.elements())
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(x, y):
+        x, y = find(x), find(y)
+        if x == y:
+            return False
+        parent[max(x, y)] = min(x, y)
+        return True
+
+    for a in S.elements():
+        union(a, table[a][a])
+        for b in S.elements():
+            union(table[a][b], table[b][a])
+    changed = True
+    while changed:
+        changed = False
+        for x in S.elements():
+            r = find(x)
+            for c in S.elements():
+                changed |= union(table[c][x], table[c][r])
+                changed |= union(table[x][c], table[r][c])
+    return Partition(S.order, [find(x) for x in S.elements()])
 
 
 def enumerate_semilattice_congruences(S):
-    """All semilattice congruences, coarsest first."""
+    """All semilattice congruences, coarsest first.
+
+    Only partitions coarser than eta are classified; lifted from the
+    partitions of the eta-classes, they keep the coarsest-first order of
+    :func:`all_partitions` on the whole carrier."""
     def build():
-        return tuple(
-            p
-            for p in all_partitions(S.order)
-            if _certificate(S, p).is_semilattice_congruence()
-        )
+        eta = _eta(S)
+        if eta.num_classes == S.order:
+            # eta is the identity, so every partition is coarser than it;
+            # reusing the cached ones avoids a second copy of Bell(n) of them
+            lifted = all_partitions(S.order)
+        else:
+            lifted = sorted(
+                (
+                    Partition(S.order, [p.class_of[c] for c in eta.class_of])
+                    for p in all_partitions(eta.num_classes)
+                ),
+                key=lambda p: (p.num_classes, p.class_of),
+            )
+        return tuple(p for p in lifted if _certificate(S, p).is_semilattice_congruence())
 
     return S.cached(("semilattice-congruences",), build)
 
@@ -152,14 +206,26 @@ def semilattice_decomposition(S, class_predicate, cache_key=None, complete_only=
     return S.cached(("decomposition", cache_key, complete_only), build)
 
 
+def _class_sub(S, mask):
+    """The product-closed class ``mask`` as an ordered semigroup, cached per
+    mask; the full carrier is S itself and is not cached, so that no cache
+    entry of S refers back to S."""
+    if mask == S.full:
+        return S
+
+    def build():
+        for a in bits_iter(mask):
+            row = S.table[a]
+            for b in bits_iter(mask):
+                if not mask >> row[b] & 1:
+                    raise AssertionError("semilattice congruence class not product-closed")
+        return restrict(S, mask)[0]
+
+    return S.cached(("class-sub", mask), build)
+
+
 def _class_holds(S, mask, class_predicate):
-    for a in bits_iter(mask):
-        row = S.table[a]
-        for b in bits_iter(mask):
-            if not mask >> row[b] & 1:
-                raise AssertionError("semilattice congruence class not product-closed")
-    sub, _ = restrict(S, mask)
-    return bool(class_predicate(sub))
+    return bool(class_predicate(_class_sub(S, mask)))
 
 
 def theorem8_conditions(S):

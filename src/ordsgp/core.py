@@ -290,10 +290,13 @@ def validate(table, leq):
 
 
 def structure_key(S):
-    """Compact deterministic identifier of the exact table and order."""
-    t = "".join(str(v) for row in S.table for v in row)
-    o = "".join("1" if v else "0" for row in S.leq for v in row)
-    return f"n{S.order}:{t}:{o}"
+    """Compact deterministic identifier of the exact table and order; cached."""
+    def build():
+        t = "".join(str(v) for row in S.table for v in row)
+        o = "".join("1" if v else "0" for row in S.leq for v in row)
+        return f"n{S.order}:{t}:{o}"
+
+    return S.cached(("key",), build)
 
 
 def structure_from_key(key):

@@ -238,16 +238,17 @@ def _closed_under_product(S, bits):
 
 
 def _nil_exponents(S, bits):
-    """Smallest power of each element landing inside bits, or None."""
-    exps = {}
+    """Smallest power of each element landing inside bits, as a tuple
+    indexed by element, or None."""
+    exps = []
     for a in S.elements():
         for m, v in power_profile(S, a).exponents():
             if bits >> v & 1:
-                exps[a] = m
+                exps.append(m)
                 break
         else:
             return None
-    return exps
+    return tuple(exps)
 
 
 # Kernel tag -> simplicity checks the absorbing subset must pass as an
@@ -269,6 +270,22 @@ def _is_ideal(S, bits):
     )
 
 
+def _absorbing_candidates(S, candidate):
+    """(mask, exponents) for each subset, fewest elements first, that passes
+    ``candidate`` and absorbs a power of every element, with the smallest
+    such power of each element; cached on S per candidate."""
+    def build():
+        found = []
+        for mask in _subset_masks(S.order):
+            if candidate(S, mask):
+                exps = _nil_exponents(S, mask)
+                if exps is not None:
+                    found.append((mask, exps))
+        return tuple(found)
+
+    return S.cached(("absorbing", candidate), build)
+
+
 def _absorbing_search(S, candidate, kernel_tag, label, **extra):
     """First subset, fewest elements first, that passes ``candidate``,
     absorbs a power of every element, and passes the tag's simplicity
@@ -279,16 +296,11 @@ def _absorbing_search(S, candidate, kernel_tag, label, **extra):
     if S.order > SUBSET_SEARCH_CAP:
         raise ValueError(f"subset search capped at {SUBSET_SEARCH_CAP} elements")
     checks = _KERNEL_CHECKS[kernel_tag]
-    for mask in _subset_masks(S.order):
-        if not candidate(S, mask):
-            continue
-        exps = _nil_exponents(S, mask)
-        if exps is None:
-            continue
+    for mask, exps in _absorbing_candidates(S, candidate):
         sub, elems = restrict(S, mask)
         if all(check(sub).holds for check in checks):
             return PredicateResult(
-                True, data={label: list(elems), "exponents": exps, **extra}
+                True, data={label: list(elems), "exponents": dict(enumerate(exps)), **extra}
             )
     return PredicateResult(
         False, counterexample={"searched_subsets": (1 << S.order) - 1}
@@ -360,15 +372,18 @@ def lstar_unique_idempotent(S):
 
 
 def _thm2_c4(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "m": m, "s": s}
-            for m, v in power_profile(S, a).exponents()
-            for s in elems if leq[v][table[table[v][s]][b]]
-        ), None))
-        for a in elems for b in elems
-    )
+    def build():
+        table, leq, elems = S.table, S.leq, S.elements()
+        return _forall(
+            ({"a": a, "b": b}, next((
+                {"a": a, "b": b, "m": m, "s": s}
+                for m, v in power_profile(S, a).exponents()
+                for s in elems if leq[v][table[table[v][s]][b]]
+            ), None))
+            for a in elems for b in elems
+        )
+
+    return S.cached(("thm2-c4",), build)
 
 
 def _thm2_c5(S):
@@ -456,6 +471,22 @@ def _thm4_c4(S):
     )
 
 
+def _thm4_shared(S):
+    """Conditions (2)-(4) of the thm4 battery, which no reading changes."""
+    def build():
+        pi_regular = named_predicate(S, "pi-regular")
+        return (
+            _conj(("pi_regular", pi_regular), ("ab_lstar_ba", _thm4_c2(S))),
+            _conj(
+                ("pi_regular", pi_regular),
+                ("right_weakly_commutative", named_predicate(S, "right-weakly-commutative")),
+            ),
+            _thm4_c4(S),
+        )
+
+    return S.cached(("thm4-shared",), build)
+
+
 def theorem4_conditions(S, complete_only=False):
     """Battery of five equivalent characterizations of a semilattice of left
     pi-t-simple ordered semigroups (suite id ``thm4``), in source numbering.
@@ -472,15 +503,7 @@ def theorem4_conditions(S, complete_only=False):
             cache_key="left-pi-t-simple-battery",
             complete_only=complete_only,
         )
-        c2 = _conj(
-            ("pi_regular", named_predicate(S, "pi-regular")),
-            ("ab_lstar_ba", _thm4_c2(S)),
-        )
-        c3 = _conj(
-            ("pi_regular", named_predicate(S, "pi-regular")),
-            ("right_weakly_commutative", named_predicate(S, "right-weakly-commutative")),
-        )
-        c4 = _thm4_c4(S)
+        c2, c3, c4 = _thm4_shared(S)
         c5 = semilattice_decomposition(
             S,
             lambda sub: nil_extension_search(sub, "left_simple").holds,

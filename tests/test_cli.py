@@ -158,20 +158,52 @@ def test_empty_catalog_is_usage_error(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "order, cap",
-    [(11, "partition enumeration capped at 10"), (13, "subset search capped at 12")],
-)
-def test_analyze_beyond_cap_is_usage_error(tmp_path, capsys, order, cap):
-    left_zero_band = {
+def left_zero_band(order):
+    """x*y = x under the discrete order: one eta-class."""
+    return {
         "order": order,
         "table": [[i] * order for i in range(order)],
         "leq": [[i == j for j in range(order)] for i in range(order)],
     }
-    assert main(["analyze", write(tmp_path, "s.json", left_zero_band)]) == 64
+
+
+def min_chain(order):
+    """x*y = min(x, y) under the usual order: eta has a class per element."""
+    return {
+        "order": order,
+        "table": [[min(i, j) for j in range(order)] for i in range(order)],
+        "leq": [[i <= j for j in range(order)] for i in range(order)],
+    }
+
+
+@pytest.mark.parametrize(
+    "structure, cap",
+    [
+        pytest.param(
+            min_chain(11),
+            "partition enumeration capped at 10",
+            id="11-partition enumeration capped at 10",
+        ),
+        pytest.param(
+            left_zero_band(13),
+            "subset search capped at 12",
+            id="13-subset search capped at 12",
+        ),
+    ],
+)
+def test_analyze_beyond_cap_is_usage_error(tmp_path, capsys, structure, cap):
+    assert main(["analyze", write(tmp_path, "s.json", structure)]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {cap} elements\n"
+
+
+def test_partition_cap_counts_eta_classes(tmp_path, capsys):
+    # 11 elements but a single eta-class, so the partition scan stays small
+    assert main(["analyze", "--json", write(tmp_path, "s.json", left_zero_band(11))]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["order"] == 11
+    assert captured.err == ""
 
 
 def test_usage_error_unknown_subcommand():

@@ -1,8 +1,15 @@
+import dataclasses
+from itertools import chain
+
 import pytest
 
 from ordsgp import (
+    THEOREM_IDS,
+    GenerationConfig,
     Partition,
+    PredicateResult,
     classify_partition,
+    enumerate_ordered_semigroups,
     enumerate_semilattice_congruences,
     lz2,
     n2,
@@ -13,7 +20,8 @@ from ordsgp import (
     theorem8_conditions,
     verify,
 )
-from ordsgp.congruences import all_partitions
+from ordsgp.congruences import _eta, all_partitions
+from ordsgp.harness import _verify_chunk, iter_catalog
 from ordsgp.predicates import right_pi_t_simple_direct
 
 
@@ -129,3 +137,46 @@ def test_corollary_suites_report():
     assert hstar == [True] * 4
     assert cpr == [True] * 4
     assert hstar_agree and cpr_agree
+
+
+def test_eta_scan_equals_the_bell_scan():
+    # Every semilattice congruence contains eta, so scanning the partitions
+    # of the eta-classes must find exactly what the scan of all Bell(n)
+    # partitions finds, in the same coarsest-first order.
+    order4 = enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
+    count = 0
+    for S in chain(iter_catalog(3), order4):
+        bell = tuple(
+            p
+            for p in all_partitions(S.order)
+            if classify_partition(S, p).is_semilattice_congruence()
+        )
+        found = enumerate_semilattice_congruences(S)
+        assert found == bell, S
+        eta = _eta(S)
+        assert found[-1] == eta, S
+        assert all(eta.refines(p) for p in found), S
+        count += 1
+    assert count == 5745
+
+
+def _reachable(value):
+    yield value
+    if isinstance(value, (tuple, list)):
+        members = value
+    elif isinstance(value, dict):
+        members = chain(value.keys(), value.values())
+    elif isinstance(value, PredicateResult):
+        members = (getattr(value, f.name) for f in dataclasses.fields(value))
+    else:
+        return
+    for member in members:
+        yield from _reachable(member)
+
+
+def test_cached_values_never_refer_back_to_their_structure():
+    # A cache entry that holds S itself makes a reference cycle, which
+    # keeps every structure of a catalog walk alive until the collector runs.
+    for S in iter_catalog(2):
+        _verify_chunk(THEOREM_IDS, S)
+        assert not any(v is S for v in _reachable(list(S._cache.values()))), S
