@@ -4,7 +4,6 @@
 # least mediating elements) or the first counterexample.
 
 from ordsgp import (
-    left_pi_t_simple_direct,
     lz2,
     n2,
     named_predicate,
@@ -29,7 +28,7 @@ print("\nN2 left-archimedean witness for (1,0):", by_pair[(1, 0)])
 
 # %% The direct definition of left pi-t-simple searches for a left simple,
 # pi-regular subsemigroup absorbing a power of every element.
-res = left_pi_t_simple_direct(n2())
+res = named_predicate(n2(), "left-pi-t-simple")
 print("\nN2 left pi-t-simple:", res.holds, res.data)
 res = nil_extension_search(n2(), "left_simple")
 print("N2 nil extension kernel:", res.data)

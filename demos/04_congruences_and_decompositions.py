@@ -6,12 +6,12 @@ from ordsgp import (
     classify_partition,
     enumerate_semilattice_congruences,
     lz2,
+    named_predicate,
     semilattice_decomposition,
     sl2,
     theorem8_conditions,
     verify,
 )
-from ordsgp.predicates import _thm2_all_hold
 
 # %% Classifying partitions: the singleton partition on SL2 satisfies the
 # congruence, semilattice, and completeness laws; on LZ2 the semilattice
@@ -29,8 +29,12 @@ print("LZ2 semilattice congruences:",
 
 # %% Decomposition search: SL2 splits into singleton left pi-t-simple
 # classes; LZ2 is itself one qualifying class.
-print("\nSL2 decomposition:", semilattice_decomposition(sl2(), _thm2_all_hold).data)
-print("LZ2 decomposition:", semilattice_decomposition(lz2(), _thm2_all_hold).data)
+def left_pi_t_simple(sub):
+    return named_predicate(sub, "left-pi-t-simple").holds
+
+
+print("\nSL2 decomposition:", semilattice_decomposition(sl2(), left_pi_t_simple).data)
+print("LZ2 decomposition:", semilattice_decomposition(lz2(), left_pi_t_simple).data)
 
 # %% The R*-congruence battery (suite id thm8).  LZ2 fails the gate (it is
 # not right pi-inverse) and exhibits why the gate matters: R* is a

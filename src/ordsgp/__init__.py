@@ -55,16 +55,10 @@ from .harness import (
 )
 from .predicates import (
     PREDICATE_NAMES,
-    left_pi_inverse_def,
-    left_pi_t_simple_direct,
     lemma3_predicate,
     lemma7_predicate,
     named_predicate,
     nil_extension_search,
-    pi_inverse_def,
-    pi_t_simple_direct,
-    right_pi_inverse_def,
-    right_pi_t_simple_direct,
     theorem2_conditions,
     theorem4_conditions,
     theorem5_conditions,

@@ -4,12 +4,16 @@ Semilattice congruences are closed under intersection, so each contains the
 least one, eta (Tamura, Semigroup Forum 4, 1972; Kehayopulu's relation N on
 ordered semigroups).  The search therefore scans only the partitions of the
 eta-classes, and ``PARTITION_CAP`` bounds their number, not the order.
+
+The certificates of the semilattice congruences are the one cache of this
+layer, on S.  A decomposition search is a plain scan over them; each class
+check reads the class substructure cached on S and that substructure's own
+cached predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import PredicateResult, bits_iter, restrict
 from .relations import Partition, starred
@@ -87,16 +91,15 @@ def classify_partition(S, partition):
     )
 
 
-def _certificate(S, partition):
-    return S.cached(("cert", partition.class_of), lambda: classify_partition(S, partition))
-
-
-@lru_cache(maxsize=None)
 def all_partitions(n):
     """Every partition of {0..n-1} as restricted-growth strings, coarsest
-    first (fewest classes, then lexicographic)."""
+    first (fewest classes, then lexicographic); the semilattice-congruence
+    search partitions the classes of eta."""
     if n > PARTITION_CAP:
-        raise ValueError(f"partition enumeration capped at {PARTITION_CAP} elements")
+        raise ValueError(
+            f"partition enumeration capped at {PARTITION_CAP} classes"
+            " of the least semilattice congruence"
+        )
     out = []
 
     def grow(prefix, width):
@@ -146,32 +149,28 @@ def _eta(S):
     return Partition(S.order, [find(x) for x in S.elements()])
 
 
-def enumerate_semilattice_congruences(S):
-    """All semilattice congruences, coarsest first.
-
-    Only partitions coarser than eta are classified; lifted from the
-    partitions of the eta-classes, they keep the coarsest-first order of
-    :func:`all_partitions` on the whole carrier."""
+def _semilattice_certificates(S):
+    """Certificates of the semilattice congruences, coarsest first; cached
+    on S.  Only the partitions of the eta-classes are classified, lifted
+    through eta's restricted-growth labels, which keeps the coarsest-first
+    order of :func:`all_partitions` on the whole carrier."""
     def build():
         eta = _eta(S)
-        if eta.num_classes == S.order:
-            # eta is the identity, so every partition is coarser than it;
-            # reusing the cached ones avoids a second copy of Bell(n) of them
-            lifted = all_partitions(S.order)
-        else:
-            lifted = sorted(
-                (
-                    Partition(S.order, [p.class_of[c] for c in eta.class_of])
-                    for p in all_partitions(eta.num_classes)
-                ),
-                key=lambda p: (p.num_classes, p.class_of),
-            )
-        return tuple(p for p in lifted if _certificate(S, p).is_semilattice_congruence())
+        certs = (
+            classify_partition(S, Partition(S.order, [p.class_of[c] for c in eta.class_of]))
+            for p in all_partitions(eta.num_classes)
+        )
+        return tuple(cert for cert in certs if cert.is_semilattice_congruence())
 
     return S.cached(("semilattice-congruences",), build)
 
 
-def semilattice_decomposition(S, class_predicate, cache_key=None, complete_only=False):
+def enumerate_semilattice_congruences(S):
+    """All semilattice congruences, coarsest first."""
+    return tuple(cert.partition for cert in _semilattice_certificates(S))
+
+
+def semilattice_decomposition(S, class_predicate, complete_only=False):
     """Search for a semilattice congruence whose classes all satisfy the
     predicate as standalone ordered semigroups.
 
@@ -180,30 +179,14 @@ def semilattice_decomposition(S, class_predicate, cache_key=None, complete_only=
     witness (fewest classes) is returned.  ``complete_only`` restricts the
     search to complete semilattice congruences.
     """
-    def class_ok(mask):
-        if cache_key is None:
-            return _class_holds(S, mask, class_predicate)
-        return S.cached(
-            ("class-ok", mask, cache_key),
-            lambda: _class_holds(S, mask, class_predicate),
-        )
-
-    def build():
-        candidates = enumerate_semilattice_congruences(S)
-        if complete_only:
-            candidates = tuple(
-                p for p in candidates if _certificate(S, p).is_complete
-            )
-        for partition in candidates:
-            if all(class_ok(mask) for mask in partition.classes):
-                return PredicateResult(True, data={"partition": partition.to_lists()})
-        return PredicateResult(
-            False, counterexample={"semilattice_congruences": len(candidates)}
-        )
-
-    if cache_key is None:
-        return build()
-    return S.cached(("decomposition", cache_key, complete_only), build)
+    certs = _semilattice_certificates(S)
+    if complete_only:
+        certs = tuple(cert for cert in certs if cert.is_complete)
+    for cert in certs:
+        partition = cert.partition
+        if all(_class_holds(S, mask, class_predicate) for mask in partition.classes):
+            return PredicateResult(True, data={"partition": partition.to_lists()})
+    return PredicateResult(False, counterexample={"semilattice_congruences": len(certs)})
 
 
 def _class_sub(S, mask):
@@ -228,20 +211,30 @@ def _class_holds(S, mask, class_predicate):
     return bool(class_predicate(_class_sub(S, mask)))
 
 
+def _congruence_conditions(cert, data=None):
+    """The congruence and semilattice-congruence conditions (1 and 4) of
+    the thm8-family batteries, read off one certificate."""
+    gaps = cert.counterexamples
+    sl_ok = cert.is_semilattice_congruence()
+    return (
+        PredicateResult(cert.is_congruence, counterexample=gaps.get("congruence"), data=data),
+        PredicateResult(
+            sl_ok,
+            counterexample=None if sl_ok else gaps.get("congruence") or gaps["semilattice"],
+            data=data,
+        ),
+    )
+
+
 def theorem8_conditions(S):
     """Four-way battery for semilattices of right pi-t-simple ordered
     semigroups (suite id ``thm8``); meaningful under the right pi-inverse
     hypothesis."""
-    from .predicates import right_pi_t_simple_direct
+    from .predicates import named_predicate
 
     def build():
         Rs = starred(S, "R")
-        cert = _certificate(S, Rs)
-        c1 = PredicateResult(
-            cert.is_congruence,
-            counterexample=None if cert.is_congruence else cert.counterexamples["congruence"],
-            data={"classes": Rs.to_lists()},
-        )
+        c1, c4 = _congruence_conditions(classify_partition(S, Rs), {"classes": Rs.to_lists()})
         Ls = starred(S, "L")
         if Ls.refines(Rs):
             c2 = PredicateResult(True, ({"lstar_classes": Ls.to_lists()},))
@@ -254,14 +247,7 @@ def theorem8_conditions(S):
             )
             c2 = PredicateResult(False, counterexample={"pair": pair})
         c3 = semilattice_decomposition(
-            S, lambda sub: right_pi_t_simple_direct(sub).holds, cache_key="right-pi-t-simple"
-        )
-        sl_ok = cert.is_congruence and cert.is_semilattice
-        bad = None
-        if not sl_ok:
-            bad = cert.counterexamples.get("congruence") or cert.counterexamples["semilattice"]
-        c4 = PredicateResult(
-            sl_ok, counterexample=bad, data={"classes": Rs.to_lists()}
+            S, lambda sub: named_predicate(sub, "right-pi-t-simple").holds
         )
         return (c1, c2, c3, c4)
 
@@ -271,15 +257,11 @@ def theorem8_conditions(S):
 def cor_hstar_conditions(S):
     """H*-flavoured variant of the thm8 battery (suite id ``cor-hstar``);
     meaningful under the pi-inverse hypothesis."""
-    from .predicates import pi_t_simple_direct
+    from .predicates import named_predicate
 
     def build():
         Hs = starred(S, "H")
-        cert = _certificate(S, Hs)
-        c1 = PredicateResult(
-            cert.is_congruence,
-            counterexample=None if cert.is_congruence else cert.counterexamples["congruence"],
-        )
+        c1, c4 = _congruence_conditions(classify_partition(S, Hs))
         Ls, Rs = starred(S, "L"), starred(S, "R")
         if Ls == Rs and Rs == Hs:
             c2 = PredicateResult(True, ({"classes": Hs.to_lists()},))
@@ -293,13 +275,8 @@ def cor_hstar_conditions(S):
                 },
             )
         c3 = semilattice_decomposition(
-            S, lambda sub: pi_t_simple_direct(sub).holds, cache_key="pi-t-simple"
+            S, lambda sub: named_predicate(sub, "pi-t-simple").holds
         )
-        sl_ok = cert.is_congruence and cert.is_semilattice
-        bad = None
-        if not sl_ok:
-            bad = cert.counterexamples.get("congruence") or cert.counterexamples["semilattice"]
-        c4 = PredicateResult(sl_ok, counterexample=bad)
         return (c1, c2, c3, c4)
 
     return S.cached(("cor-hstar",), build)

@@ -52,13 +52,11 @@ VERDICT_HYPOTHESIS = "hypothesis_not_met"
 VERDICT_DISCREPANCY = "DISCREPANCY"
 
 
-def _decomposition(name, complete_only=False):
-    """Reading: S is a semilattice of ordered semigroups meeting ``name``."""
+def _complete_decomposition(name):
+    """Reading: S is a semilattice of ordered semigroups meeting ``name``,
+    under a complete semilattice congruence."""
     return lambda S: semilattice_decomposition(
-        S,
-        lambda sub: named_predicate(sub, name).holds,
-        cache_key=name,
-        complete_only=complete_only,
+        S, lambda sub: named_predicate(sub, name).holds, complete_only=True
     )
 
 
@@ -81,10 +79,11 @@ _READINGS = {
     "cor-hstar": cor_hstar_conditions,
     "cor-cpr": cor_cpr_conditions,
     "right-pi-inverse-all-powers": lambda S: _pi_inverse_side(S, "left", all_powers=True),
-    "right-pi-t-simple-decomposition": _decomposition("right-pi-t-simple"),
-    "right-pi-t-simple-complete-decomposition": _decomposition("right-pi-t-simple", True),
-    "pi-t-simple-decomposition": _decomposition("pi-t-simple"),
-    "pi-t-simple-complete-decomposition": _decomposition("pi-t-simple", True),
+    # The plain decomposition readings are condition 3 of thm8 and cor-hstar.
+    "right-pi-t-simple-decomposition": lambda S: theorem8_conditions(S)[2],
+    "right-pi-t-simple-complete-decomposition": _complete_decomposition("right-pi-t-simple"),
+    "pi-t-simple-decomposition": lambda S: cor_hstar_conditions(S)[2],
+    "pi-t-simple-complete-decomposition": _complete_decomposition("pi-t-simple"),
 }
 
 

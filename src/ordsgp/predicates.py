@@ -311,22 +311,6 @@ def _t_simple_search(S, kernel_tag):
     return _absorbing_search(S, _closed_under_product, kernel_tag, "subsemigroup")
 
 
-def left_pi_t_simple_direct(S):
-    """Direct definition: some left simple, pi-regular subsemigroup absorbs
-    a power of every element."""
-    return named_predicate(S, "left-pi-t-simple")
-
-
-def right_pi_t_simple_direct(S):
-    """Mirror of :func:`left_pi_t_simple_direct` with a right simple kernel."""
-    return named_predicate(S, "right-pi-t-simple")
-
-
-def pi_t_simple_direct(S):
-    """Two-sided variant: the absorbing subsemigroup is left and right simple."""
-    return named_predicate(S, "pi-t-simple")
-
-
 def nil_extension_search(S, kernel_tag):
     """First two-sided ideal K with the tagged property such that every
     element has a power inside K."""
@@ -416,7 +400,7 @@ def theorem2_conditions(S):
     ordered semigroup (suite id ``thm2``), in source numbering."""
     def build():
         return (
-            left_pi_t_simple_direct(S),
+            named_predicate(S, "left-pi-t-simple"),
             _conj(
                 ("pi_regular", named_predicate(S, "pi-regular")),
                 ("lstar_unique_idempotent", lstar_unique_idempotent(S)),
@@ -497,17 +481,11 @@ def theorem4_conditions(S, complete_only=False):
     from .congruences import semilattice_decomposition
 
     def build():
-        c1 = semilattice_decomposition(
-            S,
-            _thm2_all_hold,
-            cache_key="left-pi-t-simple-battery",
-            complete_only=complete_only,
-        )
+        c1 = semilattice_decomposition(S, _thm2_all_hold, complete_only=complete_only)
         c2, c3, c4 = _thm4_shared(S)
         c5 = semilattice_decomposition(
             S,
             lambda sub: nil_extension_search(sub, "left_simple").holds,
-            cache_key="nil-ext-left-simple",
             complete_only=complete_only,
         )
         return (c1, c2, c3, c4, c5)
@@ -563,16 +541,6 @@ def _pi_inverse_side(S, side, all_powers=False):
     return res
 
 
-def right_pi_inverse_def(S):
-    """Definition: some (Sa^m] is generated by an R-unique ordered idempotent."""
-    return named_predicate(S, "right-pi-inverse")
-
-
-def left_pi_inverse_def(S):
-    """Mirror definition with right ideals (a^mS] and L-uniqueness."""
-    return named_predicate(S, "left-pi-inverse")
-
-
 def _unrelated_inverses(S, kind):
     """Per element v: its ordered inverses, and the first pair of them, led
     by the least, that Green's relation ``kind`` does not relate (or None);
@@ -587,11 +555,6 @@ def _unrelated_inverses(S, kind):
         return out
 
     return S.cached(("unrelated-inverses", kind), build)
-
-
-def pi_inverse_def(S):
-    """Some power of each element has all its ordered inverses H-related."""
-    return named_predicate(S, "pi-inverse")
 
 
 def _p_pi_inverse(S):
@@ -693,7 +656,7 @@ def theorem5_conditions(S, all_powers=False):
     """
     def build():
         return (
-            right_pi_inverse_def(S),
+            named_predicate(S, "right-pi-inverse"),
             _thm5_c2(S, all_powers),
             _thm5_c3(S),
             _thm5_c4(S),
@@ -853,9 +816,13 @@ PREDICATES = {
     "left-weakly-commutative": _p_left_weakly_commutative,
     "right-weakly-commutative": _p_right_weakly_commutative,
     "weakly-commutative": _p_weakly_commutative,
+    # some left simple (right simple; left and right simple) pi-regular
+    # subsemigroup absorbs a power of every element
     "left-pi-t-simple": lambda S: _t_simple_search(S, "left_simple"),
     "right-pi-t-simple": lambda S: _t_simple_search(S, "right_simple"),
     "pi-t-simple": lambda S: _t_simple_search(S, "t_simple"),
+    # some (Sa^m] ((a^mS]) is generated by R-unique (L-unique) ordered
+    # idempotents; some a^m has all its ordered inverses H-related
     "right-pi-inverse": lambda S: _pi_inverse_side(S, "left"),
     "left-pi-inverse": lambda S: _pi_inverse_side(S, "right"),
     "pi-inverse": _p_pi_inverse,

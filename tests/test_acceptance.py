@@ -17,9 +17,7 @@ from ordsgp.harness import THEOREM_IDS, iter_catalog
 from ordsgp.predicates import (
     _thm2_c4,
     _thm5_c3,
-    left_pi_t_simple_direct,
     named_predicate,
-    right_pi_inverse_def,
     theorem2_conditions,
     theorem4_conditions,
     theorem5_conditions,
@@ -93,14 +91,14 @@ def test_criterion_3_oracle_agreement():
     ok = False
     try:
         for S in iter_catalog(4, sample_count=SAMPLE_COUNT, sample_seed=SAMPLE_SEED):
-            direct = left_pi_t_simple_direct(S).holds
+            direct = named_predicate(S, "left-pi-t-simple").holds
             c4 = _thm2_c4(S).holds
             c7 = (
                 named_predicate(S, "pi-regular").holds
                 and named_predicate(S, "left-archimedean").holds
             )
             assert direct == c4 == c7, S
-            rpi = right_pi_inverse_def(S).holds
+            rpi = named_predicate(S, "right-pi-inverse").holds
             c3 = _thm5_c3(S).holds
             t6 = theorem6_condition(S).holds
             assert rpi == c3 == t6, S
@@ -146,11 +144,11 @@ def test_criterion_4_fixture_ledger():
         # 8. RZ2 fails thm4 condition (2) (and with it the whole battery)
         assert [r.holds for r in theorem4_conditions(rz2())] == [False] * 5
         # 9. LZ2 under thm8: hypothesis fails while (1) holds and (4) fails
-        assert not right_pi_inverse_def(lz2()).holds
+        assert not named_predicate(lz2(), "right-pi-inverse").holds
         t8 = theorem8_conditions(lz2())
         assert [r.holds for r in t8] == [True, False, False, False]
         # 10. N2 is left pi-t-simple via H = {0} with exponents 1 and 2
-        direct = left_pi_t_simple_direct(n2())
+        direct = named_predicate(n2(), "left-pi-t-simple")
         assert direct.holds
         assert direct.data == {"subsemigroup": [0], "exponents": {0: 1, 1: 2}}
         ok = True

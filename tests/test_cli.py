@@ -181,12 +181,12 @@ def min_chain(order):
     [
         pytest.param(
             min_chain(11),
-            "partition enumeration capped at 10",
+            "partition enumeration capped at 10 classes of the least semilattice congruence",
             id="11-partition enumeration capped at 10",
         ),
         pytest.param(
             left_zero_band(13),
-            "subset search capped at 12",
+            "subset search capped at 12 elements",
             id="13-subset search capped at 12",
         ),
     ],
@@ -195,7 +195,7 @@ def test_analyze_beyond_cap_is_usage_error(tmp_path, capsys, structure, cap):
     assert main(["analyze", write(tmp_path, "s.json", structure)]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {cap} elements\n"
+    assert captured.err == f"error: {cap}\n"
 
 
 def test_partition_cap_counts_eta_classes(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -13,16 +15,18 @@ from ordsgp import (
     enumerate_semilattice_congruences,
     lz2,
     n2,
+    named_predicate,
+    restrict,
     rz2,
     semilattice_decomposition,
     sl2,
     t1,
     theorem8_conditions,
+    validate,
     verify,
 )
 from ordsgp.congruences import _eta, all_partitions
 from ordsgp.harness import _verify_chunk, iter_catalog
-from ordsgp.predicates import right_pi_t_simple_direct
 
 
 def test_classify_singletons_on_sl2():
@@ -102,7 +106,9 @@ def test_semilattice_decomposition_examples():
     assert res.holds and res.data == {"partition": [[0], [1]]}
     res = semilattice_decomposition(lz2(), _thm2_all_hold)
     assert res.holds and res.data == {"partition": [[0, 1]]}
-    res = semilattice_decomposition(lz2(), lambda sub: right_pi_t_simple_direct(sub).holds)
+    res = semilattice_decomposition(
+        lz2(), lambda sub: named_predicate(sub, "right-pi-t-simple").holds
+    )
     assert not res.holds
 
 
@@ -142,22 +148,70 @@ def test_corollary_suites_report():
 def test_eta_scan_equals_the_bell_scan():
     # Every semilattice congruence contains eta, so scanning the partitions
     # of the eta-classes must find exactly what the scan of all Bell(n)
-    # partitions finds, in the same coarsest-first order.
+    # partitions finds, in the same coarsest-first order.  A decomposition
+    # search must return what a first-match scan of the Bell list returns.
     order4 = enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
     count = 0
     for S in chain(iter_catalog(3), order4):
-        bell = tuple(
-            p
-            for p in all_partitions(S.order)
-            if classify_partition(S, p).is_semilattice_congruence()
-        )
+        certs = [
+            cert
+            for cert in (classify_partition(S, p) for p in all_partitions(S.order))
+            if cert.is_semilattice_congruence()
+        ]
+        bell = tuple(cert.partition for cert in certs)
         found = enumerate_semilattice_congruences(S)
         assert found == bell, S
         eta = _eta(S)
         assert found[-1] == eta, S
         assert all(eta.refines(p) for p in found), S
+        for name in ("left-pi-t-simple", "right-pi-t-simple", "pi-t-simple"):
+            for complete_only in (False, True):
+                candidates = [c.partition for c in certs if c.is_complete or not complete_only]
+                want = next(
+                    (
+                        PredicateResult(True, data={"partition": p.to_lists()})
+                        for p in candidates
+                        if all(
+                            named_predicate(restrict(S, mask)[0], name).holds
+                            for mask in p.classes
+                        )
+                    ),
+                    PredicateResult(
+                        False, counterexample={"semilattice_congruences": len(candidates)}
+                    ),
+                )
+                got = semilattice_decomposition(
+                    S,
+                    lambda sub: named_predicate(sub, name).holds,
+                    complete_only=complete_only,
+                )
+                assert got == want, (S, name, complete_only)
         count += 1
     assert count == 5745
+
+
+def test_semilattice_scan_keeps_no_per_partition_state():
+    # The order-8 min-chain has one eta-class per element, so the scan
+    # classifies all 4140 partitions of its carrier for 128 semilattice
+    # congruences.  Only those are kept, on S, and nothing outlives S.
+    n = 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        S = validate(
+            [[min(i, j) for j in range(n)] for i in range(n)],
+            [[i <= j for j in range(n)] for i in range(n)],
+        )
+        assert len(enumerate_semilattice_congruences(S)) == 2 ** (n - 1)
+        entries = len(S._cache)
+        del S
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert entries <= 3, entries
+    assert retained < 100_000, retained
 
 
 def _reachable(value):

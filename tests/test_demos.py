@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,17 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_public_names_only(demo):
+    # a demo shows the library as a user sees it, so it imports no private name
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ordsgp"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

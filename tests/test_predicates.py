@@ -9,18 +9,12 @@ from ordsgp import (
     OrderedSemigroup,
     enumerate_ordered_semigroups,
     green,
-    left_pi_inverse_def,
-    left_pi_t_simple_direct,
     lemma3_predicate,
     lemma7_predicate,
     lz2,
     n2,
     named_predicate,
     nil_extension_search,
-    pi_inverse_def,
-    pi_t_simple_direct,
-    right_pi_inverse_def,
-    right_pi_t_simple_direct,
     rz2,
     sl2,
     starred,
@@ -65,26 +59,27 @@ def test_named_predicate_is_cached_per_structure():
 
 
 def test_direct_definitions_share_the_named_predicate_cache():
-    direct = {
-        "left-pi-t-simple": left_pi_t_simple_direct,
-        "right-pi-t-simple": right_pi_t_simple_direct,
-        "pi-t-simple": pi_t_simple_direct,
-        "left-pi-inverse": left_pi_inverse_def,
-        "right-pi-inverse": right_pi_inverse_def,
-        "pi-inverse": pi_inverse_def,
-    }
+    # each pi-t-simple and pi-inverse definition is one cache entry on S,
+    # and a repeated call adds none
+    direct = (
+        "left-pi-t-simple",
+        "right-pi-t-simple",
+        "pi-t-simple",
+        "left-pi-inverse",
+        "right-pi-inverse",
+        "pi-inverse",
+    )
     for build in FIXTURES.values():
         S = build()
-        for name, definition in direct.items():
-            result = definition(S)
-            assert result is named_predicate(S, name), name
+        for name in direct:
+            result = named_predicate(S, name)
             assert sum(value is result for value in S._cache.values()) == 1, name
         S = build()
         for name in PREDICATE_NAMES:
             named_predicate(S, name)
         entries = len(S._cache)
-        for definition in direct.values():
-            definition(S)
+        for name in direct:
+            named_predicate(S, name)
         assert len(S._cache) == entries
 
 
@@ -146,12 +141,12 @@ def test_witnesses_recheck_against_defining_inequalities():
 
 
 def test_left_pi_t_simple_direct_examples():
-    res = left_pi_t_simple_direct(lz2())
+    res = named_predicate(lz2(), "left-pi-t-simple")
     assert res.holds and res.data["subsemigroup"] == [0, 1]
-    res = left_pi_t_simple_direct(n2())
+    res = named_predicate(n2(), "left-pi-t-simple")
     assert res.holds
     assert res.data == {"subsemigroup": [0], "exponents": {0: 1, 1: 2}}
-    assert not left_pi_t_simple_direct(sl2()).holds
+    assert not named_predicate(sl2(), "left-pi-t-simple").holds
 
 
 def test_theorem2_battery():
@@ -183,14 +178,14 @@ def test_theorem4_battery():
 
 
 def test_right_pi_inverse_examples():
-    assert right_pi_inverse_def(sl2()).holds
-    res = right_pi_inverse_def(lz2())
+    assert named_predicate(sl2(), "right-pi-inverse").holds
+    res = named_predicate(lz2(), "right-pi-inverse")
     assert not res.holds
     assert res.counterexample == {"a": 0, "m": 1, "generators": [0, 1]}
-    assert right_pi_inverse_def(t1()).holds
-    assert right_pi_inverse_def(rz2()).holds
-    assert not left_pi_inverse_def(rz2()).holds
-    assert left_pi_inverse_def(lz2()).holds
+    assert named_predicate(t1(), "right-pi-inverse").holds
+    assert named_predicate(rz2(), "right-pi-inverse").holds
+    assert not named_predicate(rz2(), "left-pi-inverse").holds
+    assert named_predicate(lz2(), "left-pi-inverse").holds
 
 
 def test_theorem5_battery():
@@ -228,10 +223,11 @@ def test_dual_predicates():
     assert named_predicate(lz2(), "left-pi-inverse").holds
     assert named_predicate(sl2(), "pi-inverse").holds
     assert named_predicate(sl2(), "pi-inverse").holds == (
-        left_pi_inverse_def(sl2()).holds and right_pi_inverse_def(sl2()).holds
+        named_predicate(sl2(), "left-pi-inverse").holds
+        and named_predicate(sl2(), "right-pi-inverse").holds
     )
-    assert not pi_t_simple_direct(lz2()).holds
-    assert pi_t_simple_direct(n2()).holds
+    assert not named_predicate(lz2(), "pi-t-simple").holds
+    assert named_predicate(n2(), "pi-t-simple").holds
 
 
 def _mirror(name):
@@ -289,9 +285,9 @@ def test_lstar_unique_idempotent():
 
 
 def test_pi_inverse_def_examples():
-    assert pi_inverse_def(sl2()).holds
-    assert not pi_inverse_def(lz2()).holds
-    assert pi_inverse_def(n2()).holds
+    assert named_predicate(sl2(), "pi-inverse").holds
+    assert not named_predicate(lz2(), "pi-inverse").holds
+    assert named_predicate(n2(), "pi-inverse").holds
 
 
 def _relabel(S, p):
