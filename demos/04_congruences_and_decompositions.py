@@ -28,13 +28,14 @@ print("LZ2 semilattice congruences:",
       [p.to_lists() for p in enumerate_semilattice_congruences(lz2())])
 
 # %% Decomposition search: SL2 splits into singleton left pi-t-simple
-# classes; LZ2 is itself one qualifying class.
+# classes; LZ2 is itself one qualifying class.  The search gives the plain
+# reading first and the complete-congruence reading second.
 def left_pi_t_simple(sub):
     return named_predicate(sub, "left-pi-t-simple").holds
 
 
-print("\nSL2 decomposition:", semilattice_decomposition(sl2(), left_pi_t_simple).data)
-print("LZ2 decomposition:", semilattice_decomposition(lz2(), left_pi_t_simple).data)
+print("\nSL2 decomposition:", semilattice_decomposition(sl2(), left_pi_t_simple)[0].data)
+print("LZ2 decomposition:", semilattice_decomposition(lz2(), left_pi_t_simple)[0].data)
 
 # %% The R*-congruence battery (suite id thm8).  LZ2 fails the gate (it is
 # not right pi-inverse) and exhibits why the gate matters: R* is a

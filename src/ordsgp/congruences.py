@@ -6,9 +6,10 @@ ordered semigroups).  The search therefore scans only the partitions of the
 eta-classes, and ``PARTITION_CAP`` bounds their number, not the order.
 
 The certificates of the semilattice congruences are the one cache of this
-layer, on S.  A decomposition search is a plain scan over them; each class
-check reads the class substructure cached on S and that substructure's own
-cached predicates.
+layer, on S.  A decomposition search is one plain scan over them that gives
+both readings, over all semilattice congruences and over complete ones; each
+class check reads the class substructure cached on S and that substructure's
+own cached predicates.
 """
 
 from __future__ import annotations
@@ -92,28 +93,27 @@ def classify_partition(S, partition):
 
 
 def all_partitions(n):
-    """Every partition of {0..n-1} as restricted-growth strings, coarsest
-    first (fewest classes, then lexicographic); the semilattice-congruence
-    search partitions the classes of eta."""
+    """Every partition of {0..n-1}, lazily and coarsest first (fewest
+    classes, then lexicographic by restricted-growth string); the
+    semilattice-congruence search partitions the classes of eta.  The cap is
+    checked at the call."""
     if n > PARTITION_CAP:
         raise ValueError(
             f"partition enumeration capped at {PARTITION_CAP} classes"
             " of the least semilattice congruence"
         )
-    out = []
 
-    def grow(prefix, width):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
+    def grow(rgs, width, k):
+        # rgs uses labels 0..width-1; a label is tried only if the places
+        # left can still bring the count of labels up to k
+        if len(rgs) == n:
+            yield Partition(n, rgs)
             return
-        for v in range(width + 1):
-            prefix.append(v)
-            grow(prefix, max(width, v + 1))
-            prefix.pop()
+        for v in range(min(width + 1, k)):
+            if max(width, v + 1) + n - len(rgs) - 1 >= k:
+                yield from grow(rgs + [v], max(width, v + 1), k)
 
-    grow([0], 1)
-    out.sort(key=lambda rgs: (max(rgs) + 1, rgs))
-    return tuple(Partition(n, rgs) for rgs in out)
+    return (p for k in range(1, n + 1) for p in grow([0], 1, k))
 
 
 def _eta(S):
@@ -170,23 +170,32 @@ def enumerate_semilattice_congruences(S):
     return tuple(cert.partition for cert in _semilattice_certificates(S))
 
 
-def semilattice_decomposition(S, class_predicate, complete_only=False):
+def semilattice_decomposition(S, class_predicate):
     """Search for a semilattice congruence whose classes all satisfy the
-    predicate as standalone ordered semigroups.
+    predicate as standalone ordered semigroups; returns ``(plain, complete)``,
+    the readings over all semilattice congruences and over complete ones.
 
-    Classes of a semilattice congruence are closed under the product; the
-    closure is still checked explicitly before restricting.  The coarsest
-    witness (fewest classes) is returned.  ``complete_only`` restricts the
-    search to complete semilattice congruences.
+    One coarsest-first pass checks every candidate until the plain witness
+    is found, then only complete ones, and stops at the first complete
+    witness.  A reading without a witness counts its candidates.  Classes
+    of a semilattice congruence are closed under the product; the closure
+    is still checked explicitly before restricting.
     """
     certs = _semilattice_certificates(S)
-    if complete_only:
-        certs = tuple(cert for cert in certs if cert.is_complete)
+    plain = None
     for cert in certs:
-        partition = cert.partition
-        if all(_class_holds(S, mask, class_predicate) for mask in partition.classes):
-            return PredicateResult(True, data={"partition": partition.to_lists()})
-    return PredicateResult(False, counterexample={"semilattice_congruences": len(certs)})
+        if (plain is None or cert.is_complete) and all(
+            _class_holds(S, mask, class_predicate) for mask in cert.partition.classes
+        ):
+            found = PredicateResult(True, data={"partition": cert.partition.to_lists()})
+            plain = plain or found
+            if cert.is_complete:
+                return plain, found
+
+    def miss(candidates):
+        return PredicateResult(False, counterexample={"semilattice_congruences": candidates})
+
+    return plain or miss(len(certs)), miss(sum(cert.is_complete for cert in certs))
 
 
 def _class_sub(S, mask):
@@ -211,31 +220,30 @@ def _class_holds(S, mask, class_predicate):
     return bool(class_predicate(_class_sub(S, mask)))
 
 
-def _congruence_conditions(cert, data=None):
-    """The congruence and semilattice-congruence conditions (1 and 4) of
-    the thm8-family batteries, read off one certificate."""
-    gaps = cert.counterexamples
-    sl_ok = cert.is_semilattice_congruence()
-    return (
-        PredicateResult(cert.is_congruence, counterexample=gaps.get("congruence"), data=data),
-        PredicateResult(
-            sl_ok,
-            counterexample=None if sl_ok else gaps.get("congruence") or gaps["semilattice"],
-            data=data,
-        ),
-    )
-
-
-def theorem8_conditions(S):
-    """Four-way battery for semilattices of right pi-t-simple ordered
-    semigroups (suite id ``thm8``); meaningful under the right pi-inverse
-    hypothesis."""
+def _star_readings(S, star, c2, name, data=None):
+    """Plain and complete batteries of the thm8 family on the partition
+    ``star``: (1) it is a congruence, (2) ``c2``, (3) S is a semilattice of
+    ordered semigroups meeting ``name``, over all or over complete semilattice
+    congruences, from one search, and (4) it is a semilattice congruence."""
     from .predicates import named_predicate
 
+    cert = classify_partition(S, star)
+    gaps = cert.counterexamples
+    sl_ok = cert.is_semilattice_congruence()
+    c1 = PredicateResult(cert.is_congruence, counterexample=gaps.get("congruence"), data=data)
+    c4 = PredicateResult(
+        sl_ok,
+        counterexample=None if sl_ok else gaps.get("congruence") or gaps["semilattice"],
+        data=data,
+    )
+    readings = semilattice_decomposition(S, lambda sub: named_predicate(sub, name).holds)
+    return tuple((c1, c2, c3, c4) for c3 in readings)
+
+
+def _thm8_readings(S):
+    """Plain and complete thm8 batteries, from one build cached on S."""
     def build():
-        Rs = starred(S, "R")
-        c1, c4 = _congruence_conditions(classify_partition(S, Rs), {"classes": Rs.to_lists()})
-        Ls = starred(S, "L")
+        Ls, Rs = starred(S, "L"), starred(S, "R")
         if Ls.refines(Rs):
             c2 = PredicateResult(True, ({"lstar_classes": Ls.to_lists()},))
         else:
@@ -246,23 +254,22 @@ def theorem8_conditions(S):
                 if Ls.same(a, b) and not Rs.same(a, b)
             )
             c2 = PredicateResult(False, counterexample={"pair": pair})
-        c3 = semilattice_decomposition(
-            S, lambda sub: named_predicate(sub, "right-pi-t-simple").holds
-        )
-        return (c1, c2, c3, c4)
+        return _star_readings(S, Rs, c2, "right-pi-t-simple", {"classes": Rs.to_lists()})
 
     return S.cached(("thm8",), build)
 
 
-def cor_hstar_conditions(S):
-    """H*-flavoured variant of the thm8 battery (suite id ``cor-hstar``);
-    meaningful under the pi-inverse hypothesis."""
-    from .predicates import named_predicate
+def theorem8_conditions(S):
+    """Four-way battery for semilattices of right pi-t-simple ordered
+    semigroups (suite id ``thm8``); meaningful under the right pi-inverse
+    hypothesis."""
+    return _thm8_readings(S)[0]
 
+
+def _cor_hstar_readings(S):
+    """Plain and complete cor-hstar batteries, from one build cached on S."""
     def build():
-        Hs = starred(S, "H")
-        c1, c4 = _congruence_conditions(classify_partition(S, Hs))
-        Ls, Rs = starred(S, "L"), starred(S, "R")
+        Ls, Rs, Hs = starred(S, "L"), starred(S, "R"), starred(S, "H")
         if Ls == Rs and Rs == Hs:
             c2 = PredicateResult(True, ({"classes": Hs.to_lists()},))
         else:
@@ -274,12 +281,15 @@ def cor_hstar_conditions(S):
                     "hstar": Hs.to_lists(),
                 },
             )
-        c3 = semilattice_decomposition(
-            S, lambda sub: named_predicate(sub, "pi-t-simple").holds
-        )
-        return (c1, c2, c3, c4)
+        return _star_readings(S, Hs, c2, "pi-t-simple")
 
     return S.cached(("cor-hstar",), build)
+
+
+def cor_hstar_conditions(S):
+    """H*-flavoured variant of the thm8 battery (suite id ``cor-hstar``);
+    meaningful under the pi-inverse hypothesis."""
+    return _cor_hstar_readings(S)[0]
 
 
 def cor_cpr_conditions(S):

@@ -290,7 +290,11 @@ def validate(table, leq):
 
 
 def structure_key(S):
-    """Compact deterministic identifier of the exact table and order; cached."""
+    """Compact deterministic identifier of the exact table and order; cached.
+
+    Table entries are written without separators, so keys are unique and
+    round-trip through :func:`structure_from_key` only when every entry is a
+    single digit."""
     def build():
         t = "".join(str(v) for row in S.table for v in row)
         o = "".join("1" if v else "0" for row in S.leq for v in row)
@@ -300,10 +304,14 @@ def structure_key(S):
 
 
 def structure_from_key(key):
-    """Rebuild a structure from its :func:`structure_key` string."""
+    """Rebuild a structure from its :func:`structure_key` string; a key
+    whose table or order part is not n*n characters long (as for a table
+    with a multi-digit entry) is rejected."""
     try:
         head, t, o = key.split(":")
         n = int(head.removeprefix("n"))
+        if len(t) != n * n or len(o) != n * n:
+            raise ValueError("table or order part is not n*n characters long")
         table = [[int(t[i * n + j]) for j in range(n)] for i in range(n)]
         leq = [[o[i * n + j] == "1" for j in range(n)] for i in range(n)]
     except (ValueError, IndexError) as exc:

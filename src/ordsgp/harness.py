@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .congruences import (
+    _cor_hstar_readings,
+    _thm8_readings,
     cor_cpr_conditions,
     cor_hstar_conditions,
-    semilattice_decomposition,
     theorem8_conditions,
 )
 from .core import OrderedSemigroup, structure_key
@@ -52,16 +53,10 @@ VERDICT_HYPOTHESIS = "hypothesis_not_met"
 VERDICT_DISCREPANCY = "DISCREPANCY"
 
 
-def _complete_decomposition(name):
-    """Reading: S is a semilattice of ordered semigroups meeting ``name``,
-    under a complete semilattice congruence."""
-    return lambda S: semilattice_decomposition(
-        S, lambda sub: named_predicate(sub, name).holds, complete_only=True
-    )
-
-
 # Named readings beyond the public predicate vocabulary.  A battery reading
 # returns a tuple of results in source numbering; the others return one.
+# The second reading of a battery (complete congruences, every power) comes
+# from the same cached build as its first.
 _READINGS = {
     "lstar-unique-idempotent": lstar_unique_idempotent,
     "lemma3": lemma3_predicate,
@@ -73,17 +68,14 @@ _READINGS = {
     "thm5-all-powers": lambda S: theorem5_conditions(S, all_powers=True),
     "thm6": theorem6_condition,
     "thm8": theorem8_conditions,
+    "thm8-complete": lambda S: _thm8_readings(S)[1],
     "thm51": theorem51_conditions,
     # Corollary 1 restates thm2 conditions 8, 5, 4, 6, 7 in its own order.
     "cor1": lambda S: tuple(theorem2_conditions(S)[i - 1] for i in (8, 5, 4, 6, 7)),
     "cor-hstar": cor_hstar_conditions,
+    "cor-hstar-complete": lambda S: _cor_hstar_readings(S)[1],
     "cor-cpr": cor_cpr_conditions,
     "right-pi-inverse-all-powers": lambda S: _pi_inverse_side(S, "left", all_powers=True),
-    # The plain decomposition readings are condition 3 of thm8 and cor-hstar.
-    "right-pi-t-simple-decomposition": lambda S: theorem8_conditions(S)[2],
-    "right-pi-t-simple-complete-decomposition": _complete_decomposition("right-pi-t-simple"),
-    "pi-t-simple-decomposition": lambda S: cor_hstar_conditions(S)[2],
-    "pi-t-simple-complete-decomposition": _complete_decomposition("pi-t-simple"),
 }
 
 
@@ -141,13 +133,7 @@ _SUITES = {
         "equivalence",
         ("right-pi-inverse",),
         ("thm8",),
-        (
-            (
-                "complete_reading_agrees",
-                "right-pi-t-simple-decomposition",
-                "right-pi-t-simple-complete-decomposition",
-            ),
-        ),
+        (("complete_reading_agrees", "thm8", "thm8-complete"),),
     ),
     "thm51": ("equivalence", ("regular",), ("thm51",), ()),
     "thm-wc": (
@@ -175,13 +161,7 @@ _SUITES = {
         "equivalence",
         ("pi-inverse",),
         ("cor-hstar",),
-        (
-            (
-                "complete_reading_agrees",
-                "pi-t-simple-decomposition",
-                "pi-t-simple-complete-decomposition",
-            ),
-        ),
+        (("complete_reading_agrees", "cor-hstar", "cor-hstar-complete"),),
     ),
     "cor-cpr": ("equivalence", ("right-pi-inverse", "left-pi-regular"), ("cor-cpr",), ()),
 }
@@ -270,6 +250,8 @@ def _resolve_ids(theorems):
     if isinstance(theorems, str):
         theorems = (theorems,)
     ids = tuple(theorems)
+    if not ids:
+        raise ValueError("no theorem ids given")
     for tid in ids:
         if tid not in _SUITES:
             raise ValueError(f"unknown theorem id {tid!r}")

@@ -455,42 +455,32 @@ def _thm4_c4(S):
     )
 
 
-def _thm4_shared(S):
-    """Conditions (2)-(4) of the thm4 battery, which no reading changes."""
-    def build():
-        pi_regular = named_predicate(S, "pi-regular")
-        return (
-            _conj(("pi_regular", pi_regular), ("ab_lstar_ba", _thm4_c2(S))),
-            _conj(
-                ("pi_regular", pi_regular),
-                ("right_weakly_commutative", named_predicate(S, "right-weakly-commutative")),
-            ),
-            _thm4_c4(S),
-        )
-
-    return S.cached(("thm4-shared",), build)
-
-
 def theorem4_conditions(S, complete_only=False):
     """Battery of five equivalent characterizations of a semilattice of left
     pi-t-simple ordered semigroups (suite id ``thm4``), in source numbering.
 
-    ``complete_only`` switches the two decomposition conditions to complete
-    semilattice congruences; the default follows the plain reading.
+    ``complete_only`` reads the two decomposition conditions over complete
+    semilattice congruences; the default follows the plain reading.  One
+    build, cached on S, gives both readings: each decomposition search
+    yields both, and conditions (2)-(4) are shared.
     """
     from .congruences import semilattice_decomposition
 
     def build():
-        c1 = semilattice_decomposition(S, _thm2_all_hold, complete_only=complete_only)
-        c2, c3, c4 = _thm4_shared(S)
-        c5 = semilattice_decomposition(
-            S,
-            lambda sub: nil_extension_search(sub, "left_simple").holds,
-            complete_only=complete_only,
+        c1 = semilattice_decomposition(S, _thm2_all_hold)
+        pi_regular = named_predicate(S, "pi-regular")
+        c2 = _conj(("pi_regular", pi_regular), ("ab_lstar_ba", _thm4_c2(S)))
+        c3 = _conj(
+            ("pi_regular", pi_regular),
+            ("right_weakly_commutative", named_predicate(S, "right-weakly-commutative")),
         )
-        return (c1, c2, c3, c4, c5)
+        c4 = _thm4_c4(S)
+        c5 = semilattice_decomposition(
+            S, lambda sub: nil_extension_search(sub, "left_simple").holds
+        )
+        return tuple((c1[i], c2, c3, c4, c5[i]) for i in (0, 1))
 
-    return S.cached(("thm4", complete_only), build)
+    return S.cached(("thm4",), build)[bool(complete_only)]
 
 
 # -- right pi-inverse and its battery --------------------------------------
@@ -653,17 +643,16 @@ def theorem5_conditions(S, all_powers=False):
 
     ``all_powers`` switches conditions (2) and (5) from the default
     "some power works" reading to the stricter "every power works" one.
+    One build, cached on S, gives both readings; conditions (1), (3) and
+    (4) are shared.
     """
     def build():
-        return (
-            named_predicate(S, "right-pi-inverse"),
-            _thm5_c2(S, all_powers),
-            _thm5_c3(S),
-            _thm5_c4(S),
-            _thm5_c5(S, all_powers),
+        c1, c3, c4 = named_predicate(S, "right-pi-inverse"), _thm5_c3(S), _thm5_c4(S)
+        return tuple(
+            (c1, _thm5_c2(S, every), c3, c4, _thm5_c5(S, every)) for every in (False, True)
         )
 
-    return S.cached(("thm5", all_powers), build)
+    return S.cached(("thm5",), build)[bool(all_powers)]
 
 
 def theorem6_condition(S):

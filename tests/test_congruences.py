@@ -69,14 +69,27 @@ def test_classify_idempotent_under_canonicalization():
 
 
 def test_all_partitions_counts_and_order():
-    assert len(all_partitions(1)) == 1
-    assert len(all_partitions(3)) == 5
-    assert len(all_partitions(4)) == 15
+    assert len(list(all_partitions(1))) == 1
+    assert len(list(all_partitions(3))) == 5
+    assert len(list(all_partitions(4))) == 15
     # coarsest first
-    assert all_partitions(3)[0].num_classes == 1
-    assert all_partitions(3)[-1].num_classes == 3
+    assert list(all_partitions(3))[0].num_classes == 1
+    assert list(all_partitions(3))[-1].num_classes == 3
     with pytest.raises(ValueError):
         all_partitions(11)
+
+
+def test_all_partitions_is_lazy():
+    # Bell(10) is 115975 partitions; the first must come without the rest.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        first = next(all_partitions(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.num_classes == 1
+    assert peak < 1_000_000, peak
 
 
 def test_enumerate_semilattice_congruences_examples():
@@ -102,14 +115,17 @@ def test_semilattice_congruence_classes_product_closed():
 def test_semilattice_decomposition_examples():
     from ordsgp.predicates import _thm2_all_hold
 
-    res = semilattice_decomposition(sl2(), _thm2_all_hold)
+    res = semilattice_decomposition(sl2(), _thm2_all_hold)[0]
     assert res.holds and res.data == {"partition": [[0], [1]]}
-    res = semilattice_decomposition(lz2(), _thm2_all_hold)
+    res = semilattice_decomposition(lz2(), _thm2_all_hold)[0]
     assert res.holds and res.data == {"partition": [[0, 1]]}
     res = semilattice_decomposition(
         lz2(), lambda sub: named_predicate(sub, "right-pi-t-simple").holds
-    )
+    )[0]
     assert not res.holds
+    # on SL2 the singletons are also a complete semilattice congruence
+    res = semilattice_decomposition(sl2(), _thm2_all_hold)[1]
+    assert res.holds and res.data == {"partition": [[0], [1]]}
 
 
 def test_theorem8_conditions_examples():
@@ -165,6 +181,7 @@ def test_eta_scan_equals_the_bell_scan():
         assert found[-1] == eta, S
         assert all(eta.refines(p) for p in found), S
         for name in ("left-pi-t-simple", "right-pi-t-simple", "pi-t-simple"):
+            got = semilattice_decomposition(S, lambda sub: named_predicate(sub, name).holds)
             for complete_only in (False, True):
                 candidates = [c.partition for c in certs if c.is_complete or not complete_only]
                 want = next(
@@ -180,14 +197,33 @@ def test_eta_scan_equals_the_bell_scan():
                         False, counterexample={"semilattice_congruences": len(candidates)}
                     ),
                 )
-                got = semilattice_decomposition(
-                    S,
-                    lambda sub: named_predicate(sub, name).holds,
-                    complete_only=complete_only,
-                )
-                assert got == want, (S, name, complete_only)
+                assert got[complete_only] == want, (S, name, complete_only)
         count += 1
     assert count == 5745
+
+
+def test_second_readings_reuse_the_first_build(monkeypatch):
+    # The complete and every-power readings come from the build that the
+    # first reading made: no class check and no shared condition runs again.
+    from ordsgp import congruences, predicates
+    from ordsgp.harness import _read
+
+    catalog = list(iter_catalog(3))
+    for S in catalog:
+        for name in ("thm4", "thm5", "thm8", "cor-hstar"):
+            _read(S, name)
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("a second reading recomputed a shared check")
+
+    monkeypatch.setattr(congruences, "_class_holds", recomputed)
+    for name in ("_thm4_c2", "_thm4_c4", "_thm5_c3", "_thm5_c4"):
+        monkeypatch.setattr(predicates, name, recomputed)
+    for S in catalog:
+        assert len(predicates.theorem4_conditions(S, complete_only=True)) == 5
+        assert len(predicates.theorem5_conditions(S, all_powers=True)) == 5
+        assert len(_read(S, "thm8-complete")) == 4
+        assert len(_read(S, "cor-hstar-complete")) == 4
 
 
 def test_semilattice_scan_keeps_no_per_partition_state():

@@ -203,6 +203,18 @@ def test_structure_equality_and_key_roundtrip():
         structure_from_key("bogus")
 
 
+def test_structure_key_roundtrips_only_single_digit_tables():
+    n = 11
+    discrete = [[i == j for j in range(n)] for i in range(n)]
+    null = validate([[0] * n for _ in range(n)], discrete)
+    assert structure_from_key(structure_key(null)) == null
+    # the left-zero band writes entry 10 as two digits, so its table part
+    # is longer than n*n characters and cannot be read back
+    left_zero = validate([[i] * n for i in range(n)], discrete)
+    with pytest.raises(ValueError, match="malformed structure key"):
+        structure_from_key(structure_key(left_zero))
+
+
 def test_json_roundtrip():
     for build in FIXTURES.values():
         S = build()

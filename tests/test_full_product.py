@@ -29,5 +29,6 @@ def test_full_order4_product_zero_discrepancy():
             for tid in THEOREM_IDS:
                 report = verify(S, tid)
                 assert report.verdict != "DISCREPANCY", report.to_dict()
+                assert all(report.diagnostics.values()), report.to_dict()
             structures += 1
     assert structures == 107688

@@ -170,6 +170,13 @@ def test_run_suite_small_exhaustive():
         run_suite("nope", max_order=1)
 
 
+def test_run_suite_rejects_an_empty_suite_list():
+    # An empty report would have no rows for table() to size its columns by.
+    for theorems in ((), []):
+        with pytest.raises(ValueError, match="no theorem ids given"):
+            run_suite(theorems, max_order=1)
+
+
 def test_run_suite_singleton_satisfies_everything():
     rep = run_suite("all", max_order=1)
     # the one-element structure meets every hypothesis and every condition
