@@ -1,8 +1,9 @@
 """Exhaustive generation of finite ordered semigroups.
 
-Every associative table of order n by a deterministic backtrack, every
-compatible partial order of a table, the labelled catalog and its orderly
-up-to-isomorphism stream, and the seeded sample of non-discrete order-n
+One orderly backtrack gives every associative table of order n up to
+relabelling, with its automorphisms; their orbits are the labelled tables.
+Also every compatible partial order of a table, the labelled catalog and
+its up-to-isomorphism stream, and the seeded sample of non-discrete order-n
 structures that the order-4 verification regime draws.
 """
 
@@ -37,54 +38,75 @@ class GenerationConfig:
 
 
 def enumerate_tables(n):
-    """All associative tables on {0..n-1}, generated by backtracking with
-    associativity pruning; deterministic lexicographic order."""
+    """All associative tables on {0..n-1}, in lexicographic order: the
+    orbits, under every relabelling, of the tables of ``_least_tables``."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
     if n > EXHAUSTIVE_TABLE_CAP:
         raise ValueError(f"exhaustive table enumeration capped at {EXHAUSTIVE_TABLE_CAP}")
-    return iter(_all_tables(n))
+    return iter(_labelled_tables(n))
 
 
 @lru_cache(maxsize=None)
-def _all_tables(n):
-    """Depth-first row-major cell fill pruned by partial associativity."""
-    table = [[-1] * n for _ in range(n)]
-    found = []
+def _labelled_tables(n):
+    """The process-wide table cache, bounded by the cap of ``enumerate_tables``."""
+    perms = tuple(permutations(range(n)))
+    return tuple(sorted({_relabel(t, p, True) for t, _ in _least_tables(n) for p in perms}))
 
-    def fill(k):
+
+def _least_tables(n):
+    """Each associative table on {0..n-1} that no relabelling makes
+    lexicographically smaller, with its automorphisms, in lexicographic
+    order: one depth-first row-major cell fill.  Row and column n of the
+    working table hold n, the mark of an undefined cell, so a product
+    through an undefined cell is undefined."""
+    table = [[n] * (n + 1) for _ in range(n + 1)]
+
+    def fill(k, perms):
         if k == n * n:
-            found.append(tuple(tuple(row) for row in table))
+            yield tuple(tuple(row[:n]) for row in table[:n]), tuple(p[:n] for p, _ in perms)
             return
         i, j = divmod(k, n)
         for v in range(n):
             table[i][j] = v
-            if _partial_consistent(table, n):
-                fill(k + 1)
-        table[i][j] = -1
+            kept = _placement_survivors(table, n, i, j, perms)
+            if kept is not None:
+                yield from fill(k + 1, kept)
+        table[i][j] = n
 
-    fill(0)
-    return tuple(found)
+    start = [(p + (n,), tuple(map(p.index, range(n)))) for p in permutations(range(n))]
+    yield from fill(0, start)
 
 
-def _partial_consistent(table, n):
-    """No determinable triple breaks associativity in the partial table."""
-    span = range(n)
-    for a in span:
-        row_a = table[a]
-        for b in span:
-            ab = row_a[b]
-            if ab < 0:
-                continue
-            row_ab = table[ab]
-            row_b = table[b]
-            for c in span:
-                bc = row_b[c]
-                if bc < 0:
-                    continue
-                left = row_ab[c]
-                right = row_a[bc]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-    return True
+def _placement_survivors(table, n, i, j, perms):
+    """The (p, inverse of p) of ``perms`` that may still fix the table once
+    cell (i, j) is placed, or None when the placement fails: when a
+    determined triple that reads the cell does not associate (a*b = (i, j),
+    b*c = (i, j), (a*b)*c with a*b = i and c = j, or a*(b*c) with a = i and
+    b*c = j), or when some p maps the filled cells to a smaller table,
+    compared row-major up to the first cell the image leaves undefined.  A
+    p that maps them to a larger table is dropped.  Each p carries n at
+    index n, so the image of an undefined cell is undefined."""
+    v, row_i = table[i][j], table[i]
+    for x in range(n):
+        row_x = table[x]
+        pairs = [(table[v][x], row_i[table[j][x]]), (table[row_x[i]][j], row_x[v])]
+        pairs += [(v, row_x[table[y][j]]) for y in range(n) if row_x[y] == i]
+        pairs += [(table[row_i[x]][y], v) for y in range(n) if row_x[y] == j]
+        if any(left != right and left < n and right < n for left, right in pairs):
+            return None
+    kept = []
+    for p, inv in perms:
+        for q in range(i * n + j + 1):
+            r, c = divmod(q, n)
+            image, cell = p[table[inv[r]][inv[c]]], table[r][c]
+            if image != cell:
+                break
+        if image < cell:
+            return None
+        if image == cell or image == n:
+            kept.append((p, inv))
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -151,30 +173,28 @@ def enumerate_ordered_semigroups(config):
 
     Tables come in ``enumerate_tables`` order and, per table, orders in
     ``all_partial_orders`` order.  With ``up_to_iso`` the stream holds the
-    first structure of each isomorphism class in that labelled stream, and
-    is generated orderly instead of by canonicalising every structure:
+    first structure of each isomorphism class in that labelled stream.  It
+    walks only the orbit-least tables of ``_least_tables``, and takes no
+    canonical form:
 
-    - A table T that some relabelling maps to a lexicographically smaller
-      table T' is skipped.  Each of its structures (T, <=) is isomorphic to
-      (T', <=') with <=' the relabelled order, which is compatible with T'
-      (and discrete when <= is), so its class was met earlier.
-    - A structure isomorphic to one on an orbit-least table T lies on a
-      relabelling of T, which is T itself or a later table; so the classes
-      met on T are met on no earlier table, and (T, <=1), (T, <=2) are
-      isomorphic exactly when an automorphism of T maps <=1 to <=2.  An
-      order of T is therefore emitted unless it is the image, under
-      ``Aut(T)``, of an order already emitted for T.
+    - The tables of a class's structures form one orbit under relabelling,
+      whose least table T comes first in the labelled stream, so the class
+      is first met on T: relabelling a structure (T', <=) onto T gives
+      (T, <=') with <=' compatible with T, and discrete when <= is.
+    - (T, <=1) and (T, <=2) are isomorphic exactly when an automorphism of
+      T maps <=1 to <=2.  An order of T is therefore emitted unless it is
+      the image, under ``Aut(T)``, of an order already emitted for T.
 
     Only emitted structures are built.
     """
     n = config.order
     emitted = 0
     discrete = (_discrete(n),)
-    perms = tuple(permutations(range(n)))
-    for table in enumerate_tables(n):
-        automorphisms = _least_table_automorphisms(table, perms) if config.up_to_iso else ()
-        if automorphisms is None:
-            continue
+    if config.up_to_iso:
+        tables = _least_tables(n)
+    else:
+        tables = ((table, ()) for table in enumerate_tables(n))
+    for table, automorphisms in tables:
         if config.order_mode == "discrete_only":
             orders = discrete
         else:
@@ -188,19 +208,6 @@ def enumerate_ordered_semigroups(config):
             emitted += 1
             if config.limit is not None and emitted >= config.limit:
                 return
-
-
-def _least_table_automorphisms(table, perms):
-    """The permutations fixing ``table``, or None when one of ``perms``
-    relabels it to a lexicographically smaller table."""
-    automorphisms = []
-    for p in perms:
-        image = _relabel(table, p, relabel_entries=True)
-        if image < table:
-            return None
-        if image == table:
-            automorphisms.append(p)
-    return automorphisms
 
 
 def _relabel(matrix, p, relabel_entries):
@@ -220,9 +227,10 @@ def sample_structures(n, count, seed):
     table from the exhaustive catalog, then a random non-discrete compatible
     order (tables admitting only the discrete order are skipped).
 
-    Raises ValueError for a negative count, and when no table of order n
-    admits a non-discrete compatible order (order 1), where no draw could
-    ever succeed.
+    Raises ValueError for a negative count, for an order that
+    ``enumerate_tables`` rejects, and when no table of order n admits a
+    non-discrete compatible order (order 1), where no draw could ever
+    succeed.
     """
     if count < 0:
         raise ValueError("count must not be negative")

@@ -127,6 +127,23 @@ def green_classes(table, leq, kind):
     return sorted(sorted(c) for c in keyed.values())
 
 
+
+def starred_classes(table, leq, kind):
+    """Partition by a ~ b iff a^m and b^k are Green-related, with m and k
+    the smallest exponents making a^m and b^k regular; H* is the meet of
+    L* and R*."""
+    n = len(table)
+    labels = []
+    for k in ("L", "R") if kind == "H" else (kind,):
+        class_of = {a: i for i, c in enumerate(green_classes(table, leq, k)) for a in c}
+        labels.append(
+            [class_of[power(table, a, smallest_regular_power(table, leq, a))] for a in range(n)]
+        )
+    keyed = {}
+    for a in range(n):
+        keyed.setdefault(tuple(label[a] for label in labels), []).append(a)
+    return sorted(sorted(c) for c in keyed.values())
+
 def automorphism_count(table, leq):
     """Number of carrier permutations preserving both product and order."""
     n = len(table)

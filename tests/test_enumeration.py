@@ -17,7 +17,7 @@ from ordsgp import (
     structure_key,
     validate,
 )
-from ordsgp.enumeration import all_partial_orders
+from ordsgp.enumeration import _least_tables, all_partial_orders
 
 import oracles
 
@@ -45,6 +45,35 @@ def test_table_count_order_four_published_value():
 def test_enumerate_tables_cap():
     with pytest.raises(ValueError):
         next(enumerate_tables(5))
+
+
+def test_order_below_one_is_rejected():
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        enumerate_tables(0)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        sample_structures(0, 3, 0)
+
+
+def test_least_tables_order_five_counts():
+    least = list(_least_tables(5))
+    # semigroups up to isomorphism (OEIS A027851) and labelled (A023814)
+    assert len(least) == 1915
+    assert sum(factorial(5) // len(automorphisms) for _, automorphisms in least) == 183732
+    assert [table for table, _ in least] == sorted(table for table, _ in least)
+
+
+def test_least_table_automorphisms_match_oracle():
+    for n in (1, 2, 3, 4):
+        discrete = [[i == j for j in range(n)] for i in range(n)]
+        for table, automorphisms in _least_tables(n):
+            assert len(automorphisms) == oracles.automorphism_count(table, discrete)
+
+
+def test_enumerate_tables_order4_golden_digest():
+    # ``sample_structures`` indexes this stream, so its order fixes every sampled report
+    lines = "".join(json.dumps(t, separators=(",", ":")) + "\n" for t in enumerate_tables(4))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "223a481a20467ead5a1fbde185656052f09478f6e13b637ad975503e7f932425"
 
 
 def test_all_partial_orders_match_naive():

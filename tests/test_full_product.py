@@ -1,10 +1,10 @@
-"""Opt-in exhaustive check of the complete order-4 product.
+"""Opt-in exhaustive checks beyond the default regime.
 
 Runs every suite over all 107688 ordered semigroups on four elements
-(every associative table with every compatible order).  Takes a few
-minutes, so it only runs when ORDSGP_ACCEPT_FULL is set; the default
-acceptance regime (discrete exhaustive + seeded sample) lives in
-test_acceptance.py.
+(every associative table with every compatible order), and counts the
+semigroup tables of order 6 up to isomorphism.  Each takes minutes, so
+they only run when ORDSGP_ACCEPT_FULL is set; the default acceptance
+regime (discrete exhaustive + seeded sample) lives in test_acceptance.py.
 """
 
 import os
@@ -12,12 +12,12 @@ import os
 import pytest
 
 from ordsgp import OrderedSemigroup, verify
-from ordsgp.enumeration import enumerate_compatible_orders, enumerate_tables
+from ordsgp.enumeration import _least_tables, enumerate_compatible_orders, enumerate_tables
 from ordsgp.harness import THEOREM_IDS
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("ORDSGP_ACCEPT_FULL"),
-    reason="set ORDSGP_ACCEPT_FULL=1 to run the full order-4 product",
+    reason="set ORDSGP_ACCEPT_FULL=1 to run the full order-4 product and the order-6 count",
 )
 
 
@@ -32,3 +32,8 @@ def test_full_order4_product_zero_discrepancy():
                 assert all(report.diagnostics.values()), report.to_dict()
             structures += 1
     assert structures == 107688
+
+
+def test_order6_tables_up_to_isomorphism():
+    # semigroups of order 6 up to isomorphism, OEIS A027851
+    assert sum(1 for _ in _least_tables(6)) == 28634

@@ -12,12 +12,16 @@ from ordsgp import (
     rz2,
     search_model,
     sl2,
+    structure_from_key,
     structure_key,
     t1,
     verify,
 )
 from ordsgp import harness
 from ordsgp.harness import iter_catalog
+from ordsgp.relations import starred
+
+import oracles
 
 ALL_IDS = (
     "thm2",
@@ -306,3 +310,34 @@ def test_report_schema_shape():
     for cond in rep["conditions"]:
         assert set(cond) == {"index", "holds", "witness", "counterexample"}
     json.dumps(rep)
+
+
+# The Brandt semigroup B2 (0 the zero) under the discrete order and under
+# the order with 0 least.  Its cor-hstar verdict is an open finding: the
+# suite's encoding has not been checked against the paper's statement.
+B2_TABLE = "0000000012012000003403400"
+B2_KEYS = (
+    f"n5:{B2_TABLE}:1000001000001000001000001",
+    f"n5:{B2_TABLE}:1111101000001000001000001",
+)
+
+
+@pytest.mark.parametrize("key", B2_KEYS, ids=("discrete", "zero-least"))
+def test_brandt_b2_pinned_values(key):
+    S = structure_from_key(key)
+    table, leq = [list(r) for r in S.table], [list(r) for r in S.leq]
+    expected = {
+        "L": [[0], [1, 3], [2, 4]],
+        "R": [[0], [1, 2], [3, 4]],
+        "H": [[0], [1], [2], [3], [4]],
+    }
+    for kind, classes in expected.items():
+        assert oracles.starred_classes(table, leq, kind) == classes
+        assert starred(S, kind).to_lists() == classes
+    hstar = verify(S, "cor-hstar")
+    assert hstar.hypothesis == {"pi_inverse": True}
+    assert [c["holds"] for c in hstar.conditions] == [True, False, False, False]
+    assert hstar.verdict == "DISCREPANCY"
+    thm8 = verify(S, "thm8")
+    assert [c["holds"] for c in thm8.conditions] == [False, False, False, False]
+    assert thm8.verdict == "equivalent"
