@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 invalid structure (or search exhausted), 2 parse
 error, 3 mathematical discrepancy, 64 usage error (including a request
 beyond a size cap, such as ``analyze`` on a structure with more elements
 than the subset searches accept or more classes of its least semilattice
-congruence than the partition scan accepts, and an empty catalog or a
-negative sample count, such as ``verify --max-order 0``).  Machine output
+congruence than the partition scan accepts; an empty catalog or a negative
+sample count, such as ``verify --max-order 0``; and an ``--out`` file that
+cannot be written, such as one in a missing directory).  Machine output
 goes to stdout as canonical JSON (sorted keys, compact separators) so
 identical runs are byte-identical; human-oriented notes go to stderr.
 """
@@ -128,7 +129,11 @@ def cmd_enumerate(args):
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     count = 0
     try:
         for S in enumerate_ordered_semigroups(config):
@@ -173,8 +178,12 @@ def cmd_verify(args):
     payload = report.to_dict()
     text = _dump(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(text)
     print(report.table(), file=sys.stderr)
     print(

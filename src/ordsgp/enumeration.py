@@ -44,14 +44,30 @@ def enumerate_tables(n):
         raise ValueError("order must be at least 1")
     if n > EXHAUSTIVE_TABLE_CAP:
         raise ValueError(f"exhaustive table enumeration capped at {EXHAUSTIVE_TABLE_CAP}")
-    return iter(_labelled_tables(n))
+    return iter(_orbit_map(n))
 
 
 @lru_cache(maxsize=None)
-def _labelled_tables(n):
-    """The process-wide table cache, bounded by the cap of ``enumerate_tables``."""
+def _orbit_map(n):
+    """The process-wide table store, bounded by the cap of ``enumerate_tables``:
+    each labelled table, in lexicographic order, mapped to (T0, p, Aut(T0))
+    where T0 is the orbit-least table of its orbit and the table is p(T0)."""
     perms = tuple(permutations(range(n)))
-    return tuple(sorted({_relabel(t, p, True) for t, _ in _least_tables(n) for p in perms}))
+    orbits = {}
+    for least, automorphisms in _least_tables(n):
+        for p in perms:
+            orbits.setdefault(_relabel(least, p, True), (least, p, automorphisms))
+    return dict(sorted(orbits.items()))
+
+
+def _class_key(S):
+    """(T0, the least image under Aut(T0) of S's order carried onto T0), for
+    a structure of order at most the cap of ``enumerate_tables``: two
+    structures are isomorphic exactly when their keys are equal (see
+    ``enumerate_ordered_semigroups``)."""
+    least, p, automorphisms = _orbit_map(S.order)[S.table]
+    leq = tuple(tuple(S.leq[pa][pb] for pb in p) for pa in p)
+    return least, min(_relabel(leq, a, relabel_entries=False) for a in automorphisms)
 
 
 def _least_tables(n):
@@ -64,7 +80,7 @@ def _least_tables(n):
 
     def fill(k, perms):
         if k == n * n:
-            yield tuple(tuple(row[:n]) for row in table[:n]), tuple(p[:n] for p, _ in perms)
+            yield tuple(tuple(row[:n]) for row in table[:n]), tuple(p for p, *_ in perms)
             return
         i, j = divmod(k, n)
         for v in range(n):
@@ -74,19 +90,23 @@ def _least_tables(n):
                 yield from fill(k + 1, kept)
         table[i][j] = n
 
-    start = [(p + (n,), tuple(map(p.index, range(n)))) for p in permutations(range(n))]
+    start = [(p, tuple(map(p.index, range(n))) + (n,), 0, 0) for p in permutations(range(n))]
     yield from fill(0, start)
 
 
 def _placement_survivors(table, n, i, j, perms):
-    """The (p, inverse of p) of ``perms`` that may still fix the table once
-    cell (i, j) is placed, or None when the placement fails: when a
-    determined triple that reads the cell does not associate (a*b = (i, j),
-    b*c = (i, j), (a*b)*c with a*b = i and c = j, or a*(b*c) with a = i and
-    b*c = j), or when some p maps the filled cells to a smaller table,
-    compared row-major up to the first cell the image leaves undefined.  A
-    p that maps them to a larger table is dropped.  Each p carries n at
-    index n, so the image of an undefined cell is undefined."""
+    """The relabellings of ``perms`` that may still fix the table once cell
+    (i, j) is placed, or None when the placement fails: when a determined
+    triple that reads the cell does not associate (a*b = (i, j), b*c =
+    (i, j), (a*b)*c with a*b = i and c = j, or a*(b*c) with a = i and b*c =
+    j), or when some p maps the filled cells to a smaller table, compared
+    row-major up to the first cell q whose image reads an unplaced cell.  A
+    p that maps them to a larger table is dropped.
+
+    Each entry is (p, inverse of p padded with n, q, w).  Cells are placed
+    row-major, so the image of cell q is decided by the placement of cell w,
+    the later of q and the cell its image reads.  Only entries with w the
+    placed cell are compared again, and from q on."""
     v, row_i = table[i][j], table[i]
     for x in range(n):
         row_x = table[x]
@@ -96,16 +116,24 @@ def _placement_survivors(table, n, i, j, perms):
         if any(left != right and left < n and right < n for left, right in pairs):
             return None
     kept = []
-    for p, inv in perms:
-        for q in range(i * n + j + 1):
+    last = i * n + j
+    for entry in perms:
+        p, inv, q, wait = entry
+        if wait != last:
+            kept.append(entry)
+            continue
+        while True:
             r, c = divmod(q, n)
-            image, cell = p[table[inv[r]][inv[c]]], table[r][c]
-            if image != cell:
+            a, b = inv[r], inv[c]
+            if q > last or a * n + b > last:
+                kept.append((p, inv, q, max(q, a * n + b)))
                 break
-        if image < cell:
-            return None
-        if image == cell or image == n:
-            kept.append((p, inv))
+            image, cell = p[table[a][b]], table[r][c]
+            if image < cell:
+                return None
+            if image > cell:
+                break
+            q += 1
     return kept
 
 
@@ -184,6 +212,10 @@ def enumerate_ordered_semigroups(config):
     - (T, <=1) and (T, <=2) are isomorphic exactly when an automorphism of
       T maps <=1 to <=2.  An order of T is therefore emitted unless it is
       the image, under ``Aut(T)``, of an order already emitted for T.
+
+    By the same two facts, two structures are isomorphic exactly when they
+    relabel onto the same orbit-least table T with orders in one
+    ``Aut(T)``-orbit, which is what ``_class_key`` compares.
 
     Only emitted structures are built.
     """

@@ -28,6 +28,7 @@ from .core import OrderedSemigroup, structure_key
 from .enumeration import (
     EXHAUSTIVE_TABLE_CAP,
     GenerationConfig,
+    _class_key,
     enumerate_ordered_semigroups,
     sample_structures,
 )
@@ -339,7 +340,7 @@ def _verify_chunk(ids, S):
                 disagreements,
             )
         )
-    return out
+    return tuple(out)
 
 
 def _verify_batch(payload):
@@ -352,25 +353,67 @@ def _verify_batch(payload):
 def _structure_rows(ids, catalog, workers):
     """Verdict rows per catalog structure, in catalog order.
 
-    The pool path keeps at most ``2 * workers`` batches in flight, so a
-    consumer that stops early (``fail_fast``) and closes this generator
-    leaves only those to finish; queued batches are cancelled."""
-    if workers == 1:
+    Verdicts and diagnostics do not change under isomorphism, so only the
+    first structure of each isomorphism class is verified; a later one
+    takes its rows from a memo keyed by ``_class_key``.  A DISCREPANCY
+    report names its structure and witnesses, so a later structure whose
+    class rows hold one is verified here on its own.  The memo keeps rows
+    without reports, and holds each distinct rows value once: a catalog
+    of thousands of classes gives only a handful."""
+    memo = {}
+    distinct = {}
+
+    def entries():
         for S in catalog:
-            yield _verify_chunk(ids, S)
+            key = _class_key(S)
+            first = key not in memo
+            memo.setdefault(key, None)  # filled in before a later member comes back
+            yield key, S, first
+
+    with closing(_first_rows(ids, entries(), workers)) as verified:
+        for key, S, rows in verified:
+            if rows is None:
+                rows = memo[key]
+                if any(verdict == VERDICT_DISCREPANCY for _, verdict, _, _ in rows):
+                    rows = _verify_chunk(ids, S)
+            else:
+                shared = tuple((tid, verdict, None, names) for tid, verdict, _, names in rows)
+                memo[key] = distinct.setdefault(shared, shared)
+            yield rows
+
+
+def _first_rows(ids, entries, workers):
+    """(key, S, verdict rows of S) per (key, S, first) entry, in order, with
+    None for the rows of an entry that is not first.
+
+    The pool path verifies batches of 64 entries and keeps at most
+    ``2 * workers`` of them in flight, so a consumer that stops early
+    (``fail_fast``) and closes this generator leaves only those to finish;
+    queued batches are cancelled."""
+    if workers == 1:
+        for key, S, first in entries:
+            yield key, S, _verify_chunk(ids, S) if first else None
         return
 
     def batches():
-        while batch := tuple((S.table, S.leq) for S in islice(catalog, 64)):
-            yield ids, batch
+        while batch := tuple(islice(entries, 64)):
+            firsts = tuple((S.table, S.leq) for _, S, first in batch if first)
+            yield batch, (ids, firsts)
 
-    payloads = batches()
+    pending = batches()
     pool = ProcessPoolExecutor(max_workers=workers)
+
+    def submit(count):
+        return [(batch, pool.submit(_verify_batch, b)) for batch, b in islice(pending, count)]
+
     try:
-        window = deque(pool.submit(_verify_batch, b) for b in islice(payloads, 2 * workers))
+        window = deque(submit(2 * workers))
         while window:
-            yield from window.popleft().result()
-            window.extend(pool.submit(_verify_batch, b) for b in islice(payloads, 1))
+            batch, future = window.popleft()
+            rows = iter(future.result())
+            for key, S, first in batch:
+                yield key, S, next(rows) if first else None
+            window.extend(submit(1))
     finally:
         pool.shutdown(cancel_futures=True)
 

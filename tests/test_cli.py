@@ -102,6 +102,20 @@ def test_enumerate_usage_error_leaves_out_file_alone(tmp_path, capsys):
     assert "capped at 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--theorem", "thm2", "--max-order", "1"], ["enumerate", "--order", "1"]],
+)
+def test_out_file_in_missing_directory_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_ok(capsys):
     code = main(["verify", "--theorem", "thm2", "--max-order", "2"])
     assert code == 0

@@ -17,7 +17,7 @@ from ordsgp import (
     structure_key,
     validate,
 )
-from ordsgp.enumeration import _least_tables, all_partial_orders
+from ordsgp.enumeration import _class_key, _least_tables, all_partial_orders
 
 import oracles
 
@@ -67,6 +67,26 @@ def test_least_table_automorphisms_match_oracle():
         discrete = [[i == j for j in range(n)] for i in range(n)]
         for table, automorphisms in _least_tables(n):
             assert len(automorphisms) == oracles.automorphism_count(table, discrete)
+
+
+def test_class_key_separates_exactly_the_isomorphism_classes():
+    # equal keys exactly when the oracle's canonical forms are equal, over
+    # every labelled structure of order <= 3, the order-4 discrete-order
+    # catalog and a sample of non-discrete order-4 structures
+    discrete4 = GenerationConfig(4, order_mode="discrete_only")
+    catalogs = [enumerate_ordered_semigroups(GenerationConfig(n)) for n in (1, 2, 3)]
+    catalogs += [enumerate_ordered_semigroups(discrete4), sample_structures(4, 200, 1)]
+    counts = []
+    pairs = set()
+    for catalog in catalogs:
+        keys = set()
+        for S in catalog:
+            key = _class_key(S)
+            keys.add(key)
+            pairs.add((key, canonical_form(S)))
+        counts.append(len(keys))
+    assert counts[:4] == [1, 11, 173, 188]
+    assert len(pairs) == len({key for key, _ in pairs}) == len({form for _, form in pairs})
 
 
 def test_enumerate_tables_order4_golden_digest():

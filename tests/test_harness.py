@@ -6,6 +6,8 @@ import pytest
 
 from ordsgp import (
     THEOREM_IDS,
+    GenerationConfig,
+    enumerate_ordered_semigroups,
     lz2,
     n2,
     run_suite,
@@ -255,6 +257,42 @@ def test_fail_fast_pool_stops_within_the_in_flight_window(monkeypatch, tmp_path)
     assert report.structures == 2
     verified = log.read_text().splitlines()
     assert len(verified) <= 2 * workers * 64  # of the 992 catalog structures
+
+
+def test_repeated_class_discrepancies_match_the_labelled_loop(monkeypatch):
+    # the fault is invariant under isomorphism, so later members of a class
+    # reuse rows holding a DISCREPANCY; each must still report under its
+    # own key, in catalog order, as the labelled loop does
+    real_verify = harness.verify
+
+    def faulty_verify(S, tid):
+        report = real_verify(S, tid)
+        if S.order == 2:
+            return dataclasses.replace(report, verdict="DISCREPANCY")
+        return report
+
+    monkeypatch.setattr(harness, "verify", faulty_verify)
+    labelled = [faulty_verify(S, "thm2").to_dict() for S in iter_catalog(2) if S.order == 2]
+    assert len({d["structure_key"] for d in labelled}) == 20
+    for workers in (1, 2):
+        report = run_suite("thm2", max_order=2, workers=workers).to_dict()
+        assert report["discrepancies"] == labelled
+        assert report["totals"] == {"equivalent": 1, "hypothesis_not_met": 0, "DISCREPANCY": 20}
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_structure_rows_equal_the_labelled_rows(order):
+    # one verification per isomorphism class gives the rows of verifying
+    # every labelled structure: the order <= 3 catalog, or the order-4
+    # discrete-order catalog
+    def catalog():
+        if order == 3:
+            return iter_catalog(3)
+        return enumerate_ordered_semigroups(GenerationConfig(4, order_mode="discrete_only"))
+
+    labelled = [harness._verify_chunk(THEOREM_IDS, S) for S in catalog()]
+    for workers in (1, 2):
+        assert list(harness._structure_rows(THEOREM_IDS, catalog(), workers)) == labelled
 
 
 def test_golden_report_digest_order3():
