@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from .core import ValidationReport, structure_from_dict, structure_from_key, structure_key
 from .enumeration import GenerationConfig, enumerate_ordered_semigroups
@@ -53,6 +55,19 @@ def _load_structure(path):
     except ValueError as exc:
         print(f"malformed structure payload: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+
+
+def _check_writable(path):
+    """Raise ValueError unless ``path`` can be written, touching nothing: an
+    existing file is opened to append, a new one probed by an unnamed file."""
+    try:
+        if os.path.exists(path):
+            open(path, "a").close()
+        else:
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+    except OSError as exc:
+        named = OSError(exc.errno, exc.strerror, path)  # the path, not the probe's name
+        raise ValueError(f"cannot write output file: {named}") from None
 
 
 def _report_dict(report):
@@ -139,9 +154,6 @@ def cmd_enumerate(args):
         for S in enumerate_ordered_semigroups(config):
             sink.write(_dump(S.to_dict()) + "\n")
             count += 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         if args.out:
             sink.close()
@@ -165,6 +177,8 @@ def cmd_enumerate(args):
 def cmd_verify(args):
     theorems = "all" if args.theorem == "all" else args.theorem
     try:
+        if args.out:
+            _check_writable(args.out)  # before the run, which may be long
         report = run_suite(
             theorems=theorems,
             max_order=args.max_order,

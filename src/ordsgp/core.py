@@ -10,11 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Largest order whose structures are enumerated exhaustively.  restrict
-# interns only substructures below it: at most the 992 labelled ordered
-# semigroups of order <= 3.
-EXHAUSTIVE_TABLE_CAP = 4
-
 
 def bits_iter(mask):
     """Yield the set bit positions of an int mask, ascending."""
@@ -481,7 +476,10 @@ def joint_power_exponents(S, specs):
 
 
 # restrict's intern table: re-labelled (table, leq) -> proper substructure
-# of order < EXHAUSTIVE_TABLE_CAP.
+# of order at most _INTERN_MAX_ORDER.  It lives as long as the process, so
+# the bound is a memory bound: at most the 992 labelled ordered semigroups
+# of order <= 3, where order 4 would admit up to 107688 more.
+_INTERN_MAX_ORDER = 3
 _INTERNED = {}
 
 
@@ -493,12 +491,11 @@ def restrict(S, bits):
     the carrier or the subset is empty or not closed under the product.
 
     The full carrier gives S itself, so its cached results are reused.  A
-    proper substructure of order below ``EXHAUSTIVE_TABLE_CAP`` is interned
+    proper substructure of order at most ``_INTERN_MAX_ORDER`` is interned
     process-wide by its re-labelled ``(table, leq)``: equal substructures of
     different parents are one instance, so their cached predicates, each a
-    pure function of ``(table, leq)``, are computed once per process.  The
-    table holds at most the 992 labelled structures of order <= 3; larger
-    substructures are built afresh on every call.
+    pure function of ``(table, leq)``, are computed once per process.
+    Larger substructures are built afresh on every call.
     """
     if bits == S.full:
         return S, tuple(range(S.order))
@@ -513,7 +510,7 @@ def restrict(S, bits):
     except KeyError as exc:
         raise ValueError(f"subset not closed under product: hit {exc.args[0]}") from None
     leq = tuple(tuple(S.leq[a][b] for b in elems) for a in elems)
-    if len(elems) >= EXHAUSTIVE_TABLE_CAP:
+    if len(elems) > _INTERN_MAX_ORDER:
         return OrderedSemigroup(table, leq), elems
     key = (table, leq)
     sub = _INTERNED.get(key)

@@ -14,9 +14,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .core import EXHAUSTIVE_TABLE_CAP, OrderedSemigroup, _discrete
+from .core import OrderedSemigroup, _discrete
+
+# Largest order whose tables, and so whose catalogs, are enumerated exhaustively.
+EXHAUSTIVE_TABLE_CAP = 4
 
 ORDER_MODES = ("all_partial_orders", "discrete_only")
+
+
+def _check_order(order, name="order"):
+    """The one check of a catalog order, the argument ``name``: 1 <= order <= cap."""
+    if order < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if order > EXHAUSTIVE_TABLE_CAP:
+        raise ValueError(f"exhaustive table enumeration capped at {EXHAUSTIVE_TABLE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -27,10 +38,7 @@ class GenerationConfig:
     limit: int | None = None
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if self.order > EXHAUSTIVE_TABLE_CAP:
-            raise ValueError(f"exhaustive table enumeration capped at {EXHAUSTIVE_TABLE_CAP}")
+        _check_order(self.order)
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}")
         if self.limit is not None and self.limit < 1:
@@ -40,10 +48,7 @@ class GenerationConfig:
 def enumerate_tables(n):
     """All associative tables on {0..n-1}, in lexicographic order: the
     orbits, under every relabelling, of the tables of ``_least_tables``."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > EXHAUSTIVE_TABLE_CAP:
-        raise ValueError(f"exhaustive table enumeration capped at {EXHAUSTIVE_TABLE_CAP}")
+    _check_order(n)
     return iter(_orbit_map(n))
 
 

@@ -26,8 +26,8 @@ from .congruences import (
 )
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
-    EXHAUSTIVE_TABLE_CAP,
     GenerationConfig,
+    _check_order,
     _class_key,
     enumerate_ordered_semigroups,
     sample_structures,
@@ -263,10 +263,7 @@ def iter_catalog(max_order, sample_count=10_000, sample_seed=0):
     """The verification catalog: every structure (all compatible orders) up
     to order 3, plus at order 4 the discrete-order structures exhaustively
     and a seeded sample of non-discrete ones."""
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    if max_order > EXHAUSTIVE_TABLE_CAP:
-        raise ValueError(f"verification catalog capped at order {EXHAUSTIVE_TABLE_CAP}")
+    _check_order(max_order, "max_order")
     if sample_count < 0:
         raise ValueError("sample_count must not be negative")
     for n in range(1, min(max_order, 3) + 1):
@@ -314,10 +311,12 @@ class SuiteReport:
 
 
 def effective_workers(workers=None):
+    """``workers``, or else ``ORDSGP_WORKERS`` (default 1) clamped to the CPU
+    count, since a pool starts all its processes at once; at least 1."""
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
         try:
-            workers = int(raw)
+            workers = min(int(raw), os.cpu_count() or 1)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     return max(1, workers)
@@ -503,34 +502,25 @@ class SearchResult:
 def search_model(satisfy=(), violate=(), max_order=3):
     """First structure, in catalog order, satisfying every named predicate
     in ``satisfy`` and violating every one in ``violate``."""
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    if max_order > EXHAUSTIVE_TABLE_CAP:
-        raise ValueError(f"model search capped at order {EXHAUSTIVE_TABLE_CAP}")
+    _check_order(max_order, "max_order")
     satisfy = tuple(satisfy)
     violate = tuple(violate)
     for name in satisfy + violate:
         if name.replace("_", "-") not in PREDICATES:
             raise ValueError(f"unknown predicate name {name!r}")
+    # (details label, predicate, wanted truth), satisfy before violate
+    wanted = [(name, name, True) for name in satisfy]
+    wanted += [(f"not:{name}", name, False) for name in violate]
     checked = 0
     for n in range(1, max_order + 1):
         for S in enumerate_ordered_semigroups(GenerationConfig(n)):
             checked += 1
             details = {}
-            ok = True
-            for name in satisfy:
+            for label, name, holds in wanted:
                 res = named_predicate(S, name)
-                details[name] = res.to_dict()
-                if not res.holds:
-                    ok = False
+                details[label] = res.to_dict()
+                if res.holds != holds:
                     break
-            if ok:
-                for name in violate:
-                    res = named_predicate(S, name)
-                    details[f"not:{name}"] = res.to_dict()
-                    if res.holds:
-                        ok = False
-                        break
-            if ok:
+            else:
                 return SearchResult(S, checked, satisfy, violate, details)
     return SearchResult(None, checked, satisfy, violate, {})

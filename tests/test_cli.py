@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ordsgp import OrderedSemigroup, lz2, structure_from_dict
+from ordsgp import OrderedSemigroup, cli, lz2, structure_from_dict
 from ordsgp.cli import main
 
 from conftest import child_env
@@ -267,3 +267,26 @@ def test_workers_env_byte_identical_subprocess():
         assert proc.returncode == 0, proc.stderr
         runs[workers] = proc.stdout
     assert runs["1"] == runs["2"]
+
+
+def test_verify_out_file_is_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(**kwargs):
+        pytest.fail("run_suite called although --out cannot be written")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_suite", no_run)
+        out = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--theorem", "all", "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert len(captured.err.splitlines()) == 1
+    # a usage error that run_suite finds before any structure is verified
+    kept = tmp_path / "kept.json"
+    kept.write_text("keep\n")
+    for out in (kept, tmp_path / "absent.json"):
+        argv = ["verify", "--theorem", "all", "--max-order", "0", "--out", str(out)]
+        assert main(argv) == 64
+    assert kept.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+    assert capsys.readouterr().out == ""

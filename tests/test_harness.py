@@ -379,3 +379,18 @@ def test_brandt_b2_pinned_values(key):
     thm8 = verify(S, "thm8")
     assert [c["holds"] for c in thm8.conditions] == [False, False, False, False]
     assert thm8.verdict == "equivalent"
+
+
+def test_workers_env_is_clamped_to_cpu_count(monkeypatch):
+    # only effective_workers is called: no pool is started
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    for raw, workers in (("100000", 2), ("2", 2), ("1", 1), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("ORDSGP_WORKERS", raw)
+        assert harness.effective_workers() == workers
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("ORDSGP_WORKERS", "8")
+    assert harness.effective_workers() == 1
+    # an explicit worker count is taken as given
+    assert harness.effective_workers(8) == 8
+    monkeypatch.delenv("ORDSGP_WORKERS")
+    assert harness.effective_workers() == 1

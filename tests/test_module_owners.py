@@ -1,0 +1,51 @@
+"""Each cross-cutting decision has one owning module.
+
+The exhaustive catalog cap is named only in ``enumeration.py``, so raising
+it is a change to one module, and ``core.py`` imports no other ordsgp
+module, so the structure layer knows nothing of which orders are
+enumerated.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ordsgp"
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def names(tree):
+    """Every identifier the module uses, binds, reads as an attribute or
+    imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name, node.asname))
+
+
+def ordsgp_imports(tree):
+    """Each import of an ordsgp module, relative ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").partition(".")[0] == "ordsgp":
+                yield ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.partition(".")[0] == "ordsgp")
+
+
+def test_only_enumeration_names_the_catalog_cap():
+    owners = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "EXHAUSTIVE_TABLE_CAP" in set(names(parse(path)))
+    ]
+    assert owners == ["enumeration.py"]
+
+
+def test_core_imports_no_other_ordsgp_module():
+    assert list(ordsgp_imports(parse(PACKAGE / "core.py"))) == []
