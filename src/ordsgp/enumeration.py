@@ -5,6 +5,11 @@ relabelling, with its automorphisms; their orbits are the labelled tables.
 Also every compatible partial order of a table, the labelled catalog and
 its up-to-isomorphism stream, and the seeded sample of non-discrete order-n
 structures that the order-4 verification regime draws.
+
+Compatible orders are found with int masks over the n*n cells: per table,
+once, the cells each strict pair a <= b forces into the order; per n, once
+(cached), the cells and strict cells of each partial order.  Testing an
+order is then one mask test per strict cell.
 """
 
 from __future__ import annotations
@@ -173,25 +178,44 @@ def _transitive(leq):
     return True
 
 
-def is_compatible(table, leq):
-    """Multiplication by any element preserves the order on both sides."""
+@lru_cache(maxsize=None)
+def _order_masks(n):
+    """For each order of ``all_partial_orders(n)``, in that order: (leq, the
+    int mask of its true cells, its strict cells), cell (a, b) being bit
+    a*n + b."""
+    out = []
+    for leq in all_partial_orders(n):
+        cells = [a * n + b for a in range(n) for b in range(n) if leq[a][b]]
+        strict = tuple(c for c in cells if c // n != c % n)
+        out.append((leq, sum(1 << c for c in cells), strict))
+    return tuple(out)
+
+
+def _requirement_masks(table):
+    """Per cell (a, b), the mask of the cells (x*a, x*b) and (a*x, b*x):
+    what a compatible order must hold wherever it holds a <= b."""
     n = len(table)
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b]:
-                for x in range(n):
-                    if not leq[table[x][a]][table[x][b]]:
-                        return False
-                    if not leq[table[a][x]][table[b][x]]:
-                        return False
-    return True
+    return [
+        sum({1 << (table[x][a] * n + table[x][b]) for x in range(n)}
+            | {1 << (table[a][x] * n + table[b][x]) for x in range(n)})
+        for a in range(n)
+        for b in range(n)
+    ]
 
 
 def enumerate_compatible_orders(table):
-    """All partial orders compatible with the table; includes the discrete
-    order, which is compatible with every associative table."""
-    for leq in all_partial_orders(len(table)):
-        if is_compatible(table, leq):
+    """All partial orders compatible with the table (multiplication by any
+    element preserves the order on both sides), in ``all_partial_orders``
+    order; includes the discrete order, which is compatible with every
+    associative table.  An order is compatible exactly when the requirement
+    mask of each of its strict cells lies inside its own cell mask."""
+    required = _requirement_masks(table)
+    for leq, mask, strict in _order_masks(len(table)):
+        outside = ~mask
+        for c in strict:
+            if required[c] & outside:
+                break
+        else:
             yield leq
 
 
@@ -275,14 +299,17 @@ def sample_structures(n, count, seed):
     # every table admits the discrete order, so a second one is non-discrete
     if not any(len(_compatible_orders_cached(t)) > 1 for t in tables):
         raise ValueError(f"no table of order {n} admits a non-discrete compatible order")
-    return _draw_structures(n, tables, count, random.Random(seed))
+    return _draw_structures(tables, count, random.Random(seed))
 
 
-def _draw_structures(n, tables, count, rng):
+def _draw_structures(tables, count, rng):
     emitted = 0
     while emitted < count:
         table = tables[rng.randrange(len(tables))]
-        orders = tuple(o for o in _compatible_orders_cached(table) if sum(map(sum, o)) > n)
+        # The discrete order comes first: every table admits it, and it has
+        # the fewest true cells, which ``all_partial_orders`` sorts by.  So
+        # [1:] is exactly the non-discrete orders that a draw picks from.
+        orders = _compatible_orders_cached(table)[1:]
         if not orders:
             continue
         leq = orders[rng.randrange(len(orders))]

@@ -266,6 +266,10 @@ def iter_catalog(max_order, sample_count=10_000, sample_seed=0):
     _check_order(max_order, "max_order")
     if sample_count < 0:
         raise ValueError("sample_count must not be negative")
+    return _catalog_structures(max_order, sample_count, sample_seed)
+
+
+def _catalog_structures(max_order, sample_count, sample_seed):
     for n in range(1, min(max_order, 3) + 1):
         yield from enumerate_ordered_semigroups(GenerationConfig(n))
     if max_order >= 4:
@@ -385,19 +389,29 @@ def _first_rows(ids, entries, workers):
     """(key, S, verdict rows of S) per (key, S, first) entry, in order, with
     None for the rows of an entry that is not first.
 
-    The pool path verifies batches of 64 entries and keeps at most
-    ``2 * workers`` of them in flight, so a consumer that stops early
-    (``fail_fast``) and closes this generator leaves only those to finish;
-    queued batches are cancelled."""
+    The pool path verifies batches of up to 64 first entries, with the
+    entries that are not first among them, and keeps at most ``2 * workers``
+    batches in flight, so a consumer that stops early (``fail_fast``) and
+    closes this generator leaves only those to finish; queued batches are
+    cancelled."""
     if workers == 1:
         for key, S, first in entries:
             yield key, S, _verify_chunk(ids, S) if first else None
         return
 
     def batches():
-        while batch := tuple(islice(entries, 64)):
-            firsts = tuple((S.table, S.leq) for _, S, first in batch if first)
-            yield batch, (ids, firsts)
+        while True:
+            batch, firsts = [], []
+            for entry in entries:
+                batch.append(entry)
+                _, S, first = entry
+                if first:
+                    firsts.append((S.table, S.leq))
+                    if len(firsts) == 64:
+                        break
+            if not batch:
+                return
+            yield batch, (ids, tuple(firsts))
 
     pending = batches()
     pool = ProcessPoolExecutor(max_workers=workers)

@@ -116,6 +116,19 @@ def test_compatible_orders_examples():
     assert len(list(enumerate_compatible_orders(Z2_TABLE))) == 1
 
 
+def test_compatible_orders_match_oracle_filter():
+    # every labelled table up to order 3, and the 188 orbit-least tables of
+    # order 4: the same orders as the reference filter, in the same order
+    tables = [table for n in (1, 2, 3) for table in enumerate_tables(n)]
+    least4 = [table for table, _ in _least_tables(4)]
+    assert len(least4) == 188
+    for table in tables + least4:
+        expected = [
+            leq for leq in all_partial_orders(len(table)) if oracles.is_compatible(table, leq)
+        ]
+        assert list(enumerate_compatible_orders(table)) == expected
+
+
 def test_discrete_order_always_compatible():
     for table in enumerate_tables(3):
         orders = list(enumerate_compatible_orders(table))

@@ -1,10 +1,12 @@
 """Opt-in exhaustive checks beyond the default regime.
 
 Runs every suite over all 107688 ordered semigroups on four elements
-(every associative table with every compatible order), and counts the
-semigroup tables of order 6 up to isomorphism.  Each takes minutes, so
-they only run when ORDSGP_ACCEPT_FULL is set; the default acceptance
-regime (discrete exhaustive + seeded sample) lives in test_acceptance.py.
+(every associative table with every compatible order), counts the
+compatible orders of the order-5 tables and their isomorphism classes, and
+counts the semigroup tables of order 6 up to isomorphism.  Each takes
+seconds to minutes, so they only run when ORDSGP_ACCEPT_FULL is set; the
+default acceptance regime (discrete exhaustive + seeded sample) lives in
+test_acceptance.py.
 """
 
 import os
@@ -12,12 +14,17 @@ import os
 import pytest
 
 from ordsgp import OrderedSemigroup, verify
-from ordsgp.enumeration import _least_tables, enumerate_compatible_orders, enumerate_tables
+from ordsgp.enumeration import (
+    _least_tables,
+    _relabel,
+    enumerate_compatible_orders,
+    enumerate_tables,
+)
 from ordsgp.harness import THEOREM_IDS
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("ORDSGP_ACCEPT_FULL"),
-    reason="set ORDSGP_ACCEPT_FULL=1 to run the full order-4 product and the order-6 count",
+    reason="set ORDSGP_ACCEPT_FULL=1 for the full order-4 product and the order-5 and 6 counts",
 )
 
 
@@ -32,6 +39,18 @@ def test_full_order4_product_zero_discrepancy():
                 assert all(report.diagnostics.values()), report.to_dict()
             structures += 1
     assert structures == 107688
+
+
+def test_order5_compatible_orders_and_classes():
+    # orders of the 1915 orbit-least tables, and their Aut(T)-orbits: the
+    # ordered semigroups of order 5 up to isomorphism
+    orders = classes = 0
+    for table, automorphisms in _least_tables(5):
+        found = list(enumerate_compatible_orders(table))
+        orders += len(found)
+        classes += len({min(_relabel(leq, p, False) for p in automorphisms) for leq in found})
+    assert orders == 274601
+    assert classes == 198838
 
 
 def test_order6_tables_up_to_isomorphism():

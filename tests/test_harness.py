@@ -156,6 +156,25 @@ def test_empty_or_negative_catalog_is_rejected():
         list(iter_catalog(4, sample_count=-5))
 
 
+def test_iter_catalog_rejects_at_call():
+    # checked when called, before the first structure is asked for
+    with pytest.raises(ValueError, match="max_order must be at least 1"):
+        iter_catalog(0)
+    with pytest.raises(ValueError, match="capped at 4"):
+        iter_catalog(5)
+    with pytest.raises(ValueError, match="sample_count must not be negative"):
+        iter_catalog(3, sample_count=-1)
+
+
+def test_run_suite_rejects_order_before_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool built for a rejected max_order")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="capped at 4"):
+        run_suite(max_order=5, workers=2)
+
+
 def test_run_suite_small_exhaustive():
     rep = run_suite("all", max_order=2)
     assert rep.structures == 21
