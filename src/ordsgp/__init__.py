@@ -12,7 +12,6 @@ from .congruences import (
     classify_partition,
     enumerate_semilattice_congruences,
     semilattice_decomposition,
-    theorem8_conditions,
 )
 from .core import (
     FIXTURES,
@@ -63,6 +62,7 @@ from .predicates import (
     theorem4_conditions,
     theorem5_conditions,
     theorem6_condition,
+    theorem8_conditions,
     theorem51_conditions,
 )
 from .relations import (

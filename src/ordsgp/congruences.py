@@ -8,8 +8,9 @@ eta-classes, and ``PARTITION_CAP`` bounds their number, not the order.
 The certificates of the semilattice congruences are the one cache of this
 layer, on S.  A decomposition search is one plain scan over them that gives
 both readings, over all semilattice congruences and over complete ones; each
-class check reads the class substructure cached on S and that substructure's
-own cached predicates.
+class check reads the class substructure cached on S and applies the class
+predicate it is given.  This layer lies below ``predicates``, which builds
+the batteries on it, and imports nothing from it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import PredicateResult, bits_iter, restrict
-from .relations import Partition, starred
+from .relations import Partition
 
 PARTITION_CAP = 10
 
@@ -209,92 +210,3 @@ def _class_sub(S, mask):
 
 def _class_holds(S, mask, class_predicate):
     return bool(class_predicate(_class_sub(S, mask)))
-
-
-def _star_readings(S, star, c2, name, data=None):
-    """Plain and complete batteries of the thm8 family on the partition
-    ``star``: (1) it is a congruence, (2) ``c2``, (3) S is a semilattice of
-    ordered semigroups meeting ``name``, over all or over complete semilattice
-    congruences, from one search, and (4) it is a semilattice congruence."""
-    from .predicates import named_predicate
-
-    cert = classify_partition(S, star)
-    gaps = cert.counterexamples
-    sl_ok = cert.is_semilattice_congruence()
-    c1 = PredicateResult(cert.is_congruence, counterexample=gaps.get("congruence"), data=data)
-    c4 = PredicateResult(
-        sl_ok,
-        counterexample=None if sl_ok else gaps.get("congruence") or gaps["semilattice"],
-        data=data,
-    )
-    readings = semilattice_decomposition(S, lambda sub: named_predicate(sub, name).holds)
-    return tuple((c1, c2, c3, c4) for c3 in readings)
-
-
-def _thm8_readings(S):
-    """Plain and complete thm8 batteries, from one build cached on S."""
-    def build():
-        Ls, Rs = starred(S, "L"), starred(S, "R")
-        if Ls.refines(Rs):
-            c2 = PredicateResult(True, ({"lstar_classes": Ls.to_lists()},))
-        else:
-            pair = next(
-                (a, b)
-                for a in S.elements()
-                for b in S.elements()
-                if Ls.same(a, b) and not Rs.same(a, b)
-            )
-            c2 = PredicateResult(False, counterexample={"pair": pair})
-        return _star_readings(S, Rs, c2, "right-pi-t-simple", {"classes": Rs.to_lists()})
-
-    return S.cached(("thm8",), build)
-
-
-def theorem8_conditions(S):
-    """Four-way battery for semilattices of right pi-t-simple ordered
-    semigroups (suite id ``thm8``); meaningful under the right pi-inverse
-    hypothesis."""
-    return _thm8_readings(S)[0]
-
-
-def _cor_hstar_readings(S):
-    """Plain and complete cor-hstar batteries, from one build cached on S."""
-    def build():
-        Ls, Rs, Hs = starred(S, "L"), starred(S, "R"), starred(S, "H")
-        if Ls == Rs and Rs == Hs:
-            c2 = PredicateResult(True, ({"classes": Hs.to_lists()},))
-        else:
-            c2 = PredicateResult(
-                False,
-                counterexample={
-                    "lstar": Ls.to_lists(),
-                    "rstar": Rs.to_lists(),
-                    "hstar": Hs.to_lists(),
-                },
-            )
-        return _star_readings(S, Hs, c2, "pi-t-simple")
-
-    return S.cached(("cor-hstar",), build)
-
-
-def cor_hstar_conditions(S):
-    """H*-flavoured variant of the thm8 battery (suite id ``cor-hstar``);
-    meaningful under the pi-inverse hypothesis."""
-    return _cor_hstar_readings(S)[0]
-
-
-def cor_cpr_conditions(S):
-    """Completely pi-regular variant (suite id ``cor-cpr``); meaningful when
-    S is right pi-inverse and left pi-regular."""
-    from .predicates import _conj, named_predicate
-
-    def build():
-        c1, c2, c3, _ = theorem8_conditions(S)
-        c4 = _conj(
-            ("completely_pi_regular", named_predicate(S, "completely-pi-regular")),
-            ("left_weakly_commutative", named_predicate(S, "left-weakly-commutative")),
-        )
-        return (c1, c2, c3, c4)
-
-    return S.cached(("cor-cpr",), build)
-

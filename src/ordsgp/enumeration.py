@@ -17,9 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
-from .core import OrderedSemigroup, _discrete
+from .core import OrderedSemigroup, _discrete, bits_iter
 
 # Largest order whose tables, and so whose catalogs, are enumerated exhaustively.
 EXHAUSTIVE_TABLE_CAP = 4
@@ -149,33 +149,27 @@ def _placement_survivors(table, n, i, j, perms):
 
 @lru_cache(maxsize=None)
 def all_partial_orders(n):
-    """Every partial order on {0..n-1} as a leq matrix, discrete first."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    found = []
-    for states in product((0, 1, 2), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), st in zip(pairs, states):
-            if st == 1:
-                leq[i][j] = True
-            elif st == 2:
-                leq[j][i] = True
-        if _transitive(leq):
-            found.append(tuple(tuple(row) for row in leq))
-    found.sort(key=lambda m: (sum(sum(row) for row in m), m))
-    return tuple(found)
+    """Every partial order on {0..n-1} as a leq matrix, discrete first.
 
-
-def _transitive(leq):
-    n = len(leq)
-    for a in range(n):
-        row_a = leq[a]
-        for b in range(n):
-            if a != b and row_a[b]:
-                row_b = leq[b]
-                for c in range(n):
-                    if row_b[c] and not row_a[c]:
-                        return False
-    return True
+    An order on {0..k} is an order on {0..k-1} with the set D of elements
+    below k, down-closed, and the set U above k, up-closed, every d < u."""
+    orders = [()]
+    for k in range(n):
+        grown = []
+        for leq in orders:
+            up = [sum(leq[a][b] << b for b in range(k)) for a in range(k)]
+            down = [sum(leq[a][b] << a for a in range(k)) for b in range(k)]
+            masks = range(1 << k)
+            downsets = [m for m in masks if all(down[d] | m == m for d in bits_iter(m))]
+            upsets = [m for m in masks if all(up[u] | m == m for u in bits_iter(m))]
+            for D in downsets:
+                for U in upsets:
+                    if not D & U and all(U | up[d] == up[d] for d in bits_iter(D)):
+                        col = [bool(D >> a & 1) for a in range(k)]
+                        last = tuple(bool(U >> b & 1) for b in range(k)) + (True,)
+                        grown.append(tuple(r + (c,) for r, c in zip(leq, col)) + (last,))
+        orders = grown
+    return tuple(sorted(orders, key=lambda m: (sum(map(sum, m)), m)))
 
 
 @lru_cache(maxsize=None)

@@ -17,13 +17,6 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
-from .congruences import (
-    _cor_hstar_readings,
-    _thm8_readings,
-    cor_cpr_conditions,
-    cor_hstar_conditions,
-    theorem8_conditions,
-)
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
     GenerationConfig,
@@ -32,58 +25,13 @@ from .enumeration import (
     enumerate_ordered_semigroups,
     sample_structures,
 )
-from .predicates import (
-    PREDICATES,
-    _conj,
-    _pi_inverse_side,
-    lemma3_predicate,
-    lemma7_predicate,
-    lstar_unique_idempotent,
-    named_predicate,
-    theorem2_conditions,
-    theorem4_conditions,
-    theorem5_conditions,
-    theorem51_conditions,
-    theorem6_condition,
-)
+from .predicates import PREDICATES, _conj, named_predicate, read
 
 WORKERS_ENV = "ORDSGP_WORKERS"
 
 VERDICT_EQUIVALENT = "equivalent"
 VERDICT_HYPOTHESIS = "hypothesis_not_met"
 VERDICT_DISCREPANCY = "DISCREPANCY"
-
-
-# Named readings beyond the public predicate vocabulary.  A battery reading
-# returns a tuple of results in source numbering; the others return one.
-# The second reading of a battery (complete congruences, every power) comes
-# from the same cached build as its first.
-_READINGS = {
-    "lstar-unique-idempotent": lstar_unique_idempotent,
-    "lemma3": lemma3_predicate,
-    "lemma7": lemma7_predicate,
-    "thm2": theorem2_conditions,
-    "thm4": theorem4_conditions,
-    "thm4-complete": lambda S: theorem4_conditions(S, complete_only=True),
-    "thm5": theorem5_conditions,
-    "thm5-all-powers": lambda S: theorem5_conditions(S, all_powers=True),
-    "thm6": theorem6_condition,
-    "thm8": theorem8_conditions,
-    "thm8-complete": lambda S: _thm8_readings(S)[1],
-    "thm51": theorem51_conditions,
-    # Corollary 1 restates thm2 conditions 8, 5, 4, 6, 7 in its own order.
-    "cor1": lambda S: tuple(theorem2_conditions(S)[i - 1] for i in (8, 5, 4, 6, 7)),
-    "cor-hstar": cor_hstar_conditions,
-    "cor-hstar-complete": lambda S: _cor_hstar_readings(S)[1],
-    "cor-cpr": cor_cpr_conditions,
-    "right-pi-inverse-all-powers": lambda S: _pi_inverse_side(S, "left", all_powers=True),
-}
-
-
-def _read(S, name):
-    if name in _READINGS:
-        return _READINGS[name](S)
-    return named_predicate(S, name)
 
 
 def _key(name):
@@ -98,12 +46,12 @@ def _truths(result):
 
 # suite id -> (kind, hypotheses, conditions, diagnostics).  kind
 # "equivalence" wants all condition booleans equal, "law" and
-# "implication" want them all true.  Hypotheses are reading names,
-# reported under their snake_case keys.  A condition is a reading (a
-# battery contributes each of its results) or a tuple of readings that
-# must all hold; conditions are numbered from 1.  A diagnostic
-# (name, plain, other) records whether two readings give the same truth
-# values.
+# "implication" want them all true.  Every name is a reading of
+# ``predicates.READINGS``; hypotheses are reported under their snake_case
+# keys.  A condition is a reading (a battery contributes each of its
+# results) or a tuple of readings that must all hold; conditions are
+# numbered from 1.  A diagnostic (name, plain, other) records whether two
+# readings give the same truth values.
 _SUITES = {
     "thm2": ("equivalence", (), ("thm2",), ()),
     "thm4": (
@@ -205,9 +153,9 @@ def _conditions(S, specs):
     out = []
     for spec in specs:
         if isinstance(spec, tuple):
-            out.append(_conj(*((_key(name), _read(S, name)) for name in spec)))
+            out.append(_conj(*((_key(name), read(S, name)) for name in spec)))
         else:
-            result = _read(S, spec)
+            result = read(S, spec)
             out.extend(result if isinstance(result, tuple) else (result,))
     return out
 
@@ -218,10 +166,10 @@ def verify(S, theorem_id):
         kind, hypotheses, specs, readings = _SUITES[theorem_id]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
-    hypothesis = {_key(name): _read(S, name).holds for name in hypotheses}
+    hypothesis = {_key(name): read(S, name).holds for name in hypotheses}
     conditions = _conditions(S, specs)
     diagnostics = {
-        name: _truths(_read(S, plain)) == _truths(_read(S, other))
+        name: _truths(read(S, plain)) == _truths(read(S, other))
         for name, plain, other in readings
     }
     met = all(hypothesis.values())

@@ -1,4 +1,12 @@
-"""Structure predicates and the equivalence-condition batteries.
+"""Structure predicates, the equivalence-condition batteries, and the one
+table of named readings.
+
+``READINGS`` names every reading the suites use: each predicate of the
+public vocabulary, each battery and lemma, and each second reading.
+``read(S, name)`` is the one entry point and the one cache of a reading on
+S; the functions behind the names do not cache themselves.  A two-reading
+battery is one builder of its (plain, other) pair, and its two names index
+that build, so conditions shared by both readings are computed once.
 
 Every universally quantified condition goes through ``_forall``: the
 condition yields one ``(case, witness)`` pair per input, in input order,
@@ -12,6 +20,7 @@ sequence of an element cycles, so its distinct values exhaust all powers.
 
 from __future__ import annotations
 
+from .congruences import classify_partition, semilattice_decomposition
 from .core import (
     PredicateResult,
     _as,
@@ -346,28 +355,22 @@ def _one_lstar_class(S):
 
 def lstar_unique_idempotent(S):
     """The ordered idempotents exist and all fall in one L*-class."""
-    def build():
-        E = ordered_idempotents(S)
-        if not E:
-            return PredicateResult(False, counterexample={"no_ordered_idempotent": True})
-        return is_rho_unique(S, starred(S, "L"), E)
-
-    return S.cached(("lstar-unique-E",), build)
+    E = ordered_idempotents(S)
+    if not E:
+        return PredicateResult(False, counterexample={"no_ordered_idempotent": True})
+    return is_rho_unique(S, starred(S, "L"), E)
 
 
 def _thm2_c4(S):
-    def build():
-        table, leq, elems = S.table, S.leq, S.elements()
-        return _forall(
-            ({"a": a, "b": b}, next((
-                {"a": a, "b": b, "m": m, "s": s}
-                for m, v in power_profile(S, a).exponents()
-                for s in elems if leq[v][table[table[v][s]][b]]
-            ), None))
-            for a in elems for b in elems
-        )
-
-    return S.cached(("thm2-c4",), build)
+    table, leq, elems = S.table, S.leq, S.elements()
+    return _forall(
+        ({"a": a, "b": b}, next((
+            {"a": a, "b": b, "m": m, "s": s}
+            for m, v in power_profile(S, a).exponents()
+            for s in elems if leq[v][table[table[v][s]][b]]
+        ), None))
+        for a in elems for b in elems
+    )
 
 
 def _thm2_c5(S):
@@ -398,35 +401,30 @@ def _thm2_c6(S):
 def theorem2_conditions(S):
     """Battery of eight equivalent characterizations of a left pi-t-simple
     ordered semigroup (suite id ``thm2``), in source numbering."""
-    def build():
-        return (
-            named_predicate(S, "left-pi-t-simple"),
-            _conj(
-                ("pi_regular", named_predicate(S, "pi-regular")),
-                ("lstar_unique_idempotent", lstar_unique_idempotent(S)),
-            ),
-            _conj(
-                ("pi_regular", named_predicate(S, "pi-regular")),
-                ("lstar_one_class", _one_lstar_class(S)),
-            ),
-            _thm2_c4(S),
-            _thm2_c5(S),
-            _thm2_c6(S),
-            _conj(
-                ("pi_regular", named_predicate(S, "pi-regular")),
-                ("left_archimedean", named_predicate(S, "left-archimedean")),
-            ),
-            nil_extension_search(S, "left_simple"),
-        )
-
-    return S.cached(("thm2",), build)
+    return (
+        read(S, "left-pi-t-simple"),
+        _conj(
+            ("pi_regular", read(S, "pi-regular")),
+            ("lstar_unique_idempotent", read(S, "lstar-unique-idempotent")),
+        ),
+        _conj(
+            ("pi_regular", read(S, "pi-regular")),
+            ("lstar_one_class", _one_lstar_class(S)),
+        ),
+        read(S, "thm2-c4"),
+        _thm2_c5(S),
+        _thm2_c6(S),
+        _conj(
+            ("pi_regular", read(S, "pi-regular")),
+            ("left_archimedean", read(S, "left-archimedean")),
+        ),
+        nil_extension_search(S, "left_simple"),
+    )
 
 
 def _thm2_all_hold(S):
     """Conjunction of all eight thm2 conditions, cheapest first."""
-    if not _thm2_c4(S).holds:
-        return False
-    return all(r.holds for r in theorem2_conditions(S))
+    return read(S, "thm2-c4").holds and all(r.holds for r in read(S, "thm2"))
 
 
 # -- semilattice battery ----------------------------------------------------
@@ -455,32 +453,28 @@ def _thm4_c4(S):
     )
 
 
-def theorem4_conditions(S, complete_only=False):
+def _thm4_readings(S):
+    """thm4 over all and over complete semilattice congruences: each
+    decomposition search gives both readings, and (2)-(4) are shared."""
+    c1 = semilattice_decomposition(S, _thm2_all_hold)
+    pi_regular = read(S, "pi-regular")
+    c2 = _conj(("pi_regular", pi_regular), ("ab_lstar_ba", _thm4_c2(S)))
+    c3 = _conj(
+        ("pi_regular", pi_regular),
+        ("right_weakly_commutative", read(S, "right-weakly-commutative")),
+    )
+    c4 = _thm4_c4(S)
+    c5 = semilattice_decomposition(
+        S, lambda sub: nil_extension_search(sub, "left_simple").holds
+    )
+    return tuple((c1[i], c2, c3, c4, c5[i]) for i in (0, 1))
+
+
+def theorem4_conditions(S):
     """Battery of five equivalent characterizations of a semilattice of left
-    pi-t-simple ordered semigroups (suite id ``thm4``), in source numbering.
-
-    ``complete_only`` reads the two decomposition conditions over complete
-    semilattice congruences; the default follows the plain reading.  One
-    build, cached on S, gives both readings: each decomposition search
-    yields both, and conditions (2)-(4) are shared.
-    """
-    from .congruences import semilattice_decomposition
-
-    def build():
-        c1 = semilattice_decomposition(S, _thm2_all_hold)
-        pi_regular = named_predicate(S, "pi-regular")
-        c2 = _conj(("pi_regular", pi_regular), ("ab_lstar_ba", _thm4_c2(S)))
-        c3 = _conj(
-            ("pi_regular", pi_regular),
-            ("right_weakly_commutative", named_predicate(S, "right-weakly-commutative")),
-        )
-        c4 = _thm4_c4(S)
-        c5 = semilattice_decomposition(
-            S, lambda sub: nil_extension_search(sub, "left_simple").holds
-        )
-        return tuple((c1[i], c2, c3, c4, c5[i]) for i in (0, 1))
-
-    return S.cached(("thm4",), build)[bool(complete_only)]
+    pi-t-simple ordered semigroups (suite id ``thm4``), in source numbering;
+    the decomposition conditions range over all semilattice congruences."""
+    return read(S, "thm4-readings")[0]
 
 
 # -- right pi-inverse and its battery --------------------------------------
@@ -637,36 +631,31 @@ def _thm5_c5(S, all_powers=False):
     return _forall(found(e) for e in ordered_idempotents(S))
 
 
-def theorem5_conditions(S, all_powers=False):
+def _thm5_readings(S):
+    """thm5 with "some power works" and with the stricter "every power
+    works" in (2) and (5); (1), (3) and (4) are shared."""
+    c1, c3, c4 = read(S, "right-pi-inverse"), _thm5_c3(S), _thm5_c4(S)
+    return tuple(
+        (c1, _thm5_c2(S, every), c3, c4, _thm5_c5(S, every)) for every in (False, True)
+    )
+
+
+def theorem5_conditions(S):
     """Battery of five equivalent characterizations of a right pi-inverse
-    ordered semigroup (suite id ``thm5``), in source numbering.
-
-    ``all_powers`` switches conditions (2) and (5) from the default
-    "some power works" reading to the stricter "every power works" one.
-    One build, cached on S, gives both readings; conditions (1), (3) and
-    (4) are shared.
-    """
-    def build():
-        c1, c3, c4 = named_predicate(S, "right-pi-inverse"), _thm5_c3(S), _thm5_c4(S)
-        return tuple(
-            (c1, _thm5_c2(S, every), c3, c4, _thm5_c5(S, every)) for every in (False, True)
-        )
-
-    return S.cached(("thm5",), build)[bool(all_powers)]
+    ordered semigroup (suite id ``thm5``), in source numbering, with the
+    "some power works" reading of conditions (2) and (5)."""
+    return read(S, "thm5-readings")[0]
 
 
 def theorem6_condition(S):
     """L*-related ordered idempotents are R*-related (suite id ``thm6``)."""
-    def build():
-        Ls, Rs = starred(S, "L"), starred(S, "R")
-        E = list(ordered_idempotents(S))
-        for e in E:
-            for f in E:
-                if Ls.same(e, f) and not Rs.same(e, f):
-                    return PredicateResult(False, counterexample={"e": e, "f": f})
-        return PredicateResult(True, ({"idempotents": E},))
-
-    return S.cached(("thm6",), build)
+    Ls, Rs = starred(S, "L"), starred(S, "R")
+    E = list(ordered_idempotents(S))
+    for e in E:
+        for f in E:
+            if Ls.same(e, f) and not Rs.same(e, f):
+                return PredicateResult(False, counterexample={"e": e, "f": f})
+    return PredicateResult(True, ({"idempotents": E},))
 
 
 # -- regular-case battery ---------------------------------------------------
@@ -730,60 +719,128 @@ def _thm51_c5(S):
 def theorem51_conditions(S):
     """Five-way battery for right inverse regular ordered semigroups
     (suite id ``thm51``); meaningful under the regularity hypothesis."""
-    def build():
-        return (_thm51_c1(S), _thm51_c2(S), _thm51_c3(S), _thm51_c4(S), _thm51_c5(S))
+    return (_thm51_c1(S), _thm51_c2(S), _thm51_c3(S), _thm51_c4(S), _thm51_c5(S))
 
-    return S.cached(("thm51",), build)
+
+# -- the thm8 family: starred congruences and right pi-t-simple classes -----
+
+def _star_readings(S, star, c2, name, data=None):
+    """Plain and complete batteries of the thm8 family on the partition
+    ``star``: (1) it is a congruence, (2) ``c2``, (3) S is a semilattice of
+    ordered semigroups meeting ``name``, over all or over complete semilattice
+    congruences, from one search, and (4) it is a semilattice congruence."""
+    cert = classify_partition(S, star)
+    gaps = cert.counterexamples
+    sl_ok = cert.is_semilattice_congruence()
+    c1 = PredicateResult(cert.is_congruence, counterexample=gaps.get("congruence"), data=data)
+    c4 = PredicateResult(
+        sl_ok,
+        counterexample=None if sl_ok else gaps.get("congruence") or gaps["semilattice"],
+        data=data,
+    )
+    readings = semilattice_decomposition(S, lambda sub: read(sub, name).holds)
+    return tuple((c1, c2, c3, c4) for c3 in readings)
+
+
+def _thm8_readings(S):
+    """Plain and complete thm8 batteries."""
+    Ls, Rs = starred(S, "L"), starred(S, "R")
+    if Ls.refines(Rs):
+        c2 = PredicateResult(True, ({"lstar_classes": Ls.to_lists()},))
+    else:
+        pair = next(
+            (a, b)
+            for a in S.elements()
+            for b in S.elements()
+            if Ls.same(a, b) and not Rs.same(a, b)
+        )
+        c2 = PredicateResult(False, counterexample={"pair": pair})
+    return _star_readings(S, Rs, c2, "right-pi-t-simple", {"classes": Rs.to_lists()})
+
+
+def theorem8_conditions(S):
+    """Four-way battery for semilattices of right pi-t-simple ordered
+    semigroups (suite id ``thm8``); meaningful under the right pi-inverse
+    hypothesis."""
+    return read(S, "thm8-readings")[0]
+
+
+def _cor_hstar_readings(S):
+    """Plain and complete cor-hstar batteries."""
+    Ls, Rs, Hs = starred(S, "L"), starred(S, "R"), starred(S, "H")
+    if Ls == Rs and Rs == Hs:
+        c2 = PredicateResult(True, ({"classes": Hs.to_lists()},))
+    else:
+        c2 = PredicateResult(
+            False,
+            counterexample={
+                "lstar": Ls.to_lists(),
+                "rstar": Rs.to_lists(),
+                "hstar": Hs.to_lists(),
+            },
+        )
+    return _star_readings(S, Hs, c2, "pi-t-simple")
+
+
+def cor_hstar_conditions(S):
+    """H*-flavoured variant of the thm8 battery (suite id ``cor-hstar``);
+    meaningful under the pi-inverse hypothesis."""
+    return read(S, "cor-hstar-readings")[0]
+
+
+def cor_cpr_conditions(S):
+    """Completely pi-regular variant (suite id ``cor-cpr``); meaningful when
+    S is right pi-inverse and left pi-regular."""
+    c1, c2, c3, _ = read(S, "thm8")
+    c4 = _conj(
+        ("completely_pi_regular", read(S, "completely-pi-regular")),
+        ("left_weakly_commutative", read(S, "left-weakly-commutative")),
+    )
+    return (c1, c2, c3, c4)
 
 
 # -- lemma-level predicates -------------------------------------------------
 
 def lemma3_predicate(S):
-    """For every a some (Sa^m] is generated by an ordered idempotent."""
-    def build():
-        idem = list(ordered_idempotents(S))
-        return _forall(
-            ({"a": a}, next((
-                {"a": a, "m": m, "e": e}
-                for m, v in power_profile(S, a).exponents()
-                for e in idem if _sa(S, e) == _sa(S, v)
-            ), None))
-            for a in S.elements()
-        )
-
-    return S.cached(("lemma3",), build)
+    """For every a some (Sa^m] is generated by an ordered idempotent, the
+    least one reported."""
+    gens = _ideal_generators(S, "left")
+    return _forall(
+        ({"a": a}, next((
+            {"a": a, "m": m, "e": gens[v][0][0]}
+            for m, v in power_profile(S, a).exponents() if gens[v][0]
+        ), None))
+        for a in S.elements()
+    )
 
 
 def lemma7_predicate(S):
     """L*-related elements have all products inverse*power R*-related."""
-    def build():
-        Ls, Rs = starred(S, "L"), starred(S, "R")
-        table = S.table
-        checked = 0
-        for a in S.elements():
-            for b in S.elements():
-                if not Ls.same(a, b):
-                    continue
-                m = smallest_regular_power(S, a)
-                n = smallest_regular_power(S, b)
-                u = power_profile(S, a).value(m)
-                w = power_profile(S, b).value(n)
-                for a1 in bits_iter(_inverses_bits(S, u)):
-                    for b1 in bits_iter(_inverses_bits(S, w)):
-                        if not Rs.same(table[a1][u], table[b1][w]):
-                            return PredicateResult(
-                                False,
-                                counterexample={
-                                    "a": a,
-                                    "b": b,
-                                    "a_inverse": a1,
-                                    "b_inverse": b1,
-                                },
-                            )
-                        checked += 1
-        return PredicateResult(True, ({"pairs_checked": checked},))
-
-    return S.cached(("lemma7",), build)
+    Ls, Rs = starred(S, "L"), starred(S, "R")
+    table = S.table
+    checked = 0
+    for a in S.elements():
+        for b in S.elements():
+            if not Ls.same(a, b):
+                continue
+            m = smallest_regular_power(S, a)
+            n = smallest_regular_power(S, b)
+            u = power_profile(S, a).value(m)
+            w = power_profile(S, b).value(n)
+            for a1 in bits_iter(_inverses_bits(S, u)):
+                for b1 in bits_iter(_inverses_bits(S, w)):
+                    if not Rs.same(table[a1][u], table[b1][w]):
+                        return PredicateResult(
+                            False,
+                            counterexample={
+                                "a": a,
+                                "b": b,
+                                "a_inverse": a1,
+                                "b_inverse": b1,
+                            },
+                        )
+                    checked += 1
+    return PredicateResult(True, ({"pairs_checked": checked},))
 
 
 # -- public vocabulary ------------------------------------------------------
@@ -819,6 +876,42 @@ PREDICATES = {
 
 PREDICATE_NAMES = tuple(sorted(PREDICATES))
 
+# A battery returns a tuple of results in source numbering, the others one
+# result.  The (plain, other) build of a two-reading battery is read under
+# "<battery>-readings".
+READINGS = {
+    **PREDICATES,
+    "lstar-unique-idempotent": lstar_unique_idempotent,
+    "lemma3": lemma3_predicate,
+    "lemma7": lemma7_predicate,
+    "thm2": theorem2_conditions,
+    "thm2-c4": _thm2_c4,
+    "thm4-readings": _thm4_readings,
+    "thm4": theorem4_conditions,
+    "thm4-complete": lambda S: read(S, "thm4-readings")[1],
+    "thm5-readings": _thm5_readings,
+    "thm5": theorem5_conditions,
+    "thm5-all-powers": lambda S: read(S, "thm5-readings")[1],
+    "thm6": theorem6_condition,
+    "thm8-readings": _thm8_readings,
+    "thm8": theorem8_conditions,
+    "thm8-complete": lambda S: read(S, "thm8-readings")[1],
+    "thm51": theorem51_conditions,
+    # Corollary 1 restates thm2 conditions 8, 5, 4, 6, 7 in its own order.
+    "cor1": lambda S: tuple(read(S, "thm2")[i - 1] for i in (8, 5, 4, 6, 7)),
+    "cor-hstar-readings": _cor_hstar_readings,
+    "cor-hstar": cor_hstar_conditions,
+    "cor-hstar-complete": lambda S: read(S, "cor-hstar-readings")[1],
+    "cor-cpr": cor_cpr_conditions,
+    "right-pi-inverse-all-powers": lambda S: _pi_inverse_side(S, "left", all_powers=True),
+}
+
+
+def read(S, name):
+    """The reading ``name`` of ``READINGS`` on S, computed once and cached
+    on S."""
+    return S.cached(("read", name), lambda: READINGS[name](S))
+
 
 def named_predicate(S, name):
     """Evaluate any predicate from the public kebab-case vocabulary (a
@@ -826,4 +919,4 @@ def named_predicate(S, name):
     key = name.replace("_", "-")
     if key not in PREDICATES:
         raise ValueError(f"unknown predicate name {name!r}")
-    return S.cached(("pred", key), lambda: PREDICATES[key](S))
+    return read(S, key)

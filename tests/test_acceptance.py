@@ -22,10 +22,10 @@ from ordsgp.predicates import (
     theorem4_conditions,
     theorem5_conditions,
     theorem6_condition,
+    theorem8_conditions,
 )
 from ordsgp.relations import regularity_profile
 from ordsgp import lz2, n2, rz2, sl2
-from ordsgp.congruences import theorem8_conditions
 
 from conftest import child_env, record_criterion
 

@@ -206,12 +206,11 @@ def test_second_readings_reuse_the_first_build(monkeypatch):
     # The complete and every-power readings come from the build that the
     # first reading made: no class check and no shared condition runs again.
     from ordsgp import congruences, predicates
-    from ordsgp.harness import _read
 
     catalog = list(iter_catalog(3))
     for S in catalog:
         for name in ("thm4", "thm5", "thm8", "cor-hstar"):
-            _read(S, name)
+            predicates.read(S, name)
 
     def recomputed(*args, **kwargs):
         raise AssertionError("a second reading recomputed a shared check")
@@ -220,10 +219,10 @@ def test_second_readings_reuse_the_first_build(monkeypatch):
     for name in ("_thm4_c2", "_thm4_c4", "_thm5_c3", "_thm5_c4"):
         monkeypatch.setattr(predicates, name, recomputed)
     for S in catalog:
-        assert len(predicates.theorem4_conditions(S, complete_only=True)) == 5
-        assert len(predicates.theorem5_conditions(S, all_powers=True)) == 5
-        assert len(_read(S, "thm8-complete")) == 4
-        assert len(_read(S, "cor-hstar-complete")) == 4
+        assert len(predicates.read(S, "thm4-complete")) == 5
+        assert len(predicates.read(S, "thm5-all-powers")) == 5
+        assert len(predicates.read(S, "thm8-complete")) == 4
+        assert len(predicates.read(S, "cor-hstar-complete")) == 4
 
 
 def test_semilattice_scan_keeps_no_per_partition_state():

@@ -3,7 +3,8 @@
 Runs every suite over all 107688 ordered semigroups on four elements
 (every associative table with every compatible order), counts the
 compatible orders of the order-5 tables and their isomorphism classes, and
-counts the semigroup tables of order 6 up to isomorphism.  Each takes
+counts the semigroup tables of order 6 up to isomorphism and the partial
+orders on six elements.  Each takes
 seconds to minutes, so they only run when ORDSGP_ACCEPT_FULL is set; the
 default acceptance regime (discrete exhaustive + seeded sample) lives in
 test_acceptance.py.
@@ -17,6 +18,7 @@ from ordsgp import OrderedSemigroup, verify
 from ordsgp.enumeration import (
     _least_tables,
     _relabel,
+    all_partial_orders,
     enumerate_compatible_orders,
     enumerate_tables,
 )
@@ -56,3 +58,9 @@ def test_order5_compatible_orders_and_classes():
 def test_order6_tables_up_to_isomorphism():
     # semigroups of order 6 up to isomorphism, OEIS A027851
     assert sum(1 for _ in _least_tables(6)) == 28634
+
+
+def test_order6_partial_orders():
+    # labelled partial orders on six elements, OEIS A001035; uncached, so
+    # the 130023 matrices are not held for the rest of the session
+    assert len(all_partial_orders.__wrapped__(6)) == 130023

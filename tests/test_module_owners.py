@@ -3,7 +3,10 @@
 The exhaustive catalog cap is named only in ``enumeration.py``, so raising
 it is a change to one module, and ``core.py`` imports no other ordsgp
 module, so the structure layer knows nothing of which orders are
-enumerated.
+enumerated.  The named readings live in ``predicates.py`` above
+``congruences.py``, and the harness reaches them only through
+``predicates``; every import is at module level, so a cycle between
+modules fails at import time.
 """
 
 import ast
@@ -38,6 +41,18 @@ def ordsgp_imports(tree):
             yield from (a.name for a in node.names if a.name.partition(".")[0] == "ordsgp")
 
 
+def imported_modules(tree):
+    """The name in the package of each ordsgp module an import reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ordsgp")):
+            module = (node.module or "").removeprefix("ordsgp").lstrip(".")
+            yield from [module] if module else (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (
+                a.name.removeprefix("ordsgp.") for a in node.names if a.name.startswith("ordsgp.")
+            )
+
+
 def test_only_enumeration_names_the_catalog_cap():
     owners = [
         path.name
@@ -49,3 +64,24 @@ def test_only_enumeration_names_the_catalog_cap():
 
 def test_core_imports_no_other_ordsgp_module():
     assert list(ordsgp_imports(parse(PACKAGE / "core.py"))) == []
+
+
+def test_no_import_below_module_level():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        top = {id(node) for node in tree.body}
+        nested = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+        assert nested == [], (path.name, nested)
+
+
+def test_congruences_imports_no_reading_layer():
+    imported = set(imported_modules(parse(PACKAGE / "congruences.py")))
+    assert not imported & {"predicates", "harness", "cli"}, imported
+
+
+def test_harness_imports_nothing_from_congruences():
+    assert "congruences" not in set(imported_modules(parse(PACKAGE / "harness.py")))

@@ -26,7 +26,7 @@ from ordsgp import (
     theorem51_conditions,
 )
 from ordsgp.harness import iter_catalog
-from ordsgp.predicates import PREDICATE_NAMES, lstar_unique_idempotent
+from ordsgp.predicates import PREDICATE_NAMES, lstar_unique_idempotent, read
 
 
 def holds_vector(results):
@@ -198,7 +198,7 @@ def test_theorem5_battery():
     for build in FIXTURES.values():
         S = build()
         assert holds_vector(theorem5_conditions(S)) == holds_vector(
-            theorem5_conditions(S, all_powers=True)
+            read(S, "thm5-all-powers")
         )
 
 
