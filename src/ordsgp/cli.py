@@ -21,7 +21,7 @@ import tempfile
 
 from .core import ValidationReport, structure_from_dict, structure_from_key, structure_key
 from .enumeration import GenerationConfig, enumerate_ordered_semigroups
-from .harness import THEOREM_IDS, run_suite, search_model, verify
+from .harness import THEOREM_IDS, _outcome, run_suite, search_model
 from .predicates import PREDICATE_NAMES, named_predicate
 from .relations import GREEN_KINDS, green, ordered_idempotents, regularity_profile, starred
 
@@ -104,7 +104,7 @@ def _analysis(S):
             "witness": list(profile.witness),
         },
         "predicates": {name: named_predicate(S, name).holds for name in PREDICATE_NAMES},
-        "suites": {tid: verify(S, tid).verdict for tid in THEOREM_IDS},
+        "suites": {tid: _outcome(S, tid).verdict for tid in THEOREM_IDS},
     }
 
 

@@ -74,8 +74,11 @@ def _class_key(S):
     """(T0, the least image under Aut(T0) of S's order carried onto T0), for
     a structure of order at most the cap of ``enumerate_tables``: two
     structures are isomorphic exactly when their keys are equal (see
-    ``enumerate_ordered_semigroups``)."""
+    ``enumerate_ordered_semigroups``).  Every relabelling fixes the
+    discrete order, so a discrete S keys on its own order."""
     least, p, automorphisms = _orbit_map(S.order)[S.table]
+    if all(up == 1 << a for a, up in enumerate(S.above)):
+        return least, S.leq
     leq = tuple(tuple(S.leq[pa][pb] for pb in p) for pa in p)
     return least, min(_relabel(leq, a, relabel_entries=False) for a in automorphisms)
 

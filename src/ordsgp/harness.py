@@ -5,6 +5,12 @@ equivalence suite the verdict is ``equivalent`` when all condition truth
 values agree, ``DISCREPANCY`` when they do not while the hypothesis holds,
 and ``hypothesis_not_met`` otherwise.  Law and implication suites demand
 that every condition hold once the hypothesis (antecedent) does.
+
+``_outcome`` is the one verdict rule: it gives a suite's truth values,
+condition results and verdict on one structure.  ``verify`` renders an
+``EquivalenceReport`` from it.  A catalog run takes each class's verdict
+rows straight from ``_outcome`` and renders a report only for a
+DISCREPANCY row, the one row whose report the suite report keeps.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
@@ -160,8 +167,16 @@ def _conditions(S, specs):
     return out
 
 
-def verify(S, theorem_id):
-    """Evaluate one suite on one structure and render the verdict."""
+class _Outcome(NamedTuple):
+    hypothesis: dict
+    conditions: list
+    verdict: str
+    diagnostics: dict
+
+
+def _outcome(S, theorem_id):
+    """The one verdict rule: one suite's hypothesis truth values, condition
+    results, verdict and reading diagnostics on one structure."""
     try:
         kind, hypotheses, specs, readings = _SUITES[theorem_id]
     except KeyError:
@@ -183,6 +198,12 @@ def verify(S, theorem_id):
         verdict = VERDICT_EQUIVALENT
     else:
         verdict = VERDICT_DISCREPANCY
+    return _Outcome(hypothesis, conditions, verdict, diagnostics)
+
+
+def verify(S, theorem_id):
+    """Evaluate one suite on one structure and render the verdict."""
+    hypothesis, conditions, verdict, diagnostics = _outcome(S, theorem_id)
     return EquivalenceReport(
         theorem_id,
         structure_key(S),
@@ -276,21 +297,14 @@ def effective_workers(workers=None):
 
 def _verify_chunk(ids, S):
     """Verdict rows of one structure, one per suite id: (suite id, verdict,
-    report dict for a DISCREPANCY else None, disagreeing diagnostics)."""
+    report dict for a DISCREPANCY else None, disagreeing diagnostics).  Only
+    a DISCREPANCY row renders its report."""
     out = []
     for tid in ids:
-        report = verify(S, tid)
-        disagreements = tuple(
-            name for name, agree in report.diagnostics.items() if not agree
-        )
-        out.append(
-            (
-                tid,
-                report.verdict,
-                report.to_dict() if report.verdict == VERDICT_DISCREPANCY else None,
-                disagreements,
-            )
-        )
+        _, _, verdict, diagnostics = _outcome(S, tid)
+        report = verify(S, tid).to_dict() if verdict == VERDICT_DISCREPANCY else None
+        disagreements = tuple(name for name, agree in diagnostics.items() if not agree)
+        out.append((tid, verdict, report, disagreements))
     return tuple(out)
 
 

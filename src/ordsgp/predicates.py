@@ -233,8 +233,14 @@ def _p_left_weakly_commutative(S):
 
 # -- subsemigroup and ideal searches --------------------------------------
 
-def _subset_masks(n):
-    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+def _subset_masks(n, base):
+    """Every mask on n elements that contains ``base``, fewest elements
+    first, then by value."""
+    free = ((1 << n) - 1) & ~base
+    subs = [free]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & free)
+    return sorted((base | sub for sub in subs), key=lambda m: (m.bit_count(), m))
 
 
 def _closed_under_product(S, bits):
@@ -282,15 +288,20 @@ def _is_ideal(S, bits):
 def _absorbing_candidates(S, candidate):
     """(mask, exponents) for each subset, fewest elements first, that passes
     ``candidate`` and absorbs a power of every element, with the smallest
-    such power of each element; cached on S per candidate."""
+    such power of each element; cached on S per candidate.
+
+    Every candidate is closed under the product, and a closed subset
+    absorbs a power of every element exactly when it holds every
+    idempotent: an idempotent is its own only power, and the powers of a
+    power of a include the idempotent power of a.  So only the supersets
+    of E(S) are tested."""
     def build():
-        found = []
-        for mask in _subset_masks(S.order):
-            if candidate(S, mask):
-                exps = _nil_exponents(S, mask)
-                if exps is not None:
-                    found.append((mask, exps))
-        return tuple(found)
+        idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
+        return tuple(
+            (mask, _nil_exponents(S, mask))
+            for mask in _subset_masks(S.order, idempotents)
+            if candidate(S, mask)
+        )
 
     return S.cached(("absorbing", candidate), build)
 
@@ -611,24 +622,26 @@ def _es_offence(S, e, values):
     )
 
 
-def _thm5_c5(S, all_powers=False):
+def _thm5_c5(S):
     """For every ordered idempotent e, the ordered inverses of each x^m in
-    (Se] lie in (eS], with one exponent m shared by all x: for some m or,
-    with ``all_powers``, for every m.  The counterexample is the first m
-    that fails; when no m works, that is m = 1."""
+    (Se] lie in (eS], with one exponent m shared by all x: the pair of
+    readings "for some m" and "for every m", from one scan of each e's
+    offences.  The counterexample is the first m that fails; when no m
+    works, that is m = 1."""
     steps = list(joint_power_exponents(S, tuple((x, 1, 0) for x in S.elements())))
-
-    def found(e):
+    some, every = [], []
+    for e in ordered_idempotents(S):
         offences = [(m, _es_offence(S, e, values)) for m, values in steps]
         bad = next(
             ({"e": e, "m": m, "x": off[0], "inverse": off[1]} for m, off in offences if off),
             None,
         )
-        if all_powers:
-            return bad, None if bad else {"e": e}
-        return bad, next(({"e": e, "m": m} for m, off in offences if off is None), None)
-
-    return _forall(found(e) for e in ordered_idempotents(S))
+        works = next(({"e": e, "m": m} for m, off in offences if off is None), None)
+        some.append((bad, works))
+        every.append((bad, None if bad else {"e": e}))
+        if works is None:
+            break  # both readings fail by this e
+    return _forall(some), _forall(every)
 
 
 def _thm5_readings(S):
@@ -636,7 +649,8 @@ def _thm5_readings(S):
     works" in (2) and (5); (1), (3) and (4) are shared."""
     c1, c3, c4 = read(S, "right-pi-inverse"), _thm5_c3(S), _thm5_c4(S)
     return tuple(
-        (c1, _thm5_c2(S, every), c3, c4, _thm5_c5(S, every)) for every in (False, True)
+        (c1, _thm5_c2(S, every), c3, c4, c5)
+        for every, c5 in zip((False, True), _thm5_c5(S))
     )
 
 

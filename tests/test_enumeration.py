@@ -17,7 +17,14 @@ from ordsgp import (
     structure_key,
     validate,
 )
-from ordsgp.enumeration import _class_key, _least_tables, all_partial_orders
+from ordsgp.enumeration import (
+    _class_key,
+    _least_tables,
+    _orbit_map,
+    _relabel,
+    all_partial_orders,
+)
+from ordsgp.harness import iter_catalog
 
 import oracles
 
@@ -87,6 +94,22 @@ def test_class_key_separates_exactly_the_isomorphism_classes():
         counts.append(len(keys))
     assert counts[:4] == [1, 11, 173, 188]
     assert len(pairs) == len({key for key, _ in pairs}) == len({form for _, form in pairs})
+
+
+def test_class_key_equals_the_always_relabelled_key():
+    # a discrete structure keys on its own order without relabelling; every
+    # key equals the one of relabelling onto T0 and minimising over Aut(T0)
+    def relabelled_key(S):
+        least, p, automorphisms = _orbit_map(S.order)[S.table]
+        leq = tuple(tuple(S.leq[pa][pb] for pb in p) for pa in p)
+        return least, min(_relabel(leq, a, relabel_entries=False) for a in automorphisms)
+
+    structures = discrete = 0
+    for S in iter_catalog(4, sample_count=300, sample_seed=5):
+        assert _class_key(S) == relabelled_key(S), S.to_dict()
+        structures += 1
+        discrete += S.leq == tuple(tuple(i == j for j in S.elements()) for i in S.elements())
+    assert (structures, discrete) == (4784, 3614)
 
 
 def test_enumerate_tables_order4_golden_digest():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -234,15 +233,15 @@ def test_run_suite_worker_independence():
 def test_fail_fast_report_is_worker_independent(monkeypatch):
     # every order-2 structure is made to look discrepant; forked pool
     # workers inherit the patch
-    real_verify = harness.verify
+    real_outcome = harness._outcome
 
-    def faulty_verify(S, tid):
-        report = real_verify(S, tid)
+    def faulty_outcome(S, tid):
+        outcome = real_outcome(S, tid)
         if S.order == 2:
-            return dataclasses.replace(report, verdict="DISCREPANCY")
-        return report
+            return outcome._replace(verdict="DISCREPANCY")
+        return outcome
 
-    monkeypatch.setattr(harness, "verify", faulty_verify)
+    monkeypatch.setattr(harness, "_outcome", faulty_outcome)
     one, two = (
         run_suite("thm2", max_order=2, workers=w, fail_fast=True).to_dict() for w in (1, 2)
     )
@@ -256,20 +255,20 @@ def test_fail_fast_pool_stops_within_the_in_flight_window(monkeypatch, tmp_path)
     # forked pool workers inherit both patches and log each structure they
     # verify; after the stop only the batches already in flight may finish
     log = tmp_path / "verified.log"
-    real_verify, real_chunk = harness.verify, harness._verify_chunk
+    real_outcome, real_chunk = harness._outcome, harness._verify_chunk
 
-    def faulty_verify(S, tid):
-        report = real_verify(S, tid)
+    def faulty_outcome(S, tid):
+        outcome = real_outcome(S, tid)
         if S.order == 2:
-            return dataclasses.replace(report, verdict="DISCREPANCY")
-        return report
+            return outcome._replace(verdict="DISCREPANCY")
+        return outcome
 
     def logging_chunk(ids, S):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(structure_key(S) + "\n")
         return real_chunk(ids, S)
 
-    monkeypatch.setattr(harness, "verify", faulty_verify)
+    monkeypatch.setattr(harness, "_outcome", faulty_outcome)
     monkeypatch.setattr(harness, "_verify_chunk", logging_chunk)
     workers = 2
     report = run_suite("thm4", max_order=3, workers=workers, fail_fast=True)
@@ -282,21 +281,35 @@ def test_repeated_class_discrepancies_match_the_labelled_loop(monkeypatch):
     # the fault is invariant under isomorphism, so later members of a class
     # reuse rows holding a DISCREPANCY; each must still report under its
     # own key, in catalog order, as the labelled loop does
-    real_verify = harness.verify
+    real_outcome = harness._outcome
 
-    def faulty_verify(S, tid):
-        report = real_verify(S, tid)
+    def faulty_outcome(S, tid):
+        outcome = real_outcome(S, tid)
         if S.order == 2:
-            return dataclasses.replace(report, verdict="DISCREPANCY")
-        return report
+            return outcome._replace(verdict="DISCREPANCY")
+        return outcome
 
-    monkeypatch.setattr(harness, "verify", faulty_verify)
-    labelled = [faulty_verify(S, "thm2").to_dict() for S in iter_catalog(2) if S.order == 2]
+    monkeypatch.setattr(harness, "_outcome", faulty_outcome)
+    labelled = [verify(S, "thm2").to_dict() for S in iter_catalog(2) if S.order == 2]
     assert len({d["structure_key"] for d in labelled}) == 20
     for workers in (1, 2):
         report = run_suite("thm2", max_order=2, workers=workers).to_dict()
         assert report["discrepancies"] == labelled
         assert report["totals"] == {"equivalent": 1, "hypothesis_not_met": 0, "DISCREPANCY": 20}
+
+
+def test_a_catalog_without_discrepancy_renders_no_report(monkeypatch):
+    # verdict rows come from truth values and no row of the order <= 3
+    # catalog is a DISCREPANCY, so no report is rendered; forked pool
+    # workers inherit the patch
+    expected = run_suite("all", max_order=3).to_dict()
+
+    def rendering_refused(S, tid):
+        raise AssertionError(f"report rendered for {tid} on {structure_key(S)}")
+
+    monkeypatch.setattr(harness, "verify", rendering_refused)
+    for workers in (1, 2):
+        assert run_suite("all", max_order=3, workers=workers).to_dict() == expected
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -398,6 +411,15 @@ def test_brandt_b2_pinned_values(key):
     thm8 = verify(S, "thm8")
     assert [c["holds"] for c in thm8.conditions] == [False, False, False, False]
     assert thm8.verdict == "equivalent"
+
+
+@pytest.mark.parametrize("key", B2_KEYS, ids=("discrete", "zero-least"))
+def test_b2_rows_render_only_the_cor_hstar_report(key):
+    S = structure_from_key(key)
+    rows = harness._verify_chunk(THEOREM_IDS, S)
+    reports = {tid: report for tid, _, report, _ in rows if report is not None}
+    assert [tid for tid, verdict, _, _ in rows if verdict == "DISCREPANCY"] == ["cor-hstar"]
+    assert reports == {"cor-hstar": verify(S, "cor-hstar").to_dict()}
 
 
 def test_workers_env_is_clamped_to_cpu_count(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -26,7 +27,14 @@ from ordsgp import (
     theorem51_conditions,
 )
 from ordsgp.harness import iter_catalog
-from ordsgp.predicates import PREDICATE_NAMES, lstar_unique_idempotent, read
+from ordsgp.predicates import (
+    PREDICATE_NAMES,
+    _closed_under_product,
+    _is_ideal,
+    _nil_exponents,
+    lstar_unique_idempotent,
+    read,
+)
 
 
 def holds_vector(results):
@@ -267,6 +275,23 @@ def test_duality_law_over_iso_classes():
                 )
         count += 1
     assert count == 1 + 11 + 173 + 188
+
+
+def test_closed_subsets_absorb_powers_exactly_over_the_idempotents():
+    # the absorbing searches test only the supersets of E(S): a candidate
+    # subset absorbs a power of every element exactly when it holds every
+    # idempotent, over the order <= 3 catalog and every order-4 class
+    order4 = enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
+    candidates = absorbing = 0
+    for S in itertools.chain(iter_catalog(3), order4):
+        idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
+        for mask in range(1, 1 << S.order):
+            if _closed_under_product(S, mask) or _is_ideal(S, mask):
+                absorbs = _nil_exponents(S, mask) is not None
+                assert absorbs == (mask & idempotents == idempotents), (S.to_dict(), mask)
+                candidates += 1
+                absorbing += absorbs
+    assert (candidates, absorbing) == (53424, 13944)
 
 
 def test_lemma_predicates():
