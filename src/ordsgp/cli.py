@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 invalid structure (or search exhausted), 2 parse
 error, 3 mathematical discrepancy, 64 usage error (including a request
-beyond a size cap, such as ``analyze`` on a structure with more elements
-than the subset searches accept or more classes of its least semilattice
-congruence than the partition scan accepts; an empty catalog or a negative
-sample count, such as ``verify --max-order 0``; and an ``--out`` file that
-cannot be written, such as one in a missing directory).  Machine output
-goes to stdout as canonical JSON (sorted keys, compact separators) so
-identical runs are byte-identical; human-oriented notes go to stderr.
+beyond a size cap, such as ``analyze`` on a structure with more
+non-idempotent elements than the subset searches accept or more classes of
+its least semilattice congruence than the partition scan accepts; an empty
+catalog or a negative sample count, such as ``verify --max-order 0``; and
+an ``--out`` file that cannot be written, such as one in a missing
+directory).  Machine output goes to stdout as canonical JSON (sorted keys,
+compact separators) so identical runs are byte-identical; human-oriented
+notes go to stderr.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ are int bitmasks, so every set operation is a couple of machine words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def bits_iter(mask):
@@ -519,8 +520,10 @@ def restrict(S, bits):
     return sub, elems
 
 
+@lru_cache(maxsize=None)
 def _discrete(n):
-    """The discrete order (equality) on {0..n-1}, which every table admits."""
+    """The discrete order (equality) on {0..n-1}, which every table admits;
+    cached, so each n has one matrix."""
     return tuple(tuple(i == j for j in range(n)) for i in range(n))
 
 

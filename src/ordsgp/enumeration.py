@@ -4,7 +4,9 @@ One orderly backtrack gives every associative table of order n up to
 relabelling, with its automorphisms; their orbits are the labelled tables.
 Also every compatible partial order of a table, the labelled catalog and
 its up-to-isomorphism stream, and the seeded sample of non-discrete order-n
-structures that the order-4 verification regime draws.
+structures that the order-4 verification regime draws.  The catalog and
+the sample are walked as raw (table, leq) pairs, which the public streams
+build into validated structures; ``_class_key`` keys a pair unbuilt.
 
 Compatible orders are found with int masks over the n*n cells: per table,
 once, the cells each strict pair a <= b forces into the order; per n, once
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, starmap
 
 from .core import OrderedSemigroup, _discrete, bits_iter
 
@@ -70,16 +72,24 @@ def _orbit_map(n):
     return dict(sorted(orbits.items()))
 
 
-def _class_key(S):
-    """(T0, the least image under Aut(T0) of S's order carried onto T0), for
-    a structure of order at most the cap of ``enumerate_tables``: two
-    structures are isomorphic exactly when their keys are equal (see
-    ``enumerate_ordered_semigroups``).  Every relabelling fixes the
-    discrete order, so a discrete S keys on its own order."""
-    least, p, automorphisms = _orbit_map(S.order)[S.table]
-    if all(up == 1 << a for a, up in enumerate(S.above)):
-        return least, S.leq
-    leq = tuple(tuple(S.leq[pa][pb] for pb in p) for pa in p)
+def _class_key(table, leq):
+    """(T0, the least image under Aut(T0) of the order carried onto T0), for
+    a (table, leq) pair of order at most the cap of ``enumerate_tables``:
+    two ordered semigroups are isomorphic exactly when their keys are equal
+    (see ``enumerate_ordered_semigroups``).  Every relabelling fixes the
+    discrete order, so a discrete pair keys on its own order.
+
+    A table outside the store is no associative table on {0..n-1}; the
+    pair is then built, so that the validator raises its own ValueError."""
+    n = len(table)
+    try:
+        least, p, automorphisms = _orbit_map(n)[table]
+    except KeyError:
+        OrderedSemigroup(table, leq)
+        raise
+    if leq == _discrete(n):
+        return least, leq
+    leq = tuple(tuple(leq[pa][pb] for pb in p) for pa in p)
     return least, min(_relabel(leq, a, relabel_entries=False) for a in automorphisms)
 
 
@@ -243,8 +253,15 @@ def enumerate_ordered_semigroups(config):
     relabel onto the same orbit-least table T with orders in one
     ``Aut(T)``-orbit, which is what ``_class_key`` compares.
 
-    Only emitted structures are built.
+    Only emitted structures are built: this is ``_pairs`` with each pair
+    built.
     """
+    return starmap(OrderedSemigroup, _pairs(config))
+
+
+def _pairs(config):
+    """The (table, leq) pairs of ``enumerate_ordered_semigroups``, in its
+    order, none of them built: the one catalog walk."""
     n = config.order
     emitted = 0
     discrete = (_discrete(n),)
@@ -262,7 +279,7 @@ def enumerate_ordered_semigroups(config):
             if leq in images:
                 continue
             images.update(_relabel(leq, p, relabel_entries=False) for p in automorphisms)
-            yield OrderedSemigroup(table, leq)
+            yield table, leq
             emitted += 1
             if config.limit is not None and emitted >= config.limit:
                 return
@@ -290,16 +307,22 @@ def sample_structures(n, count, seed):
     non-discrete compatible order (order 1), where no draw could ever
     succeed.
     """
+    return starmap(OrderedSemigroup, _sample_pairs(n, count, seed))
+
+
+def _sample_pairs(n, count, seed):
+    """The (table, leq) pairs of ``sample_structures``, none of them built;
+    the arguments are checked at the call."""
     if count < 0:
         raise ValueError("count must not be negative")
     tables = tuple(enumerate_tables(n))
     # every table admits the discrete order, so a second one is non-discrete
     if not any(len(_compatible_orders_cached(t)) > 1 for t in tables):
         raise ValueError(f"no table of order {n} admits a non-discrete compatible order")
-    return _draw_structures(tables, count, random.Random(seed))
+    return _draw_pairs(tables, count, random.Random(seed))
 
 
-def _draw_structures(tables, count, rng):
+def _draw_pairs(tables, count, rng):
     emitted = 0
     while emitted < count:
         table = tables[rng.randrange(len(tables))]
@@ -310,5 +333,5 @@ def _draw_structures(tables, count, rng):
         if not orders:
             continue
         leq = orders[rng.randrange(len(orders))]
-        yield OrderedSemigroup(table, leq)
+        yield table, leq
         emitted += 1

@@ -8,8 +8,10 @@ that every condition hold once the hypothesis (antecedent) does.
 
 ``_outcome`` is the one verdict rule: it gives a suite's truth values,
 condition results and verdict on one structure.  ``verify`` renders an
-``EquivalenceReport`` from it.  A catalog run takes each class's verdict
-rows straight from ``_outcome`` and renders a report only for a
+``EquivalenceReport`` from it.  A catalog run walks (table, leq) pairs,
+builds a structure only for the first pair of each isomorphism class (and
+for a later member of a class with a DISCREPANCY), takes each class's
+verdict rows straight from ``_outcome`` and renders a report only for a
 DISCREPANCY row, the one row whose report the suite report keeps.
 """
 
@@ -21,7 +23,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, starmap
 from typing import NamedTuple
 
 from .core import OrderedSemigroup, structure_key
@@ -29,8 +31,9 @@ from .enumeration import (
     GenerationConfig,
     _check_order,
     _class_key,
+    _pairs,
+    _sample_pairs,
     enumerate_ordered_semigroups,
-    sample_structures,
 )
 from .predicates import PREDICATES, _conj, named_predicate, read
 
@@ -232,19 +235,20 @@ def iter_catalog(max_order, sample_count=10_000, sample_seed=0):
     """The verification catalog: every structure (all compatible orders) up
     to order 3, plus at order 4 the discrete-order structures exhaustively
     and a seeded sample of non-discrete ones."""
+    return starmap(OrderedSemigroup, _catalog_pairs(max_order, sample_count, sample_seed))
+
+
+def _catalog_pairs(max_order, sample_count, sample_seed):
+    """The (table, leq) pairs of ``iter_catalog``, in its order, none of
+    them built; the arguments are checked at the call."""
     _check_order(max_order, "max_order")
     if sample_count < 0:
         raise ValueError("sample_count must not be negative")
-    return _catalog_structures(max_order, sample_count, sample_seed)
-
-
-def _catalog_structures(max_order, sample_count, sample_seed):
-    for n in range(1, min(max_order, 3) + 1):
-        yield from enumerate_ordered_semigroups(GenerationConfig(n))
+    walks = [_pairs(GenerationConfig(n)) for n in range(1, min(max_order, 3) + 1)]
     if max_order >= 4:
-        discrete = GenerationConfig(4, order_mode="discrete_only")
-        yield from enumerate_ordered_semigroups(discrete)
-        yield from sample_structures(4, sample_count, sample_seed)
+        walks.append(_pairs(GenerationConfig(4, order_mode="discrete_only")))
+        walks.append(_sample_pairs(4, sample_count, sample_seed))
+    return chain.from_iterable(walks)
 
 
 @dataclass(frozen=True)
@@ -309,56 +313,70 @@ def _verify_chunk(ids, S):
 
 
 def _verify_batch(payload):
-    """Pool task: rows of each (table, leq) pair.  Structures are rebuilt
-    here because OrderedSemigroup does not pickle."""
+    """Pool task: rows of each (table, leq) pair.  Structures are built
+    here, from pairs, because OrderedSemigroup does not pickle."""
     ids, batch = payload
     return [_verify_chunk(ids, OrderedSemigroup(table, leq)) for table, leq in batch]
 
 
-def _structure_rows(ids, catalog, workers):
-    """Verdict rows per catalog structure, in catalog order.
+def _structure_rows(ids, pairs, workers):
+    """Verdict rows per catalog (table, leq) pair, in catalog order.
 
     Verdicts and diagnostics do not change under isomorphism, so only the
-    first structure of each isomorphism class is verified; a later one
-    takes its rows from a memo keyed by ``_class_key``.  A DISCREPANCY
-    report names its structure and witnesses, so a later structure whose
-    class rows hold one is verified here on its own.  The memo keeps rows
-    without reports, and holds each distinct rows value once: a catalog
-    of thousands of classes gives only a handful."""
+    first pair of each isomorphism class is built and verified; a later
+    one takes its rows from a memo keyed by ``_class_key``.  A DISCREPANCY
+    report names its structure and witnesses, so a later pair whose class
+    rows hold one is built and verified here on its own.  The memo keeps
+    rows without reports, with a flag for a DISCREPANCY among them, and
+    holds each distinct rows value once: a catalog of thousands of classes
+    gives only a handful.
+
+    No pair goes unvalidated.  Building a pair runs the validator, which
+    raises ValueError on a pair that is not an ordered semigroup, and the
+    first pair of each key is built, inline or in a pool worker.  A table
+    outside the associative store makes ``_class_key`` build the pair
+    itself, so it raises there.  A later pair has the key of a validated
+    structure: its table relabels onto the same orbit-least table T0, and
+    its order carried onto T0 is an ``Aut(T0)``-image of that structure's
+    order carried onto T0.  So the pair is a relabelling of that structure,
+    and relabelling preserves associativity, the partial-order axioms and
+    compatibility."""
     memo = {}
     distinct = {}
 
     def entries():
-        for S in catalog:
-            key = _class_key(S)
+        for pair in pairs:
+            key = _class_key(*pair)
             first = key not in memo
             memo.setdefault(key, None)  # filled in before a later member comes back
-            yield key, S, first
+            yield key, pair, first
 
     with closing(_first_rows(ids, entries(), workers)) as verified:
-        for key, S, rows in verified:
+        for key, pair, rows in verified:
             if rows is None:
-                rows = memo[key]
-                if any(verdict == VERDICT_DISCREPANCY for _, verdict, _, _ in rows):
-                    rows = _verify_chunk(ids, S)
+                rows, flagged = memo[key]
+                if flagged:
+                    rows = _verify_chunk(ids, OrderedSemigroup(*pair))
             else:
                 shared = tuple((tid, verdict, None, names) for tid, verdict, _, names in rows)
-                memo[key] = distinct.setdefault(shared, shared)
+                flagged = any(verdict == VERDICT_DISCREPANCY for _, verdict, _, _ in rows)
+                memo[key] = distinct.setdefault(shared, (shared, flagged))
             yield rows
 
 
 def _first_rows(ids, entries, workers):
-    """(key, S, verdict rows of S) per (key, S, first) entry, in order, with
-    None for the rows of an entry that is not first.
+    """(key, pair, verdict rows of the pair) per (key, pair, first) entry,
+    in order, with None for the rows of an entry that is not first.
 
-    The pool path verifies batches of up to 64 first entries, with the
-    entries that are not first among them, and keeps at most ``2 * workers``
-    batches in flight, so a consumer that stops early (``fail_fast``) and
-    closes this generator leaves only those to finish; queued batches are
-    cancelled."""
+    The inline path builds the structure of each first entry.  The pool
+    path sends the first entries' pairs, which the workers build, in
+    batches of up to 64 first entries, with the entries that are not first
+    among them, and keeps at most ``2 * workers`` batches in flight, so a
+    consumer that stops early (``fail_fast``) and closes this generator
+    leaves only those to finish; queued batches are cancelled."""
     if workers == 1:
-        for key, S, first in entries:
-            yield key, S, _verify_chunk(ids, S) if first else None
+        for key, pair, first in entries:
+            yield key, pair, _verify_chunk(ids, OrderedSemigroup(*pair)) if first else None
         return
 
     def batches():
@@ -366,9 +384,9 @@ def _first_rows(ids, entries, workers):
             batch, firsts = [], []
             for entry in entries:
                 batch.append(entry)
-                _, S, first = entry
+                _, pair, first = entry
                 if first:
-                    firsts.append((S.table, S.leq))
+                    firsts.append(pair)
                     if len(firsts) == 64:
                         break
             if not batch:
@@ -386,8 +404,8 @@ def _first_rows(ids, entries, workers):
         while window:
             batch, future = window.popleft()
             rows = iter(future.result())
-            for key, S, first in batch:
-                yield key, S, next(rows) if first else None
+            for key, pair, first in batch:
+                yield key, pair, next(rows) if first else None
             window.extend(submit(1))
     finally:
         pool.shutdown(cancel_futures=True)
@@ -417,8 +435,8 @@ def run_suite(
     reading_disagreements = {}
     structures = 0
 
-    catalog = iter_catalog(max_order, sample_count, sample_seed)
-    with closing(_structure_rows(ids, catalog, workers)) as structure_rows:
+    pairs = _catalog_pairs(max_order, sample_count, sample_seed)
+    with closing(_structure_rows(ids, pairs, workers)) as structure_rows:
         for rows in structure_rows:
             structures += 1
             for tid, verdict, report, disagreements in rows:

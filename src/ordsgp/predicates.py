@@ -294,9 +294,14 @@ def _absorbing_candidates(S, candidate):
     absorbs a power of every element exactly when it holds every
     idempotent: an idempotent is its own only power, and the powers of a
     power of a include the idempotent power of a.  So only the supersets
-    of E(S) are tested."""
+    of E(S) are tested: 2^k masks for the k non-idempotent elements, the
+    count that ``SUBSET_SEARCH_CAP`` bounds."""
     def build():
         idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
+        if S.order - idempotents.bit_count() > SUBSET_SEARCH_CAP:
+            raise ValueError(
+                f"subset search capped at {SUBSET_SEARCH_CAP} non-idempotent elements"
+            )
         return tuple(
             (mask, _nil_exponents(S, mask))
             for mask in _subset_masks(S.order, idempotents)
@@ -313,8 +318,6 @@ def _absorbing_search(S, candidate, kernel_tag, label, **extra):
     well, as every finite ordered semigroup is: some power of each element
     is idempotent, hence regular.  The subset is reported under ``label``
     in the result data."""
-    if S.order > SUBSET_SEARCH_CAP:
-        raise ValueError(f"subset search capped at {SUBSET_SEARCH_CAP} elements")
     checks = _KERNEL_CHECKS[kernel_tag]
     for mask, exps in _absorbing_candidates(S, candidate):
         sub, elems = restrict(S, mask)
@@ -798,7 +801,24 @@ def _cor_hstar_readings(S):
 
 def cor_hstar_conditions(S):
     """H*-flavoured variant of the thm8 battery (suite id ``cor-hstar``);
-    meaningful under the pi-inverse hypothesis."""
+    meaningful under the pi-inverse hypothesis.
+
+    As encoded here, ``pi-inverse`` says that every a has a power a^m whose
+    ordered inverses all lie in one H-class.  H* relates a and b when their
+    least regular powers are H-related.  The conditions are:
+    (1) H* is a congruence; (2) L* = R* = H*; (3) S is a semilattice of
+    pi-t-simple ordered semigroups, over all semilattice congruences (the
+    ``cor-hstar-complete`` reading: over complete ones); (4) H* is a
+    semilattice congruence.  This is thm8 with H* for R* and pi-t-simple
+    for right pi-t-simple.  The encoding could not be checked against the
+    paper's statement of the corollary, whose full text is not at hand.
+
+    Evidence: on the Brandt semigroup B2, under the discrete order and
+    under 0 least, pi-inverse holds and the vector is TFFF, a DISCREPANCY.
+    ``starred`` compares least regular powers, so on a regular structure
+    such as B2 H* is H; B2 is combinatorial, so H is equality, and (1)
+    holds with no further check.  Conditions (2)-(4) fail: L* has classes
+    {0}, {1,3}, {2,4} and R* has {0}, {1,2}, {3,4}."""
     return read(S, "cor-hstar-readings")[0]
 
 

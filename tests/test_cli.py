@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -140,6 +141,28 @@ def test_verify_thm2_order3(capsys):
     assert out["totals"] == {"equivalent": 992, "hypothesis_not_met": 0, "DISCREPANCY": 0}
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--max-order", "3"],
+            "bf83155ff7f6d5faa5cb57031595f083b6e1f7d38e24f8551209af4c79d492ac",
+        ),
+        (
+            ["--max-order", "4", "--sample-count", "100", "--sample-seed", "7"],
+            "060e4b93ce3668554eb35e9e2149018b59614ad2d40a481989b5ba1145be8194",
+        ),
+    ],
+    ids=["order3", "order4-sample100-seed7"],
+)
+def test_verify_stdout_digest(capsys, monkeypatch, argv, digest, workers):
+    # byte-level guard of the whole verify report, the order-4 regime included
+    monkeypatch.setenv("ORDSGP_WORKERS", workers)
+    assert main(["verify", "--theorem", "all", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_verify_bogus_theorem_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--theorem", "bogus", "--max-order", "2"])
@@ -181,6 +204,16 @@ def left_zero_band(order):
     }
 
 
+def null_semigroup(order):
+    """x*y = 0 under the discrete order: one eta-class, and 0 the one
+    idempotent."""
+    return {
+        "order": order,
+        "table": [[0] * order for _ in range(order)],
+        "leq": [[i == j for j in range(order)] for i in range(order)],
+    }
+
+
 def min_chain(order):
     """x*y = min(x, y) under the usual order: eta has a class per element."""
     return {
@@ -199,9 +232,9 @@ def min_chain(order):
             id="11-partition enumeration capped at 10",
         ),
         pytest.param(
-            left_zero_band(13),
-            "subset search capped at 12 elements",
-            id="13-subset search capped at 12",
+            null_semigroup(14),
+            "subset search capped at 12 non-idempotent elements",
+            id="14-subset search capped at 12",
         ),
     ],
 )
@@ -217,6 +250,19 @@ def test_partition_cap_counts_eta_classes(tmp_path, capsys):
     assert main(["analyze", "--json", write(tmp_path, "s.json", left_zero_band(11))]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["order"] == 11
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [left_zero_band(13), null_semigroup(13)],
+    ids=["13-left-zero-band", "13-null-semigroup"],
+)
+def test_subset_cap_counts_non_idempotent_elements(tmp_path, capsys, structure):
+    # 0 and 12 non-idempotent elements: both within the cap of 12
+    assert main(["analyze", "--json", write(tmp_path, "s.json", structure)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["order"] == 13
     assert captured.err == ""
 
 

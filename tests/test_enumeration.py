@@ -88,7 +88,7 @@ def test_class_key_separates_exactly_the_isomorphism_classes():
     for catalog in catalogs:
         keys = set()
         for S in catalog:
-            key = _class_key(S)
+            key = _class_key(S.table, S.leq)
             keys.add(key)
             pairs.add((key, canonical_form(S)))
         counts.append(len(keys))
@@ -106,10 +106,26 @@ def test_class_key_equals_the_always_relabelled_key():
 
     structures = discrete = 0
     for S in iter_catalog(4, sample_count=300, sample_seed=5):
-        assert _class_key(S) == relabelled_key(S), S.to_dict()
+        assert _class_key(S.table, S.leq) == relabelled_key(S), S.to_dict()
         structures += 1
         discrete += S.leq == tuple(tuple(i == j for j in S.elements()) for i in S.elements())
     assert (structures, discrete) == (4784, 3614)
+
+
+def test_incompatible_orders_key_outside_the_catalog():
+    # a key names a relabelling of the structure that first had it, so an
+    # order that is not compatible with its table never shares a key with
+    # a catalog structure; here every table of order <= 3 with every order
+    catalog = {_class_key(S.table, S.leq) for S in iter_catalog(3)}
+    incompatible = 0
+    for n in (1, 2, 3):
+        for table in enumerate_tables(n):
+            compatible = set(enumerate_compatible_orders(table))
+            for leq in all_partial_orders(n):
+                if leq not in compatible:
+                    incompatible += 1
+                    assert _class_key(table, leq) not in catalog, (table, leq)
+    assert (len(catalog), incompatible) == (185, 1180)
 
 
 def test_enumerate_tables_order4_golden_digest():

@@ -6,6 +6,7 @@ import pytest
 from ordsgp import (
     THEOREM_IDS,
     GenerationConfig,
+    OrderedSemigroup,
     enumerate_ordered_semigroups,
     lz2,
     n2,
@@ -19,6 +20,7 @@ from ordsgp import (
     verify,
 )
 from ordsgp import harness
+from ordsgp.enumeration import _class_key
 from ordsgp.harness import iter_catalog
 from ordsgp.relations import starred
 
@@ -324,7 +326,43 @@ def test_structure_rows_equal_the_labelled_rows(order):
 
     labelled = [harness._verify_chunk(THEOREM_IDS, S) for S in catalog()]
     for workers in (1, 2):
-        assert list(harness._structure_rows(THEOREM_IDS, catalog(), workers)) == labelled
+        pairs = ((S.table, S.leq) for S in catalog())
+        assert list(harness._structure_rows(THEOREM_IDS, pairs, workers)) == labelled
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "table, leq, message",
+    [
+        (((1, 0), (0, 0)), ((True, False), (False, True)), "associativity fails"),
+        (((0, 1), (1, 0)), ((True, True), (False, True)), "left-compatibility fails"),
+    ],
+    ids=["non-associative", "incompatible"],
+)
+def test_structure_rows_raise_the_validator_error_on_a_first_pair(table, leq, message, workers):
+    # the first pair of a key is built, inline or in a pool worker, and a
+    # table outside the associative store is built by its key
+    with pytest.raises(ValueError, match=f"not an ordered semigroup: {message}"):
+        list(harness._structure_rows(THEOREM_IDS, [(table, leq)], workers))
+
+
+def test_run_suite_builds_one_structure_per_class(monkeypatch):
+    # the inline path builds each class's first pair and nothing else; with
+    # a pool the workers build them and the parent builds none
+    built = []
+
+    def counting(table, leq):
+        built.append(_class_key(table, leq))
+        return OrderedSemigroup(table, leq)
+
+    keys = list(dict.fromkeys(_class_key(S.table, S.leq) for S in iter_catalog(3)))
+    expected = run_suite("all", max_order=3, workers=1).to_dict()
+    monkeypatch.setattr(harness, "OrderedSemigroup", counting)
+    assert run_suite("all", max_order=3, workers=1).to_dict() == expected
+    assert built == keys and len(keys) == 185
+    built.clear()
+    assert run_suite("all", max_order=3, workers=2).to_dict() == expected
+    assert built == []
 
 
 def test_golden_report_digest_order3():
