@@ -155,15 +155,16 @@ def _semilattice_certificates(S):
     on S.  Only the partitions of the eta-classes are classified, lifted
     through eta's restricted-growth labels, which keeps the coarsest-first
     order of :func:`all_partitions` on the whole carrier."""
-    def build():
-        eta = _eta(S)
-        certs = (
-            classify_partition(S, Partition(S.order, [p.class_of[c] for c in eta.class_of]))
-            for p in all_partitions(eta.num_classes)
-        )
-        return tuple(cert for cert in certs if cert.is_semilattice_congruence())
+    return S.cached(("semilattice-congruences",), _build_semilattice_certificates)
 
-    return S.cached(("semilattice-congruences",), build)
+
+def _build_semilattice_certificates(S, key):
+    eta = _eta(S)
+    certs = (
+        classify_partition(S, Partition(S.order, [p.class_of[c] for c in eta.class_of]))
+        for p in all_partitions(eta.num_classes)
+    )
+    return tuple(cert for cert in certs if cert.is_semilattice_congruence())
 
 
 def enumerate_semilattice_congruences(S):
@@ -205,7 +206,11 @@ def _class_sub(S, mask):
     entry of S refers back to S."""
     if mask == S.full:
         return S
-    return S.cached(("class-sub", mask), lambda: restrict(S, mask)[0])
+    return S.cached(("class-sub", mask), _build_class_sub)
+
+
+def _build_class_sub(S, key):
+    return restrict(S, key[1])[0]
 
 
 def _class_holds(S, mask, class_predicate):

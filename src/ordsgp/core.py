@@ -8,16 +8,22 @@ are int bitmasks, so every set operation is a couple of machine words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
+@lru_cache(maxsize=1 << 16)
 def bits_iter(mask):
-    """Yield the set bit positions of an int mask, ascending."""
+    """The set bit positions of an int mask, ascending, as a tuple.
+
+    A pure function of the int, memoised process-wide in a bounded table:
+    the element masks of a carrier of order n are only 2^n ints."""
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(bits)
 
 
 class SubsetMask:
@@ -52,7 +58,7 @@ class SubsetMask:
         return 0 <= x < self.n and bool(self.bits >> x & 1)
 
     def __iter__(self):
-        return bits_iter(self.bits)
+        return iter(bits_iter(self.bits))
 
     def __len__(self):
         return self.bits.bit_count()
@@ -242,11 +248,15 @@ class OrderedSemigroup:
             return elements
         return SubsetMask.from_elements(self.order, elements)
 
-    def cached(self, key, fn):
+    def cached(self, key, build):
+        """The value derived under ``key``: ``build(self, key)`` on the first
+        lookup, the stored value afterwards.  Each builder is a module-level
+        function that reads its arguments from the key, so a hit allocates
+        nothing beyond the key itself."""
         try:
             return self._cache[key]
         except KeyError:
-            value = self._cache[key] = fn()
+            value = self._cache[key] = build(self, key)
             return value
 
     def __eq__(self, other):
@@ -291,12 +301,13 @@ def structure_key(S):
     Table entries are written without separators, so keys are unique and
     round-trip through :func:`structure_from_key` only when every entry is a
     single digit."""
-    def build():
-        t = "".join(str(v) for row in S.table for v in row)
-        o = "".join("1" if v else "0" for row in S.leq for v in row)
-        return f"n{S.order}:{t}:{o}"
+    return S.cached(("key",), _build_key)
 
-    return S.cached(("key",), build)
+
+def _build_key(S, key):
+    t = "".join(str(v) for row in S.table for v in row)
+    o = "".join("1" if v else "0" for row in S.leq for v in row)
+    return f"n{S.order}:{t}:{o}"
 
 
 def structure_from_key(key):
@@ -348,9 +359,10 @@ def _close(S, bits):
 def _prod(S, abits, bbits):
     out = 0
     table = S.table
+    bs = bits_iter(bbits)
     for a in bits_iter(abits):
         row = table[a]
-        for b in bits_iter(bbits):
+        for b in bs:
             out |= 1 << row[b]
     return out
 
@@ -362,17 +374,29 @@ def _above(S, x, bits):
 
 def _sa(S, a):
     """(Sa] as a bitmask, cached."""
-    return S.cached(("Sa", a), lambda: _close(S, _prod(S, S.full, 1 << a)))
+    return S.cached(("Sa", a), _build_sa)
+
+
+def _build_sa(S, key):
+    return _close(S, _prod(S, S.full, 1 << key[1]))
 
 
 def _as(S, a):
     """(aS] as a bitmask, cached."""
-    return S.cached(("aS", a), lambda: _close(S, _prod(S, 1 << a, S.full)))
+    return S.cached(("aS", a), _build_as)
+
+
+def _build_as(S, key):
+    return _close(S, _prod(S, 1 << key[1], S.full))
 
 
 def _sas(S, a):
     """(SaS] as a bitmask, cached."""
-    return S.cached(("SaS", a), lambda: _close(S, _prod(S, _prod(S, S.full, 1 << a), S.full)))
+    return S.cached(("SaS", a), _build_sas)
+
+
+def _build_sas(S, key):
+    return _close(S, _prod(S, _prod(S, S.full, 1 << key[1]), S.full))
 
 
 def downward_closure(S, A):
@@ -425,6 +449,10 @@ class PowerProfile:
     index: int
     period: int
     powers: tuple
+    _exponents: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_exponents", tuple(enumerate(self.powers, start=1)))
 
     def value(self, m):
         """Value of a^m for any exponent m >= 1."""
@@ -433,26 +461,29 @@ class PowerProfile:
         return self.powers[self.index - 1 + (m - self.index) % self.period]
 
     def exponents(self):
-        """(m, a^m) for each distinct power, in increasing exponent order."""
-        return tuple(enumerate(self.powers, start=1))
+        """(m, a^m) for each distinct power, in increasing exponent order;
+        built once with the profile."""
+        return self._exponents
 
 
 def power_profile(S, a):
     """Index, period, and distinct values of the power sequence of a."""
-    def build():
-        seen = {a: 1}
-        powers = [a]
-        v = a
-        while True:
-            v = S.table[v][a]
-            if v in seen:
-                index = seen[v]
-                period = len(powers) + 1 - index
-                return PowerProfile(a, index, period, tuple(powers))
-            seen[v] = len(powers) + 1
-            powers.append(v)
+    return S.cached(("pp", a), _build_power_profile)
 
-    return S.cached(("pp", a), build)
+
+def _build_power_profile(S, key):
+    a = key[1]
+    seen = {a: 1}
+    powers = [a]
+    v = a
+    while True:
+        v = S.table[v][a]
+        if v in seen:
+            index = seen[v]
+            period = len(powers) + 1 - index
+            return PowerProfile(a, index, period, tuple(powers))
+        seen[v] = len(powers) + 1
+        powers.append(v)
 
 
 def joint_power_exponents(S, specs):
@@ -502,7 +533,7 @@ def restrict(S, bits):
         return S, tuple(range(S.order))
     if bits < 0 or bits >> S.order:
         raise ValueError(f"bitmask {bits:#x} does not fit a carrier of size {S.order}")
-    elems = tuple(bits_iter(bits))
+    elems = bits_iter(bits)
     if not elems:
         raise ValueError("cannot restrict to the empty subset")
     pos = {x: i for i, x in enumerate(elems)}

@@ -296,19 +296,21 @@ def _absorbing_candidates(S, candidate):
     power of a include the idempotent power of a.  So only the supersets
     of E(S) are tested: 2^k masks for the k non-idempotent elements, the
     count that ``SUBSET_SEARCH_CAP`` bounds."""
-    def build():
-        idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
-        if S.order - idempotents.bit_count() > SUBSET_SEARCH_CAP:
-            raise ValueError(
-                f"subset search capped at {SUBSET_SEARCH_CAP} non-idempotent elements"
-            )
-        return tuple(
-            (mask, _nil_exponents(S, mask))
-            for mask in _subset_masks(S.order, idempotents)
-            if candidate(S, mask)
-        )
+    return S.cached(("absorbing", candidate), _build_absorbing_candidates)
 
-    return S.cached(("absorbing", candidate), build)
+
+def _build_absorbing_candidates(S, key):
+    candidate = key[1]
+    idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
+    if S.order - idempotents.bit_count() > SUBSET_SEARCH_CAP:
+        raise ValueError(
+            f"subset search capped at {SUBSET_SEARCH_CAP} non-idempotent elements"
+        )
+    return tuple(
+        (mask, _nil_exponents(S, mask))
+        for mask in _subset_masks(S.order, idempotents)
+        if candidate(S, mask)
+    )
 
 
 def _absorbing_search(S, candidate, kernel_tag, label, **extra):
@@ -339,10 +341,12 @@ def nil_extension_search(S, kernel_tag):
     element has a power inside K."""
     if kernel_tag not in _KERNEL_CHECKS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
-    return S.cached(
-        ("nilext", kernel_tag),
-        lambda: _absorbing_search(S, _is_ideal, kernel_tag, "kernel", tag=kernel_tag),
-    )
+    return S.cached(("nilext", kernel_tag), _build_nil_extension)
+
+
+def _build_nil_extension(S, key):
+    kernel_tag = key[1]
+    return _absorbing_search(S, _is_ideal, kernel_tag, "kernel", tag=kernel_tag)
 
 
 # -- the eight-way battery for left pi-t-simple ---------------------------
@@ -496,17 +500,18 @@ def theorem4_conditions(S):
 def _ideal_generators(S, side):
     """Per element v: the ordered idempotents generating (Sv] (side "left")
     or (vS], and whether they are R-unique (L-unique); cached on S."""
-    def build():
-        ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
-        idempotents = list(ordered_idempotents(S))
-        out = []
-        for v in S.elements():
-            ideal = ideal_of(S, v)
-            gens = [e for e in idempotents if ideal_of(S, e) == ideal]
-            out.append((gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])))
-        return out
+    return S.cached(("generators", side), _build_ideal_generators)
 
-    return S.cached(("generators", side), build)
+
+def _build_ideal_generators(S, key):
+    ideal_of, rel = (_sa, green(S, "R")) if key[1] == "left" else (_as, green(S, "L"))
+    idempotents = list(ordered_idempotents(S))
+    out = []
+    for v in S.elements():
+        ideal = ideal_of(S, v)
+        gens = [e for e in idempotents if ideal_of(S, e) == ideal]
+        out.append((gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])))
+    return out
 
 
 def _pi_inverse_side(S, side, all_powers=False):
@@ -543,16 +548,17 @@ def _unrelated_inverses(S, kind):
     """Per element v: its ordered inverses, and the first pair of them, led
     by the least, that Green's relation ``kind`` does not relate (or None);
     cached on S."""
-    def build():
-        rel = green(S, kind)
-        out = []
-        for v in S.elements():
-            inv = list(bits_iter(_inverses_bits(S, v)))
-            bad = next(((inv[0], y) for y in inv[1:] if not rel.same(inv[0], y)), None)
-            out.append((inv, bad))
-        return out
+    return S.cached(("unrelated-inverses", kind), _build_unrelated_inverses)
 
-    return S.cached(("unrelated-inverses", kind), build)
+
+def _build_unrelated_inverses(S, key):
+    rel = green(S, key[1])
+    out = []
+    for v in S.elements():
+        inv = list(bits_iter(_inverses_bits(S, v)))
+        bad = next(((inv[0], y) for y in inv[1:] if not rel.same(inv[0], y)), None)
+        out.append((inv, bad))
+    return out
 
 
 def _p_pi_inverse(S):
@@ -818,7 +824,11 @@ def cor_hstar_conditions(S):
     ``starred`` compares least regular powers, so on a regular structure
     such as B2 H* is H; B2 is combinatorial, so H is equality, and (1)
     holds with no further check.  Conditions (2)-(4) fail: L* has classes
-    {0}, {1,3}, {2,4} and R* has {0}, {1,2}, {3,4}."""
+    {0}, {1,3}, {2,4} and R* has {0}, {1,2}, {3,4}.  On B2, ``thm8`` and
+    ``cor-cpr`` give FFFF.  The 8 discrepancies of the discrete order-6
+    tables all reduce to B2: 7 hold B2 as a subsemigroup, and the Rees
+    quotient of n6:000333010335002343333000343002335010 (discrete order)
+    by its ideal {0, 3} is B2."""
     return read(S, "cor-hstar-readings")[0]
 
 
@@ -944,7 +954,11 @@ READINGS = {
 def read(S, name):
     """The reading ``name`` of ``READINGS`` on S, computed once and cached
     on S."""
-    return S.cached(("read", name), lambda: READINGS[name](S))
+    return S.cached(("read", name), _build_read)
+
+
+def _build_read(S, key):
+    return READINGS[key[1]](S)
 
 
 def named_predicate(S, name):

@@ -92,38 +92,42 @@ def green(S, kind):
     """Green's relation L, R, J (equal principal ideals) or H = L meet R."""
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation {kind!r}")
+    return S.cached(("green", kind), _build_green)
 
-    def build():
-        if kind == "H":
-            return green(S, "L").meet(green(S, "R"))
-        ideal = _IDEAL_KIND[kind]
-        return Partition(S.order, tuple(_principal_bits(S, a, ideal) for a in S.elements()))
 
-    return S.cached(("green", kind), build)
+def _build_green(S, key):
+    kind = key[1]
+    if kind == "H":
+        return green(S, "L").meet(green(S, "R"))
+    ideal = _IDEAL_KIND[kind]
+    return Partition(S.order, tuple(_principal_bits(S, a, ideal) for a in S.elements()))
 
 
 def ordered_idempotents(S):
     """All e with e <= e*e."""
-    def build():
-        bits = 0
-        for e in S.elements():
-            if S.leq[e][S.table[e][e]]:
-                bits |= 1 << e
-        return SubsetMask(S.order, bits)
+    return S.cached(("E",), _build_ordered_idempotents)
 
-    return S.cached(("E",), build)
+
+def _build_ordered_idempotents(S, key):
+    bits = 0
+    for e in S.elements():
+        if S.leq[e][S.table[e][e]]:
+            bits |= 1 << e
+    return SubsetMask(S.order, bits)
 
 
 def _inverses_bits(S, a):
-    def build():
-        bits = 0
-        table = S.table
-        for b in S.elements():
-            if S.leq[a][table[table[a][b]][a]] and S.leq[b][table[table[b][a]][b]]:
-                bits |= 1 << b
-        return bits
+    return S.cached(("V", a), _build_inverses_bits)
 
-    return S.cached(("V", a), build)
+
+def _build_inverses_bits(S, key):
+    a = key[1]
+    bits = 0
+    table = S.table
+    for b in S.elements():
+        if S.leq[a][table[table[a][b]][a]] and S.leq[b][table[table[b][a]][b]]:
+            bits |= 1 << b
+    return bits
 
 
 def ordered_inverses(S, a):
@@ -157,27 +161,28 @@ def _regular_value(S, v):
 
 
 def regularity_profile(S):
-    def build():
-        regular, completely, intra, smallest, witness = [], [], [], [], []
-        table = S.table
-        for a in S.elements():
-            regular.append(_regular_value(S, a) is not None)
-            a2 = table[a][a]
-            completely.append(_above(S, a, _prod(S, _prod(S, 1 << a2, S.full), 1 << a2)))
-            intra.append(_above(S, a, _sas(S, a2)))
-            for m, v in power_profile(S, a).exponents():
-                x = _regular_value(S, v)
-                if x is not None:
-                    smallest.append(m)
-                    witness.append(x)
-                    break
-            else:
-                raise AssertionError(f"element {a} has no regular power")
-        return RegularityProfile(
-            tuple(regular), tuple(completely), tuple(intra), tuple(smallest), tuple(witness)
-        )
+    return S.cached(("regprofile",), _build_regularity_profile)
 
-    return S.cached(("regprofile",), build)
+
+def _build_regularity_profile(S, key):
+    regular, completely, intra, smallest, witness = [], [], [], [], []
+    table = S.table
+    for a in S.elements():
+        regular.append(_regular_value(S, a) is not None)
+        a2 = table[a][a]
+        completely.append(_above(S, a, _prod(S, _prod(S, 1 << a2, S.full), 1 << a2)))
+        intra.append(_above(S, a, _sas(S, a2)))
+        for m, v in power_profile(S, a).exponents():
+            x = _regular_value(S, v)
+            if x is not None:
+                smallest.append(m)
+                witness.append(x)
+                break
+        else:
+            raise AssertionError(f"element {a} has no regular power")
+    return RegularityProfile(
+        tuple(regular), tuple(completely), tuple(intra), tuple(smallest), tuple(witness)
+    )
 
 
 def smallest_regular_power(S, a):
@@ -197,16 +202,17 @@ def starred(S, kind):
     """
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown starred relation {kind!r}")
+    return S.cached(("starred", kind), _build_starred)
 
-    def build():
-        if kind == "H":
-            return starred(S, "L").meet(starred(S, "R"))
-        base = green(S, kind)
-        return Partition(
-            S.order, tuple(base.class_of[regular_power_value(S, a)] for a in S.elements())
-        )
 
-    return S.cached(("starred", kind), build)
+def _build_starred(S, key):
+    kind = key[1]
+    if kind == "H":
+        return starred(S, "L").meet(starred(S, "R"))
+    base = green(S, kind)
+    return Partition(
+        S.order, tuple(base.class_of[regular_power_value(S, a)] for a in S.elements())
+    )
 
 
 def is_rho_unique(S, partition, subset):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -178,8 +179,51 @@ def test_joint_power_exponents_covers_all_values():
     assert seen[2] == (0, 0)
 
 
+def naive_bits(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_bits_iter_is_an_ascending_scan():
+    for mask in range(1 << 13):
+        assert core.bits_iter(mask) == naive_bits(mask), mask
+    rng = random.Random(18)
+    for _ in range(2000):
+        mask = rng.getrandbits(rng.randint(14, 40))
+        assert core.bits_iter(mask) == naive_bits(mask), mask
+
+
+def test_bits_iter_memo_is_bounded():
+    maxsize = core.bits_iter.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_power_profile_exponents_enumerate_the_powers():
+    for S in iter_catalog(3):
+        for a in S.elements():
+            prof = power_profile(S, a)
+            assert prof.exponents() == tuple(enumerate(prof.powers, 1))
+
+
+def test_cached_builds_once_per_key_and_never_on_a_hit():
+    S = sl2()
+    calls = []
+
+    def build(T, key):
+        calls.append((T, key))
+        return len(calls)
+
+    assert S.cached(("probe", 1), build) == 1
+    assert S.cached(("probe", 1), build) == 1
+    assert S.cached(("probe", 2), build) == 2
+    assert S.cached(("probe", 1), build) == 1
+    assert calls == [(S, ("probe", 1)), (S, ("probe", 2))]
+    assert all(T is S for T, _ in calls)
+
+
 def test_subset_mask_behaviour():
     m = SubsetMask.from_elements(4, [0, 2])
+    it = iter(m)
+    assert iter(it) is it and next(it) == 0
     assert list(m) == [0, 2]
     assert 2 in m and 1 not in m
     assert len(m) == 2

@@ -6,7 +6,8 @@ module, so the structure layer knows nothing of which orders are
 enumerated.  The named readings live in ``predicates.py`` above
 ``congruences.py``, and the harness reaches them only through
 ``predicates``; every import is at module level, so a cycle between
-modules fails at import time.
+modules fails at import time.  ``OrderedSemigroup.cached`` has one calling
+idiom: a module-level builder that reads its arguments from the key.
 """
 
 import ast
@@ -85,3 +86,27 @@ def test_congruences_imports_no_reading_layer():
 
 def test_harness_imports_nothing_from_congruences():
     assert "congruences" not in set(imported_modules(parse(PACKAGE / "harness.py")))
+
+
+def test_cache_builders_are_module_level_functions():
+    # A lambda or a nested def passed to S.cached is a fresh closure on
+    # every lookup, hit or miss; a module-level builder costs nothing.
+    calls = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        builders = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cached"
+            ):
+                continue
+            calls += 1
+            build = node.args[1] if len(node.args) > 1 else node.keywords[0].value
+            assert isinstance(build, ast.Name) and build.id in builders, (
+                path.name,
+                node.lineno,
+                ast.unparse(build),
+            )
+    assert calls > 0
