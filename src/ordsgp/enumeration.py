@@ -29,8 +29,15 @@ EXHAUSTIVE_TABLE_CAP = 4
 ORDER_MODES = ("all_partial_orders", "discrete_only")
 
 
+def _check_int(value, name):
+    """Reject the argument ``name`` unless it is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_order(order, name="order"):
-    """The one check of a catalog order, the argument ``name``: 1 <= order <= cap."""
+    """The one check of a catalog order, the argument ``name``: an int, 1 <= order <= cap."""
+    _check_int(order, name)
     if order < 1:
         raise ValueError(f"{name} must be at least 1")
     if order > EXHAUSTIVE_TABLE_CAP:
@@ -48,8 +55,10 @@ class GenerationConfig:
         _check_order(self.order)
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be at least 1 when present")
+        if self.limit is not None:
+            _check_int(self.limit, "limit")
+            if self.limit < 1:
+                raise ValueError("limit must be at least 1 when present")
 
 
 def enumerate_tables(n):
@@ -98,66 +107,78 @@ def _least_tables(n):
     lexicographically smaller, with its automorphisms, in lexicographic
     order: one depth-first row-major cell fill.  Row and column n of the
     working table hold n, the mark of an undefined cell, so a product
-    through an undefined cell is undefined."""
-    table = [[n] * (n + 1) for _ in range(n + 1)]
+    through an undefined cell is undefined.
 
-    def fill(k, perms):
-        if k == n * n:
-            yield tuple(tuple(row[:n]) for row in table[:n]), tuple(p for p, *_ in perms)
+    A placement fails when a determined triple that reads the cell does
+    not associate (``_associates_at``), or when some relabelling p maps the
+    filled cells to a smaller table, compared row-major up to the first
+    cell q whose image reads an unplaced cell.  A p that maps them to a
+    larger table is dropped.  Each p still in play is an entry (p, inverse
+    of p, q) in the waiting list of one cell: the later of q and the cell
+    its image reads, whose placement decides the comparison.  So placing
+    cell k re-examines only cell k's list, from each entry's q on, and
+    appends each survivor to the list of a later cell; the appends are
+    undone on backtrack.  The inverse is padded with 0, so an entry that
+    compares equal on every cell waits in list n*n: those entries are
+    Aut(T)."""
+    cells = n * n
+    table = [[n] * (n + 1) for _ in range(n + 1)]
+    waiting = [[] for _ in range(cells + 1)]
+    waiting[0] = [(p, tuple(map(p.index, range(n))) + (0,), 0) for p in permutations(range(n))]
+
+    def fill(k):
+        if k == cells:
+            automorphisms = tuple(sorted(p for p, _, _ in waiting[cells]))
+            yield tuple(tuple(row[:n]) for row in table[:n]), automorphisms
             return
         i, j = divmod(k, n)
         for v in range(n):
             table[i][j] = v
-            kept = _placement_survivors(table, n, i, j, perms)
-            if kept is not None:
-                yield from fill(k + 1, kept)
+            if not _associates_at(table, n, i, j):
+                continue
+            moved = []
+            for p, inv, q in waiting[k]:
+                image = cell = 0
+                while image == cell:
+                    r, c = divmod(q, n)
+                    a, b = inv[r], inv[c]
+                    w = a * n + b
+                    if q > k or w > k:
+                        w = q if q > w else w
+                        waiting[w].append((p, inv, q))
+                        moved.append(w)
+                        break
+                    image, cell = p[table[a][b]], table[r][c]
+                    q += 1
+                if image < cell:
+                    break
+            else:
+                yield from fill(k + 1)
+            for w in moved:
+                waiting[w].pop()
         table[i][j] = n
 
-    start = [(p, tuple(map(p.index, range(n))) + (n,), 0, 0) for p in permutations(range(n))]
-    yield from fill(0, start)
+    yield from fill(0)
 
 
-def _placement_survivors(table, n, i, j, perms):
-    """The relabellings of ``perms`` that may still fix the table once cell
-    (i, j) is placed, or None when the placement fails: when a determined
-    triple that reads the cell does not associate (a*b = (i, j), b*c =
-    (i, j), (a*b)*c with a*b = i and c = j, or a*(b*c) with a = i and b*c =
-    j), or when some p maps the filled cells to a smaller table, compared
-    row-major up to the first cell q whose image reads an unplaced cell.  A
-    p that maps them to a larger table is dropped.
-
-    Each entry is (p, inverse of p padded with n, q, w).  Cells are placed
-    row-major, so the image of cell q is decided by the placement of cell w,
-    the later of q and the cell its image reads.  Only entries with w the
-    placed cell are compared again, and from q on."""
+def _associates_at(table, n, i, j):
+    """Whether every determined triple that reads the placed cell (i, j)
+    associates: a*b = (i, j), b*c = (i, j), (a*b)*c with a*b = i and c = j,
+    and a*(b*c) with a = i and b*c = j.  A product through n, the undefined
+    mark, is itself undefined and agrees with anything."""
     v, row_i = table[i][j], table[i]
     for x in range(n):
         row_x = table[x]
-        pairs = [(table[v][x], row_i[table[j][x]]), (table[row_x[i]][j], row_x[v])]
-        pairs += [(v, row_x[table[y][j]]) for y in range(n) if row_x[y] == i]
-        pairs += [(table[row_i[x]][y], v) for y in range(n) if row_x[y] == j]
-        if any(left != right and left < n and right < n for left, right in pairs):
-            return None
-    kept = []
-    last = i * n + j
-    for entry in perms:
-        p, inv, q, wait = entry
-        if wait != last:
-            kept.append(entry)
-            continue
-        while True:
-            r, c = divmod(q, n)
-            a, b = inv[r], inv[c]
-            if q > last or a * n + b > last:
-                kept.append((p, inv, q, max(q, a * n + b)))
-                break
-            image, cell = p[table[a][b]], table[r][c]
-            if image < cell:
-                return None
-            if image > cell:
-                break
-            q += 1
-    return kept
+        if n != table[v][x] != row_i[table[j][x]] != n:
+            return False
+        if n != table[row_x[i]][j] != row_x[v] != n:
+            return False
+        for y in range(n):
+            if row_x[y] == i and v != row_x[table[y][j]] != n:
+                return False
+            if row_x[y] == j and v != table[row_i[x]][y] != n:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +299,8 @@ def _pairs(config):
         for leq in orders:
             if leq in images:
                 continue
-            images.update(_relabel(leq, p, relabel_entries=False) for p in automorphisms)
+            if len(automorphisms) > 1:  # the identity alone maps no order to another
+                images.update(_relabel(leq, p, relabel_entries=False) for p in automorphisms)
             yield table, leq
             emitted += 1
             if config.limit is not None and emitted >= config.limit:
@@ -313,6 +335,7 @@ def sample_structures(n, count, seed):
 def _sample_pairs(n, count, seed):
     """The (table, leq) pairs of ``sample_structures``, none of them built;
     the arguments are checked at the call."""
+    _check_int(count, "count")
     if count < 0:
         raise ValueError("count must not be negative")
     tables = tuple(enumerate_tables(n))

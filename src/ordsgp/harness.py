@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
     GenerationConfig,
+    _check_int,
     _check_order,
     _class_key,
     _pairs,
@@ -242,6 +243,7 @@ def _catalog_pairs(max_order, sample_count, sample_seed):
     """The (table, leq) pairs of ``iter_catalog``, in its order, none of
     them built; the arguments are checked at the call."""
     _check_order(max_order, "max_order")
+    _check_int(sample_count, "sample_count")
     if sample_count < 0:
         raise ValueError("sample_count must not be negative")
     walks = [_pairs(GenerationConfig(n)) for n in range(1, min(max_order, 3) + 1)]

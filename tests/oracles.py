@@ -158,6 +158,18 @@ def automorphism_count(table, leq):
     )
 
 
+def table_automorphisms(table):
+    """The carrier permutations p with p(T) = T, in ``permutations`` order:
+    p[a*b] == p[a]*p[b] for every pair."""
+    n = len(table)
+    span = range(n)
+    return tuple(
+        p
+        for p in permutations(span)
+        if all(p[table[a][b]] == table[p[a]][p[b]] for a in span for b in span)
+    )
+
+
 def canonical_form(table, leq):
     """Least relabelled (table, order) over all carrier permutations.
 

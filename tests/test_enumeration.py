@@ -76,6 +76,29 @@ def test_least_table_automorphisms_match_oracle():
             assert len(automorphisms) == oracles.automorphism_count(table, discrete)
 
 
+def test_least_table_automorphisms_equal_the_oracle_by_value():
+    for n in (1, 2, 3, 4):
+        for table, automorphisms in _least_tables(n):
+            assert automorphisms == oracles.table_automorphisms(table), table
+
+
+# sha256 of repr(list(_least_tables(n))): the same tables, in the same order,
+# each with the same automorphisms in the same order
+LEAST_TABLES_SHA256 = {
+    1: "08b13cb2c07ba293fa31e42f97cd152576c87f31c1cc89e9e8a8494fa20bb4da",
+    2: "792f9c88aa54e749bc56e84f25cc8ff2145fcfedf105f8c1d743a8a5feb2da31",
+    3: "f1d71cfab0468a6a811f80828fe19cd04bc04b4819927e32f7ef8d207a509769",
+    4: "e041502034cce0cae799c3d38cb77982706ad75be7f59e5ddd2aaffd521d3f1b",
+    5: "f944ceb12d3609945f677d155c8d70853e95a55623f970a27857fd1efb85a9dc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEAST_TABLES_SHA256))
+def test_least_tables_output_is_pinned(n):
+    digest = hashlib.sha256(repr(list(_least_tables(n))).encode()).hexdigest()
+    assert digest == LEAST_TABLES_SHA256[n]
+
+
 def test_class_key_separates_exactly_the_isomorphism_classes():
     # equal keys exactly when the oracle's canonical forms are equal, over
     # every labelled structure of order <= 3, the order-4 discrete-order

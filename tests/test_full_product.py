@@ -10,6 +10,7 @@ default acceptance regime (discrete exhaustive + seeded sample) lives in
 test_acceptance.py.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -56,8 +57,12 @@ def test_order5_compatible_orders_and_classes():
 
 
 def test_order6_tables_up_to_isomorphism():
-    # semigroups of order 6 up to isomorphism, OEIS A027851
-    assert sum(1 for _ in _least_tables(6)) == 28634
+    # semigroups of order 6 up to isomorphism, OEIS A027851, and the sha256
+    # of repr(list(_least_tables(6))), which pins their order and automorphisms
+    least = list(_least_tables(6))
+    assert len(least) == 28634
+    digest = hashlib.sha256(repr(least).encode()).hexdigest()
+    assert digest == "c9ec2fc82352a61d2b579692449aaf2ca7c9eb66870143d76b8735a2cdf3969c"
 
 
 def test_order6_partial_orders():

@@ -1,14 +1,16 @@
 """Every entry point that enumerates checks the catalog order the same way.
 
 Below 1 the message names the argument that was checked; above the cap it
-is the one cap message, and the CLI turns either into exit 64.
+is the one cap message, and the CLI turns either into exit 64.  An order or
+a count that is not an int (a bool included) is refused with a message that
+names the argument.
 """
 
 import pytest
 
 from ordsgp import GenerationConfig, enumerate_tables, sample_structures, search_model
 from ordsgp.cli import main
-from ordsgp.harness import iter_catalog
+from ordsgp.harness import iter_catalog, run_suite
 
 CAP_MESSAGE = "exhaustive table enumeration capped at 4"
 
@@ -49,3 +51,28 @@ def test_cli_command_checks_order(capsys, command, order):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{prefix}{expected_message(order, argument)}\n"
+
+
+# (argument, call with the argument set to a value) per entry point, the
+# other arguments valid
+INTEGER_ARGUMENTS = {
+    "GenerationConfig-order": ("order", GenerationConfig),
+    "GenerationConfig-limit": ("limit", lambda x: GenerationConfig(2, limit=x)),
+    "enumerate_tables": ("order", enumerate_tables),
+    "sample_structures-order": ("order", lambda x: sample_structures(x, 3, 0)),
+    "sample_structures-count": ("count", lambda x: sample_structures(3, x, 0)),
+    "iter_catalog-max_order": ("max_order", lambda x: iter_catalog(x, sample_count=3)),
+    "iter_catalog-sample_count": ("sample_count", lambda x: iter_catalog(4, sample_count=x)),
+    "run_suite-max_order": ("max_order", lambda x: run_suite("thm2", max_order=x)),
+    "run_suite-sample_count": ("sample_count", lambda x: run_suite("thm2", 4, sample_count=x)),
+    "search_model": ("max_order", lambda x: search_model(["regular"], max_order=x)),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_entry_point_refuses_a_non_integer(entry, value):
+    argument, call = INTEGER_ARGUMENTS[entry]
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{argument} must be an integer, got {value!r}"
