@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PredicateResult, bits_iter, restrict
+from .core import PredicateResult, bits_iter, derived, restrict
 from .relations import Partition
 
 PARTITION_CAP = 10
@@ -150,15 +150,12 @@ def _eta(S):
     return Partition(S.order, [find(x) for x in S.elements()])
 
 
+@derived
 def _semilattice_certificates(S):
     """Certificates of the semilattice congruences, coarsest first; cached
     on S.  Only the partitions of the eta-classes are classified, lifted
     through eta's restricted-growth labels, which keeps the coarsest-first
     order of :func:`all_partitions` on the whole carrier."""
-    return S.cached(("semilattice-congruences",), _build_semilattice_certificates)
-
-
-def _build_semilattice_certificates(S, key):
     eta = _eta(S)
     certs = (
         classify_partition(S, Partition(S.order, [p.class_of[c] for c in eta.class_of]))
@@ -200,18 +197,13 @@ def semilattice_decomposition(S, class_predicate):
     return plain or miss(len(certs)), miss(sum(cert.is_complete for cert in certs))
 
 
+@derived
 def _class_sub(S, mask):
-    """The product-closed class ``mask`` as an ordered semigroup, cached per
-    mask; the full carrier is S itself and is not cached, so that no cache
-    entry of S refers back to S."""
-    if mask == S.full:
-        return S
-    return S.cached(("class-sub", mask), _build_class_sub)
-
-
-def _build_class_sub(S, key):
-    return restrict(S, key[1])[0]
+    """The proper product-closed class ``mask`` as an ordered semigroup."""
+    return restrict(S, mask)[0]
 
 
 def _class_holds(S, mask, class_predicate):
-    return bool(class_predicate(_class_sub(S, mask)))
+    # the full carrier is S itself and is not cached, so that no cache
+    # entry of S refers back to S
+    return bool(class_predicate(S if mask == S.full else _class_sub(S, mask)))

@@ -9,7 +9,7 @@ are int bitmasks, so every set operation is a couple of machine words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 
 @lru_cache(maxsize=1 << 16)
@@ -137,9 +137,18 @@ class PredicateResult:
         return out
 
 
+def _rows(matrix, name):
+    """The rows of a matrix as tuples; every row must be a list or tuple."""
+    rows = tuple(matrix)
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"{name} row {i} is not an array: {row!r}")
+    return tuple(map(tuple, rows))
+
+
 def _normalize(table, leq):
-    """Shape- and range-check raw input; returns canonical tuples."""
-    tab = tuple(tuple(row) for row in table)
+    """Shape-, type- and range-check raw input; returns canonical tuples."""
+    tab = _rows(table, "table")
     n = len(tab)
     if n < 1:
         raise ValueError("empty carrier: need at least one element")
@@ -149,9 +158,13 @@ def _normalize(table, leq):
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ValueError(f"table entry ({i},{j}) = {v!r} outside carrier 0..{n - 1}")
-    lm = tuple(tuple(bool(v) for v in row) for row in leq)
+    lm = _rows(leq, "order matrix")
     if len(lm) != n or any(len(row) != n for row in lm):
         raise ValueError(f"order matrix is not {n}x{n}")
+    for i, row in enumerate(lm):
+        for j, v in enumerate(row):
+            if not isinstance(v, bool):
+                raise ValueError(f"order entry ({i},{j}) = {v!r} is not a boolean")
     return tab, lm
 
 
@@ -250,14 +263,14 @@ class OrderedSemigroup:
 
     def cached(self, key, build):
         """The value derived under ``key``: ``build(self, key)`` on the first
-        lookup, the stored value afterwards.  Each builder is a module-level
-        function that reads its arguments from the key, so a hit allocates
-        nothing beyond the key itself."""
+        lookup, the stored value afterwards.  :func:`derived` is the one
+        caller; a build that raises stores nothing."""
         try:
             return self._cache[key]
         except KeyError:
-            value = self._cache[key] = build(self, key)
-            return value
+            pass
+        value = self._cache[key] = build(self, key)
+        return value
 
     def __eq__(self, other):
         return (
@@ -280,6 +293,36 @@ class OrderedSemigroup:
         }
 
 
+def _derive(S, key):
+    return key[0](S)
+
+
+def _derive_at(S, key):
+    return key[0](S, key[1])
+
+
+def derived(f):
+    """Decorator: ``f(S)`` or ``f(S, x)`` computed once per structure S and
+    argument x, then read from S's cache.  The function itself is the key,
+    followed by x, so ``f`` must be a module-level function: a nested one
+    would be a new key on every call.  ``f`` checks its own arguments; a
+    call that raises stores nothing."""
+    if f.__code__.co_argcount == 1:
+        key = (f,)
+
+        @wraps(f)
+        def lookup(S):
+            return S.cached(key, _derive)
+
+    else:
+
+        @wraps(f)
+        def lookup(S, x):
+            return S.cached((f, x), _derive_at)
+
+    return lookup
+
+
 def validate(table, leq):
     """Check all ordered-semigroup axioms.
 
@@ -295,16 +338,13 @@ def validate(table, leq):
     return OrderedSemigroup(tab, lm)
 
 
+@derived
 def structure_key(S):
     """Compact deterministic identifier of the exact table and order; cached.
 
     Table entries are written without separators, so keys are unique and
     round-trip through :func:`structure_from_key` only when every entry is a
     single digit."""
-    return S.cached(("key",), _build_key)
-
-
-def _build_key(S, key):
     t = "".join(str(v) for row in S.table for v in row)
     o = "".join("1" if v else "0" for row in S.leq for v in row)
     return f"n{S.order}:{t}:{o}"
@@ -372,31 +412,22 @@ def _above(S, x, bits):
     return bool(bits & S.above[x])
 
 
+@derived
 def _sa(S, a):
     """(Sa] as a bitmask, cached."""
-    return S.cached(("Sa", a), _build_sa)
+    return _close(S, _prod(S, S.full, 1 << a))
 
 
-def _build_sa(S, key):
-    return _close(S, _prod(S, S.full, 1 << key[1]))
-
-
+@derived
 def _as(S, a):
     """(aS] as a bitmask, cached."""
-    return S.cached(("aS", a), _build_as)
+    return _close(S, _prod(S, 1 << a, S.full))
 
 
-def _build_as(S, key):
-    return _close(S, _prod(S, 1 << key[1], S.full))
-
-
+@derived
 def _sas(S, a):
     """(SaS] as a bitmask, cached."""
-    return S.cached(("SaS", a), _build_sas)
-
-
-def _build_sas(S, key):
-    return _close(S, _prod(S, _prod(S, S.full, 1 << key[1]), S.full))
+    return _close(S, _prod(S, _prod(S, S.full, 1 << a), S.full))
 
 
 def downward_closure(S, A):
@@ -409,9 +440,6 @@ def subset_product(S, A, B):
     """Elementwise product set {a*b : a in A, b in B}, not downward-closed."""
     A, B = S.subset(A), S.subset(B)
     return SubsetMask(S.order, _prod(S, A.bits, B.bits))
-
-
-PRINCIPAL_KINDS = ("left", "right", "two_sided", "bi")
 
 
 def _principal_bits(S, a, kind):
@@ -466,13 +494,9 @@ class PowerProfile:
         return self._exponents
 
 
+@derived
 def power_profile(S, a):
     """Index, period, and distinct values of the power sequence of a."""
-    return S.cached(("pp", a), _build_power_profile)
-
-
-def _build_power_profile(S, key):
-    a = key[1]
     seen = {a: 1}
     powers = [a]
     v = a
@@ -507,12 +531,16 @@ def joint_power_exponents(S, specs):
         m += 1
 
 
-# restrict's intern table: re-labelled (table, leq) -> proper substructure
-# of order at most _INTERN_MAX_ORDER.  It lives as long as the process, so
-# the bound is a memory bound: at most the 992 labelled ordered semigroups
-# of order <= 3, where order 4 would admit up to 107688 more.
+# restrict interns only substructures of at most this order, in a table
+# that lives as long as the process: at most the 992 labelled ordered
+# semigroups of order <= 3, where order 4 would admit up to 107688 more.
 _INTERN_MAX_ORDER = 3
-_INTERNED = {}
+
+
+@lru_cache(maxsize=None)
+def _interned(table, leq):
+    """The one instance per process of a re-labelled substructure."""
+    return OrderedSemigroup(table, leq)
 
 
 def restrict(S, bits):
@@ -544,11 +572,7 @@ def restrict(S, bits):
     leq = tuple(tuple(S.leq[a][b] for b in elems) for a in elems)
     if len(elems) > _INTERN_MAX_ORDER:
         return OrderedSemigroup(table, leq), elems
-    key = (table, leq)
-    sub = _INTERNED.get(key)
-    if sub is None:
-        sub = _INTERNED[key] = OrderedSemigroup(table, leq)
-    return sub, elems
+    return _interned(table, leq), elems
 
 
 @lru_cache(maxsize=None)

@@ -17,10 +17,10 @@ DISCREPANCY row, the one row whose report the suite report keeps.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice, starmap
@@ -290,15 +290,17 @@ class SuiteReport:
 
 
 def effective_workers(workers=None):
-    """``workers``, or else ``ORDSGP_WORKERS`` (default 1) clamped to the CPU
-    count, since a pool starts all its processes at once; at least 1."""
+    """``workers``, or else ``ORDSGP_WORKERS`` (default 1), an integer clamped
+    to the CPU count, since a pool starts all its processes at once; at
+    least 1."""
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
         try:
-            workers = min(int(raw), os.cpu_count() or 1)
+            workers = int(raw)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, workers)
+    _check_int(workers, "workers")
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def _verify_chunk(ids, S):
@@ -396,7 +398,7 @@ def _first_rows(ids, entries, workers):
             yield batch, (ids, tuple(firsts))
 
     pending = batches()
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
 
     def submit(count):
         return [(batch, pool.submit(_verify_batch, b)) for batch, b in islice(pending, count)]

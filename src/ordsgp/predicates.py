@@ -29,6 +29,7 @@ from .core import (
     _sa,
     _sas,
     bits_iter,
+    derived,
     joint_power_exponents,
     power_profile,
     restrict,
@@ -285,6 +286,7 @@ def _is_ideal(S, bits):
     )
 
 
+@derived
 def _absorbing_candidates(S, candidate):
     """(mask, exponents) for each subset, fewest elements first, that passes
     ``candidate`` and absorbs a power of every element, with the smallest
@@ -296,11 +298,6 @@ def _absorbing_candidates(S, candidate):
     power of a include the idempotent power of a.  So only the supersets
     of E(S) are tested: 2^k masks for the k non-idempotent elements, the
     count that ``SUBSET_SEARCH_CAP`` bounds."""
-    return S.cached(("absorbing", candidate), _build_absorbing_candidates)
-
-
-def _build_absorbing_candidates(S, key):
-    candidate = key[1]
     idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
     if S.order - idempotents.bit_count() > SUBSET_SEARCH_CAP:
         raise ValueError(
@@ -336,16 +333,12 @@ def _t_simple_search(S, kernel_tag):
     return _absorbing_search(S, _closed_under_product, kernel_tag, "subsemigroup")
 
 
+@derived
 def nil_extension_search(S, kernel_tag):
     """First two-sided ideal K with the tagged property such that every
     element has a power inside K."""
     if kernel_tag not in _KERNEL_CHECKS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
-    return S.cached(("nilext", kernel_tag), _build_nil_extension)
-
-
-def _build_nil_extension(S, key):
-    kernel_tag = key[1]
     return _absorbing_search(S, _is_ideal, kernel_tag, "kernel", tag=kernel_tag)
 
 
@@ -497,14 +490,11 @@ def theorem4_conditions(S):
 
 # -- right pi-inverse and its battery --------------------------------------
 
+@derived
 def _ideal_generators(S, side):
     """Per element v: the ordered idempotents generating (Sv] (side "left")
     or (vS], and whether they are R-unique (L-unique); cached on S."""
-    return S.cached(("generators", side), _build_ideal_generators)
-
-
-def _build_ideal_generators(S, key):
-    ideal_of, rel = (_sa, green(S, "R")) if key[1] == "left" else (_as, green(S, "L"))
+    ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
     idempotents = list(ordered_idempotents(S))
     out = []
     for v in S.elements():
@@ -544,15 +534,12 @@ def _pi_inverse_side(S, side, all_powers=False):
     return res
 
 
+@derived
 def _unrelated_inverses(S, kind):
     """Per element v: its ordered inverses, and the first pair of them, led
     by the least, that Green's relation ``kind`` does not relate (or None);
     cached on S."""
-    return S.cached(("unrelated-inverses", kind), _build_unrelated_inverses)
-
-
-def _build_unrelated_inverses(S, key):
-    rel = green(S, key[1])
+    rel = green(S, kind)
     out = []
     for v in S.elements():
         inv = list(bits_iter(_inverses_bits(S, v)))
@@ -951,14 +938,11 @@ READINGS = {
 }
 
 
+@derived
 def read(S, name):
     """The reading ``name`` of ``READINGS`` on S, computed once and cached
     on S."""
-    return S.cached(("read", name), _build_read)
-
-
-def _build_read(S, key):
-    return READINGS[key[1]](S)
+    return READINGS[name](S)
 
 
 def named_predicate(S, name):

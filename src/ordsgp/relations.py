@@ -12,6 +12,7 @@ from .core import (
     _prod,
     _sas,
     bits_iter,
+    derived,
     power_profile,
 )
 
@@ -88,27 +89,20 @@ GREEN_KINDS = ("L", "R", "J", "H")
 _IDEAL_KIND = {"L": "left", "R": "right", "J": "two_sided"}
 
 
+@derived
 def green(S, kind):
     """Green's relation L, R, J (equal principal ideals) or H = L meet R."""
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation {kind!r}")
-    return S.cached(("green", kind), _build_green)
-
-
-def _build_green(S, key):
-    kind = key[1]
     if kind == "H":
         return green(S, "L").meet(green(S, "R"))
     ideal = _IDEAL_KIND[kind]
     return Partition(S.order, tuple(_principal_bits(S, a, ideal) for a in S.elements()))
 
 
+@derived
 def ordered_idempotents(S):
     """All e with e <= e*e."""
-    return S.cached(("E",), _build_ordered_idempotents)
-
-
-def _build_ordered_idempotents(S, key):
     bits = 0
     for e in S.elements():
         if S.leq[e][S.table[e][e]]:
@@ -116,12 +110,8 @@ def _build_ordered_idempotents(S, key):
     return SubsetMask(S.order, bits)
 
 
+@derived
 def _inverses_bits(S, a):
-    return S.cached(("V", a), _build_inverses_bits)
-
-
-def _build_inverses_bits(S, key):
-    a = key[1]
     bits = 0
     table = S.table
     for b in S.elements():
@@ -160,11 +150,8 @@ def _regular_value(S, v):
     return None
 
 
+@derived
 def regularity_profile(S):
-    return S.cached(("regprofile",), _build_regularity_profile)
-
-
-def _build_regularity_profile(S, key):
     regular, completely, intra, smallest, witness = [], [], [], [], []
     table = S.table
     for a in S.elements():
@@ -194,6 +181,7 @@ def regular_power_value(S, a):
     return power_profile(S, a).value(smallest_regular_power(S, a))
 
 
+@derived
 def starred(S, kind):
     """Starred relation: compare smallest regular powers under Green's relation.
 
@@ -202,11 +190,6 @@ def starred(S, kind):
     """
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown starred relation {kind!r}")
-    return S.cached(("starred", kind), _build_starred)
-
-
-def _build_starred(S, key):
-    kind = key[1]
     if kind == "H":
         return starred(S, "L").meet(starred(S, "R"))
     base = green(S, kind)

@@ -44,6 +44,26 @@ def test_validate_parse_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"leq": [[True, True], 5]},
+        {"table": [[0, 0], 7]},
+        {"leq": [[True, "false"], [False, True]]},
+    ],
+)
+def test_malformed_rows_are_parse_errors(tmp_path, capsys, command, change):
+    path = write(tmp_path, "s.json", {**SL2, **change})
+    with pytest.raises(SystemExit) as err:
+        main([command, path])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed structure payload: ")
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_json(tmp_path, capsys):
     code = main(["analyze", write(tmp_path, "s.json", SL2), "--json"])
     assert code == 0

@@ -24,9 +24,15 @@ from ordsgp import (
     validate,
 )
 from ordsgp import core
-from ordsgp.core import _discrete, joint_power_exponents
+from ordsgp.core import _discrete, derived, joint_power_exponents
 from ordsgp.harness import iter_catalog
-from ordsgp.predicates import PREDICATE_NAMES, _closed_under_product, named_predicate
+from ordsgp.predicates import (
+    PREDICATE_NAMES,
+    _closed_under_product,
+    named_predicate,
+    nil_extension_search,
+)
+from ordsgp.relations import green, starred
 
 import oracles
 
@@ -218,6 +224,51 @@ def test_cached_builds_once_per_key_and_never_on_a_hit():
     assert S.cached(("probe", 1), build) == 1
     assert calls == [(S, ("probe", 1)), (S, ("probe", 2))]
     assert all(T is S for T, _ in calls)
+    # a derived value of arity 1 and of arity 2 is built once per key
+    del DERIVED_CALLS[:]
+    S = sl2()
+    assert _count_whole(S) == 1 and _count_whole(S) == 1
+    assert _count_at(S, 1) == 2 and _count_at(S, 2) == 3
+    assert _count_at(S, 1) == 2 and _count_whole(S) == 1
+    assert DERIVED_CALLS == [(S,), (S, 1), (S, 2)]
+    assert set(S._cache) == {
+        (_count_whole.__wrapped__,),
+        (_count_at.__wrapped__, 1),
+        (_count_at.__wrapped__, 2),
+    }
+    assert (_count_whole.__name__, _count_at.__doc__) == ("_count_whole", "Counts its builds.")
+
+
+def test_derived_argument_errors_store_nothing_and_raise_every_time():
+    S = sl2()
+    bad = (
+        (green, "X", "unknown Green relation 'X'"),
+        (starred, "X", "unknown starred relation 'X'"),
+        (nil_extension_search, "bogus", "unknown kernel tag 'bogus'"),
+    )
+    for fn, arg, message in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message) as info:
+                fn(S, arg)
+            assert info.value.__context__ is None
+    assert S._cache == {}
+
+
+DERIVED_CALLS = []
+
+
+@derived
+def _count_whole(S):
+    """Counts its builds."""
+    DERIVED_CALLS.append((S,))
+    return len(DERIVED_CALLS)
+
+
+@derived
+def _count_at(S, x):
+    """Counts its builds."""
+    DERIVED_CALLS.append((S, x))
+    return len(DERIVED_CALLS)
 
 
 def test_subset_mask_behaviour():
@@ -281,6 +332,22 @@ def test_structure_from_dict_errors():
     assert isinstance(report, ValidationReport)
 
 
+MALFORMED_ROWS = (
+    ({"leq": [[True, True], 5]}, "order matrix row 1 is not an array: 5"),
+    ({"table": [[0, 0], 7]}, "table row 1 is not an array: 7"),
+    ({"table": [[0, 0], "00"]}, "table row 1 is not an array: '00'"),
+    ({"leq": [[True, "false"], [False, True]]}, r"order entry \(0,1\) = 'false' is not a bool"),
+    ({"leq": [[1, 0], [0, 1]]}, r"order entry \(0,0\) = 1 is not a boolean"),
+)
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_ROWS)
+def test_structure_from_dict_rejects_malformed_rows(change, message):
+    payload = {"order": 2, "table": [[0, 0], [0, 0]], "leq": [[True, False], [False, True]]}
+    with pytest.raises(ValueError, match=message):
+        structure_from_dict({**payload, **change})
+
+
 def test_restrict():
     N = n2()
     sub, elems = restrict(N, 0b01)
@@ -320,11 +387,12 @@ def test_restrict_builds_large_substructures_afresh():
     zero5 = OrderedSemigroup([[0] * 5 for _ in range(5)], _discrete(5))
     small, _ = restrict(zero5, 0b00111)
     assert restrict(zero5, 0b00111)[0] is small
+    interned = core._interned.cache_info().currsize
     big, elems = restrict(zero5, 0b01111)
     again, _ = restrict(zero5, 0b01111)
     assert elems == (0, 1, 2, 3) and big.order == 4
     assert big == again and big is not again
-    assert (big.table, big.leq) not in core._INTERNED
+    assert core._interned.cache_info().currsize == interned
 
 
 def test_interned_substructures_agree_with_fresh_builds():

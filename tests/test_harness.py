@@ -1,5 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,7 @@ from ordsgp.harness import iter_catalog
 from ordsgp.relations import starred
 
 import oracles
+from conftest import child_env
 
 ALL_IDS = (
     "thm2",
@@ -171,9 +175,41 @@ def test_run_suite_rejects_order_before_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("pool built for a rejected max_order")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="capped at 4"):
         run_suite(max_order=5, workers=2)
+
+
+def test_run_suite_checks_explicit_workers_before_the_pool(monkeypatch):
+    # the executor is patched, so no process starts
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    with pytest.raises(RuntimeError, match="no pool in this test"):
+        run_suite("thm2", max_order=2, workers=64)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_suite("thm2", max_order=2, workers=bad)
+    assert started == [2]
+
+
+def test_importing_ordsgp_loads_no_process_pool():
+    # the pool module (multiprocessing, socket, pickle) loads only when a
+    # pool is started
+    probe = "import sys, ordsgp; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=child_env("1"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_run_suite_small_exhaustive():
@@ -469,7 +505,12 @@ def test_workers_env_is_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     monkeypatch.setenv("ORDSGP_WORKERS", "8")
     assert harness.effective_workers() == 1
-    # an explicit worker count is taken as given
-    assert harness.effective_workers(8) == 8
+    # an explicit worker count is checked and clamped the same way
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    for workers, effective in ((8, 2), (2, 2), (1, 1), (0, 1), (-3, 1)):
+        assert harness.effective_workers(workers) == effective
+    for bad in (2.5, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            harness.effective_workers(bad)
     monkeypatch.delenv("ORDSGP_WORKERS")
     assert harness.effective_workers() == 1

@@ -6,8 +6,9 @@ module, so the structure layer knows nothing of which orders are
 enumerated.  The named readings live in ``predicates.py`` above
 ``congruences.py``, and the harness reaches them only through
 ``predicates``; every import is at module level, so a cycle between
-modules fails at import time.  ``OrderedSemigroup.cached`` has one calling
-idiom: a module-level builder that reads its arguments from the key.
+modules fails at import time.  ``OrderedSemigroup.cached`` has one caller,
+the ``derived`` decorator of ``core.py``, and that decorator is applied only
+to module-level functions.
 """
 
 import ast
@@ -88,25 +89,37 @@ def test_harness_imports_nothing_from_congruences():
     assert "congruences" not in set(imported_modules(parse(PACKAGE / "harness.py")))
 
 
-def test_cache_builders_are_module_level_functions():
-    # A lambda or a nested def passed to S.cached is a fresh closure on
-    # every lookup, hit or miss; a module-level builder costs nothing.
-    calls = 0
+def test_cached_is_called_only_by_the_derived_decorator():
+    core = parse(PACKAGE / "core.py")
+    derived = next(
+        node for node in core.body if isinstance(node, ast.FunctionDef) and node.name == "derived"
+    )
+    inside = {id(node) for node in ast.walk(derived)}
+    calls = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = parse(path)
-        builders = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-        for node in ast.walk(tree):
-            if not (
+        for node in ast.walk(core if path.name == "core.py" else parse(path)):
+            if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "cached"
             ):
+                calls.append((path.name, node.lineno, id(node) in inside))
+    assert calls and all(ok for _, _, ok in calls), calls
+
+
+def test_derived_decorates_only_module_level_functions():
+    # The decorated function is the cache key: a nested def or a lambda is
+    # a new key on every call, so its cache would never hit and only grow.
+    decorated = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "derived":
+                raise AssertionError((path.name, node.lineno, "derived called directly"))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            calls += 1
-            build = node.args[1] if len(node.args) > 1 else node.keywords[0].value
-            assert isinstance(build, ast.Name) and build.id in builders, (
-                path.name,
-                node.lineno,
-                ast.unparse(build),
-            )
-    assert calls > 0
+            if any(ast.unparse(d) == "derived" for d in node.decorator_list):
+                assert id(node) in top, (path.name, node.lineno)
+                decorated += 1
+    assert decorated > 0

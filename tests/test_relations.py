@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from ordsgp import (
@@ -15,8 +17,14 @@ from ordsgp import (
     starred,
     t1,
 )
-from ordsgp.enumeration import enumerate_compatible_orders, enumerate_tables
+from ordsgp.enumeration import (
+    GenerationConfig,
+    enumerate_compatible_orders,
+    enumerate_ordered_semigroups,
+    enumerate_tables,
+)
 from ordsgp.core import OrderedSemigroup
+from ordsgp.predicates import named_predicate
 
 import oracles
 
@@ -90,6 +98,29 @@ def test_every_structure_is_pi_regular_and_witness_rechecks():
             v = oracles.power(S.table, a, m)
             x = prof.witness[a]
             assert S.leq[v][S.table[S.table[v][x]][v]]
+
+
+def test_regularity_flags_agree_with_the_predicates():
+    # law: the profile's per-element mask tests and the predicates' mediator
+    # scans decide the same facts, over the order <= 3 catalog and one
+    # structure of every order-4 isomorphism class
+    catalog = chain(
+        small_catalog(3), enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
+    )
+    counted = 0
+    for S in catalog:
+        prof = regularity_profile(S)
+        for name, flags in (
+            ("regular", prof.regular),
+            ("completely-regular", prof.completely_regular),
+            ("intra-regular", prof.intra_regular),
+        ):
+            result = named_predicate(S, name)
+            assert result.holds == all(flags), (S, name)
+            if not result.holds:
+                assert result.counterexample == {"a": flags.index(False)}, (S, name)
+        counted += 1
+    assert counted == 992 + 4753
 
 
 def test_starred_examples():
