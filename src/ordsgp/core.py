@@ -168,50 +168,37 @@ def _normalize(table, leq):
     return tab, lm
 
 
-def _violations(tab, lm, first_only=False):
-    """All broken axioms with witnesses, in a fixed deterministic order."""
+def _violations(tab, lm):
+    """Every broken axiom with its witness, in a fixed deterministic order."""
     n = len(tab)
     rng = range(n)
-    found = []
-
-    def emit(axiom, witness):
-        found.append(Violation(axiom, witness))
-        return first_only
-
     for a in rng:
         for b in rng:
             ab = tab[a][b]
             for c in rng:
                 if tab[ab][c] != tab[a][tab[b][c]]:
-                    if emit("associativity", (a, b, c)):
-                        return found
+                    yield Violation("associativity", (a, b, c))
     for a in rng:
         if not lm[a][a]:
-            if emit("reflexivity", (a,)):
-                return found
+            yield Violation("reflexivity", (a,))
     for a in rng:
         for b in rng:
             if a != b and lm[a][b] and lm[b][a]:
-                if emit("antisymmetry", (a, b)):
-                    return found
+                yield Violation("antisymmetry", (a, b))
     for a in rng:
         for b in rng:
             if lm[a][b]:
                 for c in rng:
                     if lm[b][c] and not lm[a][c]:
-                        if emit("transitivity", (a, b, c)):
-                            return found
+                        yield Violation("transitivity", (a, b, c))
     for a in rng:
         for b in rng:
             if lm[a][b] and a != b:
                 for x in rng:
                     if not lm[tab[x][a]][tab[x][b]]:
-                        if emit("left-compatibility", (a, b, x)):
-                            return found
+                        yield Violation("left-compatibility", (a, b, x))
                     if not lm[tab[a][x]][tab[b][x]]:
-                        if emit("right-compatibility", (a, b, x)):
-                            return found
-    return found
+                        yield Violation("right-compatibility", (a, b, x))
 
 
 class OrderedSemigroup:
@@ -222,21 +209,18 @@ class OrderedSemigroup:
     is cached per instance, so sharing across threads is safe once built.
     """
 
-    __slots__ = ("order", "table", "leq", "above", "below", "full", "_cache")
+    __slots__ = ("order", "table", "leq", "below", "full", "_cache")
 
     def __init__(self, table, leq):
         tab, lm = _normalize(table, leq)
-        bad = _violations(tab, lm, first_only=True)
-        if bad:
-            v = bad[0]
-            raise ValueError(f"not an ordered semigroup: {v.axiom} fails at {v.witness}")
+        bad = next(_violations(tab, lm), None)
+        if bad is not None:
+            raise ValueError(f"not an ordered semigroup: {bad.axiom} fails at {bad.witness}")
         n = len(tab)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "leq", lm)
-        above = tuple(sum(1 << j for j in range(n) if lm[i][j]) for i in range(n))
         below = tuple(sum(1 << i for i in range(n) if lm[i][j]) for j in range(n))
-        object.__setattr__(self, "above", above)
         object.__setattr__(self, "below", below)
         object.__setattr__(self, "full", (1 << n) - 1)
         object.__setattr__(self, "_cache", {})
@@ -264,12 +248,17 @@ class OrderedSemigroup:
     def cached(self, key, build):
         """The value derived under ``key``: ``build(self, key)`` on the first
         lookup, the stored value afterwards.  :func:`derived` is the one
-        caller; a build that raises stores nothing."""
+        caller; a build that raises stores nothing, and an unhashable key
+        is built on every lookup, so the function checks its argument."""
         try:
             return self._cache[key]
         except KeyError:
-            pass
-        value = self._cache[key] = build(self, key)
+            store = True
+        except TypeError:
+            store = False
+        value = build(self, key)
+        if store:
+            self._cache[key] = value
         return value
 
     def __eq__(self, other):
@@ -407,11 +396,6 @@ def _prod(S, abits, bbits):
     return out
 
 
-def _above(S, x, bits):
-    """True iff x lies under some member of bits, i.e. x in (bits]."""
-    return bool(bits & S.above[x])
-
-
 @derived
 def _sa(S, a):
     """(Sa] as a bitmask, cached."""
@@ -443,21 +427,20 @@ def subset_product(S, A, B):
 
 
 def _principal_bits(S, a, kind):
-    """Bitmask of the principal ideal of the given kind generated by a."""
-    bit = 1 << a
+    """Bitmask of the principal ideal of the given kind generated by a: (a]
+    joined with the cached (Sa], (aS] or both and (SaS]."""
     if kind == "left":
-        bits = bit | _prod(S, S.full, bit)
+        ideal = _sa(S, a)
     elif kind == "right":
-        bits = bit | _prod(S, bit, S.full)
+        ideal = _as(S, a)
     elif kind == "two_sided":
-        sa = _prod(S, S.full, bit)
-        as_ = _prod(S, bit, S.full)
-        bits = bit | sa | as_ | _prod(S, sa, S.full)
+        ideal = _sa(S, a) | _as(S, a) | _sas(S, a)
     elif kind == "bi":
-        bits = bit | _prod(S, _prod(S, bit, S.full), bit)
+        bit = 1 << a
+        return _close(S, bit | _prod(S, _prod(S, bit, S.full), bit))
     else:
         raise ValueError(f"unknown ideal kind {kind!r}")
-    return _close(S, bits)
+    return S.below[a] | ideal
 
 
 def principal_ideal(S, a, kind):

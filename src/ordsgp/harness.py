@@ -9,10 +9,9 @@ that every condition hold once the hypothesis (antecedent) does.
 ``_outcome`` is the one verdict rule: it gives a suite's truth values,
 condition results and verdict on one structure.  ``verify`` renders an
 ``EquivalenceReport`` from it.  A catalog run walks (table, leq) pairs,
-builds a structure only for the first pair of each isomorphism class (and
-for a later member of a class with a DISCREPANCY), takes each class's
-verdict rows straight from ``_outcome`` and renders a report only for a
-DISCREPANCY row, the one row whose report the suite report keeps.
+takes the verdict rows of each isomorphism class from ``_outcome`` on the
+class's first pair, and renders a report only for a DISCREPANCY row, the
+one row whose report the suite report keeps, from the pair it belongs to.
 """
 
 from __future__ import annotations
@@ -263,8 +262,8 @@ class SuiteReport:
     diagnostics: dict
     runtime_seconds: float
 
-    def to_dict(self, include_runtime=False):
-        out = {
+    def to_dict(self):
+        return {
             "config": dict(self.config),
             "structures": self.structures,
             "totals": dict(self.totals),
@@ -272,9 +271,6 @@ class SuiteReport:
             "discrepancies": [dict(d) for d in self.discrepancies],
             "diagnostics": dict(self.diagnostics),
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
     def table(self):
         """Human-readable per-suite verdict table."""
@@ -305,14 +301,12 @@ def effective_workers(workers=None):
 
 def _verify_chunk(ids, S):
     """Verdict rows of one structure, one per suite id: (suite id, verdict,
-    report dict for a DISCREPANCY else None, disagreeing diagnostics).  Only
-    a DISCREPANCY row renders its report."""
+    disagreeing diagnostics), facts of its isomorphism class."""
     out = []
     for tid in ids:
         _, _, verdict, diagnostics = _outcome(S, tid)
-        report = verify(S, tid).to_dict() if verdict == VERDICT_DISCREPANCY else None
         disagreements = tuple(name for name, agree in diagnostics.items() if not agree)
-        out.append((tid, verdict, report, disagreements))
+        out.append((tid, verdict, disagreements))
     return tuple(out)
 
 
@@ -324,16 +318,13 @@ def _verify_batch(payload):
 
 
 def _structure_rows(ids, pairs, workers):
-    """Verdict rows per catalog (table, leq) pair, in catalog order.
+    """(pair, verdict rows) per catalog (table, leq) pair, in catalog order.
 
     Verdicts and diagnostics do not change under isomorphism, so only the
     first pair of each isomorphism class is built and verified; a later
-    one takes its rows from a memo keyed by ``_class_key``.  A DISCREPANCY
-    report names its structure and witnesses, so a later pair whose class
-    rows hold one is built and verified here on its own.  The memo keeps
-    rows without reports, with a flag for a DISCREPANCY among them, and
-    holds each distinct rows value once: a catalog of thousands of classes
-    gives only a handful.
+    one takes its rows from a memo keyed by ``_class_key``.  The memo holds
+    each distinct rows value once: a catalog of thousands of classes gives
+    only a handful.
 
     No pair goes unvalidated.  Building a pair runs the validator, which
     raises ValueError on a pair that is not an ordered semigroup, and the
@@ -358,14 +349,10 @@ def _structure_rows(ids, pairs, workers):
     with closing(_first_rows(ids, entries(), workers)) as verified:
         for key, pair, rows in verified:
             if rows is None:
-                rows, flagged = memo[key]
-                if flagged:
-                    rows = _verify_chunk(ids, OrderedSemigroup(*pair))
+                rows = memo[key]
             else:
-                shared = tuple((tid, verdict, None, names) for tid, verdict, _, names in rows)
-                flagged = any(verdict == VERDICT_DISCREPANCY for _, verdict, _, _ in rows)
-                memo[key] = distinct.setdefault(shared, (shared, flagged))
-            yield rows
+                rows = memo[key] = distinct.setdefault(rows, rows)
+            yield pair, rows
 
 
 def _first_rows(ids, entries, workers):
@@ -427,8 +414,9 @@ def run_suite(
 
     The report is independent of the worker count: structures are processed
     in catalog order and merged deterministically, and ``fail_fast`` stops
-    after the first structure with a discrepancy.  Wall-clock time lives
-    only in ``runtime_seconds``, which the canonical serialization omits.
+    after the first structure with a discrepancy, whose reports are built
+    here from its pair.  Wall-clock time lives only in ``runtime_seconds``,
+    which the canonical serialization omits.
     """
     ids = _resolve_ids(theorems)
     workers = effective_workers(workers)
@@ -441,18 +429,20 @@ def run_suite(
 
     pairs = _catalog_pairs(max_order, sample_count, sample_seed)
     with closing(_structure_rows(ids, pairs, workers)) as structure_rows:
-        for rows in structure_rows:
+        for pair, rows in structure_rows:
             structures += 1
-            for tid, verdict, report, disagreements in rows:
+            for tid, verdict, disagreements in rows:
                 totals[verdict] += 1
                 by_theorem[tid][verdict] += 1
-                if report is not None:
-                    discrepancies.append(report)
                 for name in disagreements:
                     key = f"{tid}.{name}"
                     reading_disagreements[key] = reading_disagreements.get(key, 0) + 1
-            if fail_fast and discrepancies:
-                break
+            found = [tid for tid, verdict, _ in rows if verdict == VERDICT_DISCREPANCY]
+            if found:
+                S = OrderedSemigroup(*pair)
+                discrepancies.extend(verify(S, tid).to_dict() for tid in found)
+                if fail_fast:
+                    break
 
     config = {
         "theorems": list(ids),

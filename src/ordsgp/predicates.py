@@ -288,9 +288,9 @@ def _is_ideal(S, bits):
 
 @derived
 def _absorbing_candidates(S, candidate):
-    """(mask, exponents) for each subset, fewest elements first, that passes
-    ``candidate`` and absorbs a power of every element, with the smallest
-    such power of each element; cached on S per candidate.
+    """The mask of each subset, fewest elements first, that passes
+    ``candidate`` and absorbs a power of every element; cached on S per
+    candidate.
 
     Every candidate is closed under the product, and a closed subset
     absorbs a power of every element exactly when it holds every
@@ -303,11 +303,7 @@ def _absorbing_candidates(S, candidate):
         raise ValueError(
             f"subset search capped at {SUBSET_SEARCH_CAP} non-idempotent elements"
         )
-    return tuple(
-        (mask, _nil_exponents(S, mask))
-        for mask in _subset_masks(S.order, idempotents)
-        if candidate(S, mask)
-    )
+    return tuple(mask for mask in _subset_masks(S.order, idempotents) if candidate(S, mask))
 
 
 def _absorbing_search(S, candidate, kernel_tag, label, **extra):
@@ -318,12 +314,11 @@ def _absorbing_search(S, candidate, kernel_tag, label, **extra):
     is idempotent, hence regular.  The subset is reported under ``label``
     in the result data."""
     checks = _KERNEL_CHECKS[kernel_tag]
-    for mask, exps in _absorbing_candidates(S, candidate):
+    for mask in _absorbing_candidates(S, candidate):
         sub, elems = restrict(S, mask)
         if all(check(sub).holds for check in checks):
-            return PredicateResult(
-                True, data={label: list(elems), "exponents": dict(enumerate(exps)), **extra}
-            )
+            exps = dict(enumerate(_nil_exponents(S, mask)))
+            return PredicateResult(True, data={label: list(elems), "exponents": exps, **extra})
     return PredicateResult(
         False, counterexample={"searched_subsets": (1 << S.order) - 1}
     )
@@ -337,7 +332,7 @@ def _t_simple_search(S, kernel_tag):
 def nil_extension_search(S, kernel_tag):
     """First two-sided ideal K with the tagged property such that every
     element has a power inside K."""
-    if kernel_tag not in _KERNEL_CHECKS:
+    if not isinstance(kernel_tag, str) or kernel_tag not in _KERNEL_CHECKS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
     return _absorbing_search(S, _is_ideal, kernel_tag, "kernel", tag=kernel_tag)
 

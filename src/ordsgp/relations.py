@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .core import (
     PredicateResult,
     SubsetMask,
-    _above,
+    _close,
     _principal_bits,
     _prod,
     _sas,
@@ -152,13 +152,13 @@ def _regular_value(S, v):
 
 @derived
 def regularity_profile(S):
-    regular, completely, intra, smallest, witness = [], [], [], [], []
+    completely, intra, smallest, witness = [], [], [], []
     table = S.table
     for a in S.elements():
-        regular.append(_regular_value(S, a) is not None)
         a2 = table[a][a]
-        completely.append(_above(S, a, _prod(S, _prod(S, 1 << a2, S.full), 1 << a2)))
-        intra.append(_above(S, a, _sas(S, a2)))
+        a2sa2 = _close(S, _prod(S, _prod(S, 1 << a2, S.full), 1 << a2))
+        completely.append(bool(a2sa2 >> a & 1))
+        intra.append(bool(_sas(S, a2) >> a & 1))
         for m, v in power_profile(S, a).exponents():
             x = _regular_value(S, v)
             if x is not None:
@@ -167,8 +167,9 @@ def regularity_profile(S):
                 break
         else:
             raise AssertionError(f"element {a} has no regular power")
+    regular = tuple(m == 1 for m in smallest)
     return RegularityProfile(
-        tuple(regular), tuple(completely), tuple(intra), tuple(smallest), tuple(witness)
+        regular, tuple(completely), tuple(intra), tuple(smallest), tuple(witness)
     )
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ordsgp import OrderedSemigroup, run_suite, validate
+from ordsgp import OrderedSemigroup, harness, run_suite, validate
 from ordsgp.core import _close, _prod, power_profile, principal_ideal
 from ordsgp.enumeration import enumerate_compatible_orders, enumerate_tables
 from ordsgp.harness import THEOREM_IDS, iter_catalog
@@ -221,7 +221,10 @@ def test_criterion_5_closure_calculus_properties():
         )
 
 
-def test_criterion_6_worker_determinism():
+def test_criterion_6_worker_determinism(monkeypatch):
+    # a CPU count of 4 lets the in-process 3-worker run start a real pool on
+    # any host
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     ok = False
     try:
         lib_runs = [

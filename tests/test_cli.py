@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ordsgp import OrderedSemigroup, cli, lz2, structure_from_dict
+from ordsgp import FIXTURES, OrderedSemigroup, cli, lz2, structure_from_dict
 from ordsgp.cli import main
 
 from conftest import child_env
@@ -181,6 +181,60 @@ def test_verify_stdout_digest(capsys, monkeypatch, argv, digest, workers):
     monkeypatch.setenv("ORDSGP_WORKERS", workers)
     assert main(["verify", "--theorem", "all", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# breaks every axiom: associativity, reflexivity, antisymmetry,
+# transitivity and both compatibilities
+BROKEN = {
+    "order": 3,
+    "table": [[1, 0, 2], [0, 2, 1], [2, 1, 0]],
+    "leq": [[False, True, True], [True, True, False], [False, True, True]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["search", "--satisfy", "left-pi-t-simple", "--violate", "right-pi-t-simple"],
+            "e33e5b1fdb099d4db763db8ff9ec37f17cbb0956d3cbb52b0a85c6c62282b08a",
+        ),
+        (
+            ["enumerate", "--order", "3"],
+            "aac0711ec639952eea461e4f0a54d7bc45567b2398b6620f4447e626cd9d3acc",
+        ),
+    ],
+    ids=["search-left-not-right-pi-t-simple", "enumerate-order3"],
+)
+def test_stdout_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_analyze_json_digest_on_the_fixtures(tmp_path, capsys):
+    out = []
+    for name, build in FIXTURES.items():
+        assert main(["analyze", write(tmp_path, f"{name}.json", build().to_dict()), "--json"]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "afe97020e0f850d887e04c148d83bdb02ca3acbb87637b8532d80ac598af95b1"
+    )
+
+
+def test_validate_digest_lists_every_violation(tmp_path, capsys):
+    assert main(["validate", write(tmp_path, "broken.json", BROKEN)]) == 1
+    out = capsys.readouterr().out
+    assert {v["axiom"] for v in json.loads(out)["violations"]} == {
+        "associativity",
+        "reflexivity",
+        "antisymmetry",
+        "transitivity",
+        "left-compatibility",
+        "right-compatibility",
+    }
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "60f8be48081adcdeefa5241b0f68b4f7969863b49b5eba7f876dec27e2976a69"
+    )
 
 
 def test_verify_bogus_theorem_is_usage_error():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -97,6 +98,43 @@ def test_validate_order_axioms():
     assert any(v.axiom == "transitivity" for v in bad_trans.violations)
 
 
+def _law_pairs():
+    """Every 2x2 table with every 2x2 boolean matrix, then seeded random
+    order-3 (table, leq) pairs."""
+    cells = [(i, j) for i in range(2) for j in range(2)]
+    for entries in itertools.product(range(2), repeat=4):
+        for flags in itertools.product((False, True), repeat=4):
+            table = [[0] * 2 for _ in range(2)]
+            leq = [[False] * 2 for _ in range(2)]
+            for (i, j), v, f in zip(cells, entries, flags):
+                table[i][j], leq[i][j] = v, f
+            yield table, leq
+    rng = random.Random(2024)
+    for _ in range(300):
+        table = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        leq = [[i == j or rng.random() < 0.3 for j in range(3)] for i in range(3)]
+        yield table, leq
+
+
+def test_construction_raises_the_first_violation_validate_lists():
+    # one violation stream: the constructor stops at its first item,
+    # validate lists them all
+    built = raised = 0
+    for table, leq in _law_pairs():
+        result = validate(table, leq)
+        if isinstance(result, ValidationReport):
+            first = result.violations[0]
+            message = f"not an ordered semigroup: {first.axiom} fails at {first.witness}"
+            with pytest.raises(ValueError) as info:
+                OrderedSemigroup(table, leq)
+            assert str(info.value) == message
+            raised += 1
+        else:
+            assert OrderedSemigroup(table, leq) == result
+            built += 1
+    assert built and raised and built + raised == 256 + 300
+
+
 def test_validate_malformed_input_raises():
     with pytest.raises(ValueError):
         validate([], [])
@@ -145,12 +183,12 @@ def test_principal_ideals_match_oracle_on_fixtures():
         "two_sided": oracles.two_sided_ideal,
         "bi": oracles.bi_ideal,
     }
-    for build in FIXTURES.values():
-        S = build()
+    structures = itertools.chain((build() for build in FIXTURES.values()), iter_catalog(3))
+    for S in structures:
         for a in S.elements():
             for kind, fn in oracle.items():
                 expect = sorted(fn(S.table, S.leq, a))
-                assert principal_ideal(S, a, kind).elements() == expect
+                assert principal_ideal(S, a, kind).elements() == expect, (S, a, kind)
 
 
 def test_power_profile_examples():
@@ -245,6 +283,10 @@ def test_derived_argument_errors_store_nothing_and_raise_every_time():
         (green, "X", "unknown Green relation 'X'"),
         (starred, "X", "unknown starred relation 'X'"),
         (nil_extension_search, "bogus", "unknown kernel tag 'bogus'"),
+        # an unhashable argument reaches the function's own check
+        (green, ["L"], r"unknown Green relation \['L'\]"),
+        (starred, ["L"], r"unknown starred relation \['L'\]"),
+        (nil_extension_search, ["simple"], r"unknown kernel tag \['simple'\]"),
     )
     for fn, arg, message in bad:
         for _ in range(2):

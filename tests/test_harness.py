@@ -30,6 +30,15 @@ from ordsgp.relations import starred
 import oracles
 from conftest import child_env
 
+
+@pytest.fixture(autouse=True)
+def four_cpus(monkeypatch):
+    # effective_workers clamps a worker count to the CPU count, so the pool
+    # tests (2 workers) start a real pool on any host; a test that needs
+    # another count patches its own
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+
+
 ALL_IDS = (
     "thm2",
     "thm4",
@@ -260,9 +269,18 @@ def test_verify_thm7_open_and_thm_wc_conditions():
     assert rep.conditions[0]["holds"]
 
 
-def test_run_suite_worker_independence():
+def test_run_suite_worker_independence(monkeypatch):
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     one = run_suite("thm6", max_order=2, workers=1)
     two = run_suite("thm6", max_order=2, workers=2)
+    assert started == [2]
     assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(
         two.to_dict(), sort_keys=True
     )
@@ -352,15 +370,15 @@ def test_a_catalog_without_discrepancy_renders_no_report(monkeypatch):
 
 @pytest.mark.parametrize("order", [3, 4])
 def test_structure_rows_equal_the_labelled_rows(order):
-    # one verification per isomorphism class gives the rows of verifying
-    # every labelled structure: the order <= 3 catalog, or the order-4
-    # discrete-order catalog
+    # one verification per isomorphism class gives each pair with the rows
+    # of verifying its labelled structure: the order <= 3 catalog, or the
+    # order-4 discrete-order catalog
     def catalog():
         if order == 3:
             return iter_catalog(3)
         return enumerate_ordered_semigroups(GenerationConfig(4, order_mode="discrete_only"))
 
-    labelled = [harness._verify_chunk(THEOREM_IDS, S) for S in catalog()]
+    labelled = [((S.table, S.leq), harness._verify_chunk(THEOREM_IDS, S)) for S in catalog()]
     for workers in (1, 2):
         pairs = ((S.table, S.leq) for S in catalog())
         assert list(harness._structure_rows(THEOREM_IDS, pairs, workers)) == labelled
@@ -489,11 +507,14 @@ def test_brandt_b2_pinned_values(key):
 
 @pytest.mark.parametrize("key", B2_KEYS, ids=("discrete", "zero-least"))
 def test_b2_rows_render_only_the_cor_hstar_report(key):
+    # the rows hold verdicts only; cor-hstar is the one DISCREPANCY, the one
+    # report a catalog run renders, and every verdict is the rendered one
     S = structure_from_key(key)
     rows = harness._verify_chunk(THEOREM_IDS, S)
-    reports = {tid: report for tid, _, report, _ in rows if report is not None}
-    assert [tid for tid, verdict, _, _ in rows if verdict == "DISCREPANCY"] == ["cor-hstar"]
-    assert reports == {"cor-hstar": verify(S, "cor-hstar").to_dict()}
+    assert [tid for tid, verdict, _ in rows if verdict == "DISCREPANCY"] == ["cor-hstar"]
+    assert [(tid, verdict) for tid, verdict, _ in rows] == [
+        (tid, verify(S, tid).verdict) for tid in THEOREM_IDS
+    ]
 
 
 def test_workers_env_is_clamped_to_cpu_count(monkeypatch):
