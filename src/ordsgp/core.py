@@ -105,7 +105,7 @@ class ValidationReport:
         assert self.ok == (not self.violations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateResult:
     """Outcome of a decidable condition: a verdict plus evidence.
 
@@ -503,14 +503,15 @@ def joint_power_exponents(S, specs):
     starts an exact cycle.  A quantifier over a shared exponent m is
     therefore decided by scanning just the yielded steps.
     """
-    steps = tuple(S.pow(x, c) for x, c, _ in specs)
-    cur = tuple(S.pow(x, c + d) for x, c, d in specs)
+    table = S.table
+    steps = [S.pow(x, c) for x, c, _ in specs]
+    cur = tuple([S.pow(x, c + d) for x, c, d in specs])
     seen = set()
     m = 1
     while cur not in seen:
         seen.add(cur)
         yield m, cur
-        cur = tuple(S.table[v][step] for v, step in zip(cur, steps))
+        cur = tuple([table[v][step] for v, step in zip(cur, steps)])
         m += 1
 
 

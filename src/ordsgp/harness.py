@@ -6,12 +6,14 @@ values agree, ``DISCREPANCY`` when they do not while the hypothesis holds,
 and ``hypothesis_not_met`` otherwise.  Law and implication suites demand
 that every condition hold once the hypothesis (antecedent) does.
 
-``_outcome`` is the one verdict rule: it gives a suite's truth values,
-condition results and verdict on one structure.  ``verify`` renders an
-``EquivalenceReport`` from it.  A catalog run walks (table, leq) pairs,
-takes the verdict rows of each isomorphism class from ``_outcome`` on the
-class's first pair, and renders a report only for a DISCREPANCY row, the
-one row whose report the suite report keeps, from the pair it belongs to.
+``_outcome`` is the one verdict rule: it gives a suite's hypothesis truth
+values, verdict and reading diagnostics on one structure, and its
+condition results when the hypothesis holds.  ``verify`` renders an
+``EquivalenceReport`` from it, computing a gated suite's conditions
+itself.  A catalog run walks (table, leq) pairs, takes the verdict rows
+of each isomorphism class from ``_outcome`` on the class's first pair,
+and renders a report only for a DISCREPANCY row, the one row whose
+report the suite report keeps, from the pair it belongs to.
 """
 
 from __future__ import annotations
@@ -172,41 +174,46 @@ def _conditions(S, specs):
 
 class _Outcome(NamedTuple):
     hypothesis: dict
-    conditions: list
+    conditions: list | None
     verdict: str
     diagnostics: dict
 
 
-def _outcome(S, theorem_id):
-    """The one verdict rule: one suite's hypothesis truth values, condition
-    results, verdict and reading diagnostics on one structure."""
+def _suite(theorem_id):
     try:
-        kind, hypotheses, specs, readings = _SUITES[theorem_id]
+        return _SUITES[theorem_id]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
+
+
+def _outcome(S, theorem_id):
+    """The one verdict rule: one suite's hypothesis truth values, condition
+    results, verdict and reading diagnostics on one structure.  A gated
+    verdict needs no condition, so the conditions are None when the
+    hypothesis fails."""
+    kind, hypotheses, specs, readings = _suite(theorem_id)
     hypothesis = {_key(name): read(S, name).holds for name in hypotheses}
-    conditions = _conditions(S, specs)
     diagnostics = {
         name: _truths(read(S, plain)) == _truths(read(S, other))
         for name, plain, other in readings
     }
-    met = all(hypothesis.values())
+    if not all(hypothesis.values()):
+        return _Outcome(hypothesis, None, VERDICT_HYPOTHESIS, diagnostics)
+    conditions = _conditions(S, specs)
     if kind == "equivalence":
         ok = len({res.holds for res in conditions}) == 1
     else:
         ok = all(res.holds for res in conditions)
-    if not met:
-        verdict = VERDICT_HYPOTHESIS
-    elif ok:
-        verdict = VERDICT_EQUIVALENT
-    else:
-        verdict = VERDICT_DISCREPANCY
+    verdict = VERDICT_EQUIVALENT if ok else VERDICT_DISCREPANCY
     return _Outcome(hypothesis, conditions, verdict, diagnostics)
 
 
 def verify(S, theorem_id):
-    """Evaluate one suite on one structure and render the verdict."""
+    """Evaluate one suite on one structure and render the verdict; a gated
+    suite's conditions are computed here for the report."""
     hypothesis, conditions, verdict, diagnostics = _outcome(S, theorem_id)
+    if conditions is None:
+        conditions = _conditions(S, _suite(theorem_id)[2])
     return EquivalenceReport(
         theorem_id,
         structure_key(S),
@@ -425,24 +432,31 @@ def run_suite(
     by_theorem = {tid: dict(totals) for tid in ids}
     discrepancies = []
     reading_disagreements = {}
-    structures = 0
+    # rows value -> [pairs with it, suite ids of its DISCREPANCY rows], in
+    # order of first appearance, so the tallies below keep catalog order
+    tally = {}
 
     pairs = _catalog_pairs(max_order, sample_count, sample_seed)
     with closing(_structure_rows(ids, pairs, workers)) as structure_rows:
         for pair, rows in structure_rows:
-            structures += 1
-            for tid, verdict, disagreements in rows:
-                totals[verdict] += 1
-                by_theorem[tid][verdict] += 1
-                for name in disagreements:
-                    key = f"{tid}.{name}"
-                    reading_disagreements[key] = reading_disagreements.get(key, 0) + 1
-            found = [tid for tid, verdict, _ in rows if verdict == VERDICT_DISCREPANCY]
-            if found:
+            entry = tally.get(rows)
+            if entry is None:
+                found = [tid for tid, verdict, _ in rows if verdict == VERDICT_DISCREPANCY]
+                entry = tally[rows] = [0, found]
+            entry[0] += 1
+            if entry[1]:
                 S = OrderedSemigroup(*pair)
-                discrepancies.extend(verify(S, tid).to_dict() for tid in found)
+                discrepancies.extend(verify(S, tid).to_dict() for tid in entry[1])
                 if fail_fast:
                     break
+
+    for rows, (count, _) in tally.items():
+        for tid, verdict, disagreements in rows:
+            totals[verdict] += count
+            by_theorem[tid][verdict] += count
+            for name in disagreements:
+                key = f"{tid}.{name}"
+                reading_disagreements[key] = reading_disagreements.get(key, 0) + count
 
     config = {
         "theorems": list(ids),
@@ -453,7 +467,7 @@ def run_suite(
     }
     return SuiteReport(
         config,
-        structures,
+        sum(count for count, _ in tally.values()),
         totals,
         by_theorem,
         tuple(discrepancies),

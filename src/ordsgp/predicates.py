@@ -11,11 +11,13 @@ that build, so conditions shared by both readings are computed once.
 Every universally quantified condition goes through ``_forall``: the
 condition yields one ``(case, witness)`` pair per input, in input order,
 and the first case whose witness is None is the counterexample.  A witness
-is found by one flattened generator that scans exponents first, smallest
-first, and mediating elements second, lexicographically least first, so it
+is found by a nested search function whose loops scan exponents first,
+smallest first, and mediating elements second, lexicographically least
+first, and which returns the first witness found, or None; so the witness
 carries the smallest satisfying exponent and the least mediators for it.
 Existential exponents are bounded through power profiles: the power
 sequence of an element cycles, so its distinct values exhaust all powers.
+A condition over pairs (a, b) reads each element's exponents once.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .relations import (
     is_rho_unique,
     ordered_idempotents,
     regularity_profile,
-    smallest_regular_power,
     starred,
 )
 
@@ -63,6 +64,30 @@ def _squares(S):
     return [(a, row[a]) for a, row in enumerate(S.table)]
 
 
+@derived
+def _exponents(S):
+    """(m, a^m) for each distinct power of each element a, indexed by a;
+    cached on S."""
+    return tuple(power_profile(S, a).exponents() for a in S.elements())
+
+
+def _inverse_masks(S):
+    """The ordered inverses of each element as a bitmask, indexed by it."""
+    return [_inverses_bits(S, v) for v in S.elements()]
+
+
+def _forall_pairs(elems, witness):
+    """_forall over every (a, b), with the witness ``witness(a, b)``."""
+    return _forall(({"a": a, "b": b}, witness(a, b)) for a in elems for b in elems)
+
+
+def _idempotent_pairs(S, witness):
+    """_forall over every pair (e, f) of ordered idempotents, with the
+    witness ``witness(e, f)``."""
+    idem = list(ordered_idempotents(S))
+    return _forall(({"e": e, "f": f}, witness(e, f)) for e in idem for f in idem)
+
+
 # -- structure-level predicates -------------------------------------------
 
 def _p_regular(S):
@@ -75,23 +100,30 @@ def _p_regular(S):
 
 def _p_completely_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a}, next((
-            {"a": a, "x": x} for x in elems if leq[a][table[table[a2][x]][a2]]
-        ), None))
-        for a, a2 in _squares(S)
-    )
+
+    def witness(a, a2):
+        la, row = leq[a], table[a2]
+        for x in elems:
+            if la[table[row[x]][a2]]:
+                return {"a": a, "x": x}
+        return None
+
+    return _forall(({"a": a}, witness(a, a2)) for a, a2 in _squares(S))
 
 
 def _p_intra_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a}, next((
-            {"a": a, "s": s, "t": t}
-            for s in elems for t in elems if leq[a][table[table[s][a2]][t]]
-        ), None))
-        for a, a2 in _squares(S)
-    )
+
+    def witness(a, a2):
+        la = leq[a]
+        for s in elems:
+            row = table[table[s][a2]]
+            for t in elems:
+                if la[row[t]]:
+                    return {"a": a, "s": s, "t": t}
+        return None
+
+    return _forall(({"a": a}, witness(a, a2)) for a, a2 in _squares(S))
 
 
 def _p_pi_regular(S):
@@ -104,38 +136,44 @@ def _p_pi_regular(S):
 
 def _p_completely_pi_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a}, next((
-            {"a": a, "m": m, "x": x}
-            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))
-            for x in elems if leq[u][table[table[w][x]][w]]
-        ), None))
-        for a in elems
-    )
+
+    def witness(a):
+        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
+            lu, row = leq[u], table[w]
+            for x in elems:
+                if lu[table[row[x]][w]]:
+                    return {"a": a, "m": m, "x": x}
+        return None
+
+    return _forall(({"a": a}, witness(a)) for a in elems)
 
 
 def _p_left_pi_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a}, next((
-            {"a": a, "m": m, "s": s}
-            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))
-            for s in elems if leq[u][table[s][w]]
-        ), None))
-        for a in elems
-    )
+
+    def witness(a):
+        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
+            lu = leq[u]
+            for s in elems:
+                if lu[table[s][w]]:
+                    return {"a": a, "m": m, "s": s}
+        return None
+
+    return _forall(({"a": a}, witness(a)) for a in elems)
 
 
 def _p_right_pi_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a}, next((
-            {"a": a, "m": m, "s": s}
-            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))
-            for s in elems if leq[u][table[w][s]]
-        ), None))
-        for a in elems
-    )
+
+    def witness(a):
+        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
+            lu, row = leq[u], table[w]
+            for s in elems:
+                if lu[row[s]]:
+                    return {"a": a, "m": m, "s": s}
+        return None
+
+    return _forall(({"a": a}, witness(a)) for a in elems)
 
 
 def _only_ideal_is_all(S, ideal_of):
@@ -161,75 +199,92 @@ def _p_simple(S):
 
 
 def _p_left_archimedean(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "n": n, "s": s}
-            for n, v in power_profile(S, a).exponents()
-            for s in elems if leq[v][table[s][b]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        for n, v in exps[a]:
+            lv = leq[v]
+            for s in elems:
+                if lv[table[s][b]]:
+                    return {"a": a, "b": b, "n": n, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _p_right_archimedean(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "n": n, "s": s}
-            for n, v in power_profile(S, a).exponents()
-            for s in elems if leq[v][table[b][s]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        row = table[b]
+        for n, v in exps[a]:
+            lv = leq[v]
+            for s in elems:
+                if lv[row[s]]:
+                    return {"a": a, "b": b, "n": n, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _p_archimedean(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "n": n, "s": s, "t": t}
-            for n, v in power_profile(S, a).exponents()
-            for s in elems for t in elems if leq[v][table[table[s][b]][t]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        for n, v in exps[a]:
+            lv = leq[v]
+            for s in elems:
+                row = table[table[s][b]]
+                for t in elems:
+                    if lv[row[t]]:
+                        return {"a": a, "b": b, "n": n, "s": s, "t": t}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _p_weakly_commutative(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "n": n, "s": s}
-            for n, v in power_profile(S, table[a][b]).exponents()
-            for s in elems if leq[v][table[table[b][s]][a]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        row = table[b]
+        for n, v in exps[table[a][b]]:
+            lv = leq[v]
+            for s in elems:
+                if lv[table[row[s]][a]]:
+                    return {"a": a, "b": b, "n": n, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _p_right_weakly_commutative(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "n": n, "s": s}
-            for n, v in power_profile(S, table[a][b]).exponents()
-            for s in elems if leq[v][table[s][a]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        for n, v in exps[table[a][b]]:
+            lv = leq[v]
+            for s in elems:
+                if lv[table[s][a]]:
+                    return {"a": a, "b": b, "n": n, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _p_left_weakly_commutative(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "n": n, "s": s}
-            for n, v in power_profile(S, table[a][b]).exponents()
-            for s in elems if leq[v][table[b][s]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        row = table[b]
+        for n, v in exps[table[a][b]]:
+            lv = leq[v]
+            for s in elems:
+                if lv[row[s]]:
+                    return {"a": a, "b": b, "n": n, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 # -- subsemigroup and ideal searches --------------------------------------
@@ -257,8 +312,8 @@ def _nil_exponents(S, bits):
     """Smallest power of each element landing inside bits, as a tuple
     indexed by element, or None."""
     exps = []
-    for a in S.elements():
-        for m, v in power_profile(S, a).exponents():
+    for powers in _exponents(S):
+        for m, v in powers:
             if bits >> v & 1:
                 exps.append(m)
                 break
@@ -368,40 +423,45 @@ def lstar_unique_idempotent(S):
 
 
 def _thm2_c4(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "m": m, "s": s}
-            for m, v in power_profile(S, a).exponents()
-            for s in elems if leq[v][table[table[v][s]][b]]
-        ), None))
-        for a in elems for b in elems
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(a, b):
+        for m, v in exps[a]:
+            lv, row = leq[v], table[v]
+            for s in elems:
+                if lv[table[row[s]][b]]:
+                    return {"a": a, "b": b, "m": m, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _thm2_c5(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
     powers = [power_profile(S, b).powers for b in elems]
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "m": m}
-            for m, v in power_profile(S, a).exponents()
-            if all(any(leq[v][table[table[v][s]][w]] for s in elems) for w in powers[b])
-        ), None))
-        for a in elems for b in elems
-    )
+
+    def witness(a, b):
+        for m, v in exps[a]:
+            lv, row = leq[v], table[v]
+            if all(any(lv[table[row[s]][w]] for s in elems) for w in powers[b]):
+                return {"a": a, "b": b, "m": m}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _thm2_c6(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "m": m, "s": s}
-            for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0)))
-            for s in elems if leq[u][table[table[u][s]][w]]
-        ), None))
-        for a in elems for b in elems
-    )
+
+    def witness(a, b):
+        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0))):
+            lu, row = leq[u], table[u]
+            for s in elems:
+                if lu[table[row[s]][w]]:
+                    return {"a": a, "b": b, "m": m, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def theorem2_conditions(S):
@@ -447,16 +507,17 @@ def _thm4_c2(S):
 
 def _thm4_c4(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    return _forall(
-        ({"a": a, "b": b}, next((
-            {"a": a, "b": b, "m": m, "s": s}
-            for m, (u, w) in joint_power_exponents(
-                S, ((table[a][b], 1, 0), (table[b][a], 1, 1))
-            )
-            for s in elems if leq[u][table[table[u][s]][w]]
-        ), None))
-        for a in elems for b in elems
-    )
+
+    def witness(a, b):
+        specs = ((table[a][b], 1, 0), (table[b][a], 1, 1))
+        for m, (u, w) in joint_power_exponents(S, specs):
+            lu, row = leq[u], table[u]
+            for s in elems:
+                if lu[table[row[s]][w]]:
+                    return {"a": a, "b": b, "m": m, "s": s}
+        return None
+
+    return _forall_pairs(elems, witness)
 
 
 def _thm4_readings(S):
@@ -491,10 +552,10 @@ def _ideal_generators(S, side):
     or (vS], and whether they are R-unique (L-unique); cached on S."""
     ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
     idempotents = list(ordered_idempotents(S))
+    ideals = [ideal_of(S, v) for v in S.elements()]
     out = []
-    for v in S.elements():
-        ideal = ideal_of(S, v)
-        gens = [e for e in idempotents if ideal_of(S, e) == ideal]
+    for ideal in ideals:
+        gens = [e for e in idempotents if ideals[e] == ideal]
         out.append((gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])))
     return out
 
@@ -505,23 +566,19 @@ def _pi_inverse_side(S, side, all_powers=False):
     "left") or (a^mS] are R-unique (L-unique).  The counterexample is the
     first power whose generators are not unique; when no power works, that
     is the first power with generators."""
-    gens = _ideal_generators(S, side)
+    gens, exps = _ideal_generators(S, side), _exponents(S)
 
     def found(a):
-        powers = power_profile(S, a).exponents()
-        bad = next(
-            (
-                {"a": a, "m": m, "generators": gens[v][0]}
-                for m, v in powers
-                if gens[v][0] and not gens[v][1]
-            ),
-            None,
-        )
+        bad = works = None
+        for m, v in exps[a]:
+            generators, unique = gens[v]
+            if unique:
+                works = works or {"a": a, "m": m, "generators": generators}
+            elif generators:
+                bad = bad or {"a": a, "m": m, "generators": generators}
         if all_powers:
             return bad, None if bad else {"a": a}
-        return bad, next(
-            ({"a": a, "m": m, "generators": gens[v][0]} for m, v in powers if gens[v][1]), None
-        )
+        return bad, works
 
     res = _forall(found(a) for a in S.elements())
     if all_powers and res.holds:
@@ -536,8 +593,8 @@ def _unrelated_inverses(S, kind):
     cached on S."""
     rel = green(S, kind)
     out = []
-    for v in S.elements():
-        inv = list(bits_iter(_inverses_bits(S, v)))
+    for mask in _inverse_masks(S):
+        inv = list(bits_iter(mask))
         bad = next(((inv[0], y) for y in inv[1:] if not rel.same(inv[0], y)), None)
         out.append((inv, bad))
     return out
@@ -545,13 +602,16 @@ def _unrelated_inverses(S, kind):
 
 def _p_pi_inverse(S):
     # when no power works, the first offending power is m = 1
-    inverses = _unrelated_inverses(S, "H")
+    inverses, exps = _unrelated_inverses(S, "H"), _exponents(S)
+
+    def witness(a):
+        for m, v in exps[a]:
+            if inverses[v][1] is None:
+                return {"a": a, "m": m, "inverses": inverses[v][0]}
+        return None
+
     return _forall(
-        ({"a": a, "m": 1, "pair": inverses[a][1]}, next((
-            {"a": a, "m": m, "inverses": inverses[v][0]}
-            for m, v in power_profile(S, a).exponents() if inverses[v][1] is None
-        ), None))
-        for a in S.elements()
+        ({"a": a, "m": 1, "pair": inverses[a][1]}, witness(a)) for a in S.elements()
     )
 
 
@@ -560,57 +620,62 @@ def _thm5_c2(S, all_powers=False):
     ``all_powers``, for every m.  The counterexample is the first m whose
     inverses are not; when no m works, that is m = 1."""
     pair = [p for _, p in _unrelated_inverses(S, "R")]
+    exps = _exponents(S)
 
     def found(a):
-        powers = power_profile(S, a).exponents()
+        powers = exps[a]
         if all_powers:
-            bad = next(({"a": a, "m": m, "pair": pair[v]} for m, v in powers if pair[v]), None)
-            return bad, None if bad else {"a": a}
-        return {"a": a, "m": 1, "pair": pair[a]}, next(
-            ({"a": a, "m": m} for m, v in powers if pair[v] is None), None
-        )
+            for m, v in powers:
+                if pair[v]:
+                    return {"a": a, "m": m, "pair": pair[v]}, None
+            return None, {"a": a}
+        case = {"a": a, "m": 1, "pair": pair[a]}
+        for m, v in powers:
+            if pair[v] is None:
+                return case, {"a": a, "m": m}
+        return case, None
 
     return _forall(found(a) for a in S.elements())
 
 
 def _thm5_c3(S):
-    table, leq, elems = S.table, S.leq, S.elements()
-    idem = list(ordered_idempotents(S))
-    return _forall(
-        ({"e": e, "f": f}, next((
-            {"e": e, "f": f, "n": n, "s": s}
-            for n, v in power_profile(S, table[e][f]).exponents()
-            for s in elems if leq[v][table[table[f][s]][f]]
-        ), None))
-        for e in idem for f in idem
-    )
+    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+
+    def witness(e, f):
+        row = table[f]
+        for n, v in exps[table[e][f]]:
+            lv = leq[v]
+            for s in elems:
+                if lv[table[row[s]][f]]:
+                    return {"e": e, "f": f, "n": n, "s": s}
+        return None
+
+    return _idempotent_pairs(S, witness)
 
 
 def _thm5_c4(S):
     right = [_as(S, x) for x in S.elements()]
-    idem = list(ordered_idempotents(S))
-    return _forall(
-        ({"e": e, "f": f}, next((
-            {"e": e, "f": f, "n": n}
-            for n, v in power_profile(S, S.table[e][f]).exponents()
-            if not right[v] & ~(right[e] & right[f])
-        ), None))
-        for e in idem for f in idem
-    )
+    exps = _exponents(S)
+
+    def witness(e, f):
+        for n, v in exps[S.table[e][f]]:
+            if not right[v] & ~(right[e] & right[f]):
+                return {"e": e, "f": f, "n": n}
+        return None
+
+    return _idempotent_pairs(S, witness)
 
 
-def _es_offence(S, e, values):
-    """First (x, y) with values[x] in (Se] and y an ordered inverse of
-    values[x] outside (eS], or None."""
-    se, es = _sa(S, e), _as(S, e)
-    return next(
-        (
-            (x, (bad & -bad).bit_length() - 1)
-            for x, v in enumerate(values)
-            if se >> v & 1 and (bad := _inverses_bits(S, v) & ~es)
-        ),
-        None,
-    )
+def _es_offence(se, es, inverses, values):
+    """First (x, y) with values[x] in the mask se, of (Se], and y an ordered
+    inverse of values[x], read from ``inverses``, outside the mask es, of
+    (eS]; or None."""
+    for x, v in enumerate(values):
+        if se >> v & 1:
+            bad = inverses[v] & ~es
+            if bad:
+                return x, (bad & -bad).bit_length() - 1
+    return None
 
 
 def _thm5_c5(S):
@@ -620,14 +685,17 @@ def _thm5_c5(S):
     offences.  The counterexample is the first m that fails; when no m
     works, that is m = 1."""
     steps = list(joint_power_exponents(S, tuple((x, 1, 0) for x in S.elements())))
+    inverses = _inverse_masks(S)
     some, every = [], []
     for e in ordered_idempotents(S):
-        offences = [(m, _es_offence(S, e, values)) for m, values in steps]
-        bad = next(
-            ({"e": e, "m": m, "x": off[0], "inverse": off[1]} for m, off in offences if off),
-            None,
-        )
-        works = next(({"e": e, "m": m} for m, off in offences if off is None), None)
+        se, es = _sa(S, e), _as(S, e)
+        bad = works = None
+        for m, values in steps:
+            off = _es_offence(se, es, inverses, values)
+            if off is None:
+                works = works or {"e": e, "m": m}
+            else:
+                bad = bad or {"e": e, "m": m, "x": off[0], "inverse": off[1]}
         some.append((bad, works))
         every.append((bad, None if bad else {"e": e}))
         if works is None:
@@ -682,23 +750,26 @@ def _thm51_c2(S):
 
 def _thm51_c3(S):
     table, leq, elems = S.table, S.leq, S.elements()
-    idem = list(ordered_idempotents(S))
-    return _forall(
-        ({"e": e, "f": f}, next((
-            {"e": e, "f": f, "s": s, "t": t}
-            for s in elems for t in elems
-            if leq[table[e][f]][table[table[table[table[f][s]][e]][t]][f]]
-        ), None))
-        for e in idem for f in idem
-    )
+
+    def witness(e, f):
+        lef, row = leq[table[e][f]], table[f]
+        for s in elems:
+            fse = table[table[row[s]][e]]
+            for t in elems:
+                if lef[table[fse[t]][f]]:
+                    return {"e": e, "f": f, "s": s, "t": t}
+        return None
+
+    return _idempotent_pairs(S, witness)
 
 
 def _thm51_c4(S):
     table = S.table
     E = list(ordered_idempotents(S))
+    right = {e: _as(S, e) for e in E}
     for e in E:
         for f in E:
-            lhs = _as(S, e) & _as(S, f)
+            lhs = right[e] & right[f]
             rhs = _close(S, _prod(S, 1 << table[e][f], S.full))
             if lhs != rhs:
                 return PredicateResult(
@@ -714,10 +785,11 @@ def _thm51_c4(S):
 
 
 def _thm51_c5(S):
+    inverses = _inverse_masks(S)
     return _forall(
         ({"e": e, "x": off[0], "inverse": off[1]} if off else None, None if off else {"e": e})
         for e in ordered_idempotents(S)
-        for off in (_es_offence(S, e, S.elements()),)
+        for off in (_es_offence(_sa(S, e), _as(S, e), inverses, S.elements()),)
     )
 
 
@@ -830,31 +902,32 @@ def cor_cpr_conditions(S):
 def lemma3_predicate(S):
     """For every a some (Sa^m] is generated by an ordered idempotent, the
     least one reported."""
-    gens = _ideal_generators(S, "left")
-    return _forall(
-        ({"a": a}, next((
-            {"a": a, "m": m, "e": gens[v][0][0]}
-            for m, v in power_profile(S, a).exponents() if gens[v][0]
-        ), None))
-        for a in S.elements()
-    )
+    gens, exps = _ideal_generators(S, "left"), _exponents(S)
+
+    def witness(a):
+        for m, v in exps[a]:
+            if gens[v][0]:
+                return {"a": a, "m": m, "e": gens[v][0][0]}
+        return None
+
+    return _forall(({"a": a}, witness(a)) for a in S.elements())
 
 
 def lemma7_predicate(S):
     """L*-related elements have all products inverse*power R*-related."""
     Ls, Rs = starred(S, "L"), starred(S, "R")
     table = S.table
+    smallest = regularity_profile(S).smallest_regular_power
+    regular = [power_profile(S, a).value(m) for a, m in enumerate(smallest)]
+    inverses = _inverse_masks(S)
     checked = 0
     for a in S.elements():
         for b in S.elements():
             if not Ls.same(a, b):
                 continue
-            m = smallest_regular_power(S, a)
-            n = smallest_regular_power(S, b)
-            u = power_profile(S, a).value(m)
-            w = power_profile(S, b).value(n)
-            for a1 in bits_iter(_inverses_bits(S, u)):
-                for b1 in bits_iter(_inverses_bits(S, w)):
+            u, w = regular[a], regular[b]
+            for a1 in bits_iter(inverses[u]):
+                for b1 in bits_iter(inverses[w]):
                     if not Rs.same(table[a1][u], table[b1][w]):
                         return PredicateResult(
                             False,

@@ -45,14 +45,22 @@ def natural_order(table):
     return [[any(table[e][b] == a for e in idempotents) for b in range(n)] for a in range(n)]
 
 
+def min_chain(k):
+    """The chain C_k = {0 < 1 < ... < k-1} under min, a semilattice."""
+    return [[min(x, y) for y in range(k)] for x in range(k)]
+
+
 # The semilattice Y2 = {0 < 1} under min.
-Y2 = [[0, 0], [0, 1]]
+Y2 = min_chain(2)
 
 TABLES = {
     "B2": brandt(2),
     "B2^1": adjoin_identity(brandt(2)),
     "B3": brandt(3),
     "B2xY2": direct_product(brandt(2), Y2),
+    "B4": brandt(4),
+    "B3xY2": direct_product(brandt(3), Y2),
+    "B2xC6": direct_product(brandt(2), min_chain(6)),
 }
 
 

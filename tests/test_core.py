@@ -223,6 +223,32 @@ def test_joint_power_exponents_covers_all_values():
     assert seen[2] == (0, 0)
 
 
+def naive_joint_powers(S, specs):
+    """(m, (x ** (c*m + d) for each spec)) for m = 1, 2, ... up to the first
+    repeated tuple, by S.pow alone."""
+    out, seen, m = [], set(), 1
+    while True:
+        values = tuple(S.pow(x, c * m + d) for x, c, d in specs)
+        if values in seen:
+            return out
+        seen.add(values)
+        out.append((m, values))
+        m += 1
+
+
+def test_joint_power_exponents_matches_the_naive_listing():
+    # every spec shape the predicates pass, on every order <= 3 structure
+    for S in iter_catalog(3):
+        elems, table = S.elements(), S.table
+        shapes = [((a, 1, 0), (a, 2, 0)) for a in elems]
+        shapes += [((a, 1, 0), (b, 1, 0)) for a in elems for b in elems]
+        shapes += [((table[a][b], 1, 0), (table[b][a], 1, 1)) for a in elems for b in elems]
+        shapes.append(tuple((x, 1, 0) for x in elems))
+        for specs in shapes:
+            got = list(joint_power_exponents(S, specs))
+            assert got == naive_joint_powers(S, specs), (structure_key(S), specs)
+
+
 def naive_bits(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 

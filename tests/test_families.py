@@ -1,8 +1,8 @@
-"""Every suite on the structured families of ``families.py``, orders 5-10.
+"""Every suite on the structured families of ``families.py``, orders 5-30.
 
 The catalog digests stop at order 4, so these pins are the ones that show
 witness order (and with it the order of every bit scan) unchanged at
-orders 6-10.
+orders 6-30.
 """
 
 import hashlib
@@ -47,13 +47,22 @@ REPORT_DIGESTS = {
     "B3/natural": "22384c60387bb15bab2b97eca675f6c204512d395dde6cdf29ade414ec91cddb",
     "B2xY2/discrete": "70c6bf0f41ff3fe1388ddd7601ee5b2c96bdaf6479f9d6ebb37f64c8ced73c67",
     "B2xY2/natural": "03a91511ae7084542cdefc7ec6c20c23e30ece17d1a01dffa7e8f3097d89971e",
+    "B4/discrete": "c4539a40b03c7bff09db6a915e03f1e833b0983d8537baafb56d691186812770",
+    "B4/natural": "3a9b9de8cc19211436a36bb4450d35ae22149f59188be8b7440a6a6bbc927b21",
+    "B3xY2/discrete": "11746878867119e3c17f42d0377a96f628d4a9452a0ebfb6a0dc13c5f844d958",
+    "B3xY2/natural": "c0dcf57db184cf855fe868cfa2d96116f85d605986a9891d3d70d988d29d70e2",
+    "B2xC6/discrete": "08b31a28f6190f6cf931b85ca074d7b8c642c16f07d39667df5a148521650a8f",
+    "B2xC6/natural": "7f2bc8686f25c7b91f0646de2e6818cbdcb668db28017a148ab8d10d339da52c",
 }
 
 
 def test_family_orders():
     assert {name: S.order for name, S in MEMBERS.items()} == {
         name: order
-        for family, order in (("B2", 5), ("B2^1", 6), ("B3", 10), ("B2xY2", 10))
+        for family, order in (
+            ("B2", 5), ("B2^1", 6), ("B3", 10), ("B2xY2", 10),
+            ("B4", 17), ("B3xY2", 20), ("B2xC6", 30),
+        )
         for name in (f"{family}/discrete", f"{family}/natural")
     }
 

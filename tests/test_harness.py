@@ -29,6 +29,7 @@ from ordsgp.relations import starred
 
 import oracles
 from conftest import child_env
+from families import members
 
 
 @pytest.fixture(autouse=True)
@@ -366,6 +367,37 @@ def test_a_catalog_without_discrepancy_renders_no_report(monkeypatch):
     monkeypatch.setattr(harness, "verify", rendering_refused)
     for workers in (1, 2):
         assert run_suite("all", max_order=3, workers=workers).to_dict() == expected
+
+
+def row_from_report(report):
+    """The verdict row a full report implies, by each kind's rule: the
+    hypothesis first, then the conditions' truth values, then the
+    diagnostics that disagree."""
+    truths = [c["holds"] for c in report["conditions"]]
+    if not all(report["hypothesis"].values()):
+        verdict = "hypothesis_not_met"
+    elif harness._SUITES[report["theorem"]][0] == "equivalence":
+        verdict = "equivalent" if len(set(truths)) == 1 else "DISCREPANCY"
+    else:
+        verdict = "equivalent" if all(truths) else "DISCREPANCY"
+    disagreements = tuple(name for name, agree in report["diagnostics"].items() if not agree)
+    return report["theorem"], verdict, disagreements
+
+
+@pytest.mark.parametrize("catalog", ["order3", "order4-discrete", "families"])
+def test_verdict_rows_match_the_full_reports(catalog):
+    # a row skips a gated suite's conditions; the report computes them all
+    structures = {
+        "order3": lambda: iter_catalog(3),
+        "order4-discrete": lambda: enumerate_ordered_semigroups(
+            GenerationConfig(4, order_mode="discrete_only")
+        ),
+        "families": lambda: (S for _, S in members()),
+    }[catalog]()
+    for S in structures:
+        rows = harness._verify_chunk(THEOREM_IDS, S)
+        expected = tuple(row_from_report(verify(S, tid).to_dict()) for tid in THEOREM_IDS)
+        assert rows == expected, structure_key(S)
 
 
 @pytest.mark.parametrize("order", [3, 4])
