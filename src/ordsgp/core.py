@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from itertools import chain
 
 
 @lru_cache(maxsize=1 << 16)
@@ -32,6 +33,8 @@ class SubsetMask:
     __slots__ = ("n", "bits")
 
     def __init__(self, n, bits=0):
+        if not isinstance(bits, int) or isinstance(bits, bool):
+            raise ValueError(f"bitmask {bits!r} is not an int")
         if bits < 0 or bits >> n:
             raise ValueError(f"bitmask {bits:#x} does not fit a carrier of size {n}")
         self.n = n
@@ -168,37 +171,77 @@ def _normalize(table, leq):
     return tab, lm
 
 
-def _violations(tab, lm):
-    """Every broken axiom with its witness, in a fixed deterministic order."""
-    n = len(tab)
-    rng = range(n)
+# The table part and the order part of the violation stream are memoised
+# process-wide, each keyed on one matrix: the order-4 catalog has 3492
+# tables and 219 orders, so both bounds hold every structure up to order 4.
+# Only tuples that ``_normalize`` has type-checked reach them, so a table
+# of bools never meets a cached int table that compares equal to it.
+_AXIOM_MEMO_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_AXIOM_MEMO_SIZE)
+def _table_violations(tab):
+    """The associativity violations of a normalised table, in (a, b, c) order."""
+    rng = range(len(tab))
+    return tuple(
+        Violation("associativity", (a, b, c))
+        for a in rng
+        for b in rng
+        for c in rng
+        if tab[tab[a][b]][c] != tab[a][tab[b][c]]
+    )
+
+
+@lru_cache(maxsize=_AXIOM_MEMO_SIZE)
+def _order_facts(lm):
+    """(violations, below) of a normalised order matrix: its reflexivity,
+    antisymmetry and transitivity violations in stream order, and the
+    down-set mask ``(a]`` of each element."""
+    rng = range(len(lm))
+    bad = [Violation("reflexivity", (a,)) for a in rng if not lm[a][a]]
+    bad += [
+        Violation("antisymmetry", (a, b))
+        for a in rng
+        for b in rng
+        if a != b and lm[a][b] and lm[b][a]
+    ]
+    bad += [
+        Violation("transitivity", (a, b, c))
+        for a in rng
+        for b in rng
+        if lm[a][b]
+        for c in rng
+        if lm[b][c] and not lm[a][c]
+    ]
+    below = tuple(sum(1 << i for i in rng if lm[i][j]) for j in rng)
+    return tuple(bad), below
+
+
+def _compatibility_violations(tab, lm):
+    """For each pair a < b and each x, in that order: x*a <= x*b, then
+    a*x <= b*x."""
+    rng = range(len(tab))
     for a in rng:
+        row_a, above_a = tab[a], lm[a]
         for b in rng:
-            ab = tab[a][b]
-            for c in rng:
-                if tab[ab][c] != tab[a][tab[b][c]]:
-                    yield Violation("associativity", (a, b, c))
-    for a in rng:
-        if not lm[a][a]:
-            yield Violation("reflexivity", (a,))
-    for a in rng:
-        for b in rng:
-            if a != b and lm[a][b] and lm[b][a]:
-                yield Violation("antisymmetry", (a, b))
-    for a in rng:
-        for b in rng:
-            if lm[a][b]:
-                for c in rng:
-                    if lm[b][c] and not lm[a][c]:
-                        yield Violation("transitivity", (a, b, c))
-    for a in rng:
-        for b in rng:
-            if lm[a][b] and a != b:
+            if above_a[b] and a != b:
+                row_b = tab[b]
                 for x in rng:
-                    if not lm[tab[x][a]][tab[x][b]]:
+                    row_x = tab[x]
+                    if not lm[row_x[a]][row_x[b]]:
                         yield Violation("left-compatibility", (a, b, x))
-                    if not lm[tab[a][x]][tab[b][x]]:
+                    if not lm[row_a[x]][row_b[x]]:
                         yield Violation("right-compatibility", (a, b, x))
+
+
+def _violations(tab, lm):
+    """Every broken axiom with its witness, in a fixed deterministic order:
+    associativity, the order axioms, then compatibility."""
+    return chain(
+        _table_violations(tab),
+        _order_facts(lm)[0],
+        _compatibility_violations(tab, lm),
+    )
 
 
 class OrderedSemigroup:
@@ -220,8 +263,7 @@ class OrderedSemigroup:
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "leq", lm)
-        below = tuple(sum(1 << i for i in range(n) if lm[i][j]) for j in range(n))
-        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "below", _order_facts(lm)[1])
         object.__setattr__(self, "full", (1 << n) - 1)
         object.__setattr__(self, "_cache", {})
 
@@ -342,12 +384,15 @@ def structure_key(S):
 def structure_from_key(key):
     """Rebuild a structure from its :func:`structure_key` string; a key
     whose table or order part is not n*n characters long (as for a table
-    with a multi-digit entry) is rejected."""
+    with a multi-digit entry), or whose order part holds a character other
+    than 0 and 1, is rejected."""
     try:
         head, t, o = key.split(":")
         n = int(head.removeprefix("n"))
         if len(t) != n * n or len(o) != n * n:
             raise ValueError("table or order part is not n*n characters long")
+        if not set(o) <= {"0", "1"}:
+            raise ValueError("order part holds a character other than 0 and 1")
         table = [[int(t[i * n + j]) for j in range(n)] for i in range(n)]
         leq = [[o[i * n + j] == "1" for j in range(n)] for i in range(n)]
     except (ValueError, IndexError) as exc:
@@ -371,6 +416,8 @@ def structure_from_dict(d):
     table, leq = d["table"], d["leq"]
     if not isinstance(table, (list, tuple)) or not isinstance(leq, (list, tuple)):
         raise ValueError("table and leq must be arrays")
+    if not isinstance(d["order"], int) or isinstance(d["order"], bool):
+        raise ValueError(f"order field {d['order']!r} is not an integer")
     if d["order"] != len(table):
         raise ValueError(f"order field {d['order']!r} disagrees with table size {len(table)}")
     return validate(table, leq)

@@ -77,6 +77,37 @@ def is_compatible(table, leq):
     )
 
 
+def axiom_violations(table, leq):
+    """Every broken ordered-semigroup axiom as (axiom, witness), listed as
+    the validator lists them: associativity triples, reflexivity,
+    antisymmetry, transitivity, then per strict pair a < b and per x the
+    left- and the right-compatibility of multiplying by x."""
+    n = len(table)
+    span = range(n)
+    out = []
+    for a, b, c in product(span, repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            out.append(("associativity", (a, b, c)))
+    for a in span:
+        if not leq[a][a]:
+            out.append(("reflexivity", (a,)))
+    for a, b in product(span, repeat=2):
+        if a != b and leq[a][b] and leq[b][a]:
+            out.append(("antisymmetry", (a, b)))
+    for a, b, c in product(span, repeat=3):
+        if leq[a][b] and leq[b][c] and not leq[a][c]:
+            out.append(("transitivity", (a, b, c)))
+    for a, b in product(span, repeat=2):
+        if a == b or not leq[a][b]:
+            continue
+        for x in span:
+            if not leq[table[x][a]][table[x][b]]:
+                out.append(("left-compatibility", (a, b, x)))
+            if not leq[table[a][x]][table[b][x]]:
+                out.append(("right-compatibility", (a, b, x)))
+    return out
+
+
 def all_tables(n):
     """Every associative table by filtering the full n^(n*n) space."""
     out = []

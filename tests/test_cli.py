@@ -64,6 +64,18 @@ def test_malformed_rows_are_parse_errors(tmp_path, capsys, command, change):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("order", [True, 1.0])
+def test_an_order_field_that_is_not_an_int_is_a_parse_error(tmp_path, capsys, command, order):
+    path = write(tmp_path, "s.json", {"order": order, "table": [[0]], "leq": [[True]]})
+    with pytest.raises(SystemExit) as err:
+        main([command, path])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed structure payload: order field {order!r} is not an integer\n"
+
+
 def test_analyze_json(tmp_path, capsys):
     code = main(["analyze", write(tmp_path, "s.json", SL2), "--json"])
     assert code == 0

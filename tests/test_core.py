@@ -26,6 +26,7 @@ from ordsgp import (
 )
 from ordsgp import core
 from ordsgp.core import _discrete, derived, joint_power_exponents
+from ordsgp.enumeration import GenerationConfig, _pairs, enumerate_ordered_semigroups
 from ordsgp.harness import iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
@@ -133,6 +134,74 @@ def test_construction_raises_the_first_violation_validate_lists():
             assert OrderedSemigroup(table, leq) == result
             built += 1
     assert built and raised and built + raised == 256 + 300
+
+
+def _clear_axiom_memos():
+    core._table_violations.cache_clear()
+    core._order_facts.cache_clear()
+
+
+def _memo_law_pairs():
+    """``_law_pairs``, then each labelled pair of order <= 3 between two
+    pairs that share its table: one under the order 0 < 1 alone, which may
+    break compatibility, and one under the full relation, which breaks
+    antisymmetry from order 2 on."""
+    yield from _law_pairs()
+    for n in (1, 2, 3):
+        chain01 = [[i == j or (i, j) == (0, 1) for j in range(n)] for i in range(n)]
+        full = [[True] * n for _ in range(n)]
+        for table, leq in _pairs(GenerationConfig(n)):
+            yield table, chain01
+            yield table, leq
+            yield table, full
+
+
+def test_memoised_violation_stream_matches_the_naive_checker():
+    # the memoised table and order parts give the unmemoised stream, on
+    # cold memos and on warm ones; the constructor raises its first item
+    # or holds the down-sets of the order
+    pairs = list(_memo_law_pairs())
+    _clear_axiom_memos()
+    for _ in ("cold", "warm"):
+        built = raised = 0
+        for table, leq in pairs:
+            expect = oracles.axiom_violations(table, leq)
+            result = validate(table, leq)
+            if expect:
+                assert isinstance(result, ValidationReport), (table, leq)
+                assert [(v.axiom, v.witness) for v in result.violations] == expect
+                axiom, witness = expect[0]
+                with pytest.raises(ValueError) as info:
+                    OrderedSemigroup(table, leq)
+                assert str(info.value) == f"not an ordered semigroup: {axiom} fails at {witness}"
+                raised += 1
+                continue
+            S = OrderedSemigroup(table, leq)
+            assert S == result
+            assert [sorted(oracles.closure(leq, {a})) for a in S.elements()] == [
+                list(core.bits_iter(mask)) for mask in S.below
+            ]
+            built += 1
+        assert built >= 992 and raised
+
+
+def test_axiom_memos_never_serve_a_bool_table_or_an_int_order():
+    # True == 1 and hash(True) == hash(1): the memos see only checked input
+    OrderedSemigroup(((1, 1), (1, 1)), _discrete(2))
+    with pytest.raises(ValueError, match=r"table entry \(0,0\) = True outside carrier"):
+        OrderedSemigroup([[True, True], [True, True]], _discrete(2))
+    OrderedSemigroup([[0, 0], [0, 0]], _discrete(2))
+    with pytest.raises(ValueError, match=r"order entry \(0,0\) = 1 is not a boolean"):
+        OrderedSemigroup([[0, 0], [0, 0]], [[1, 0], [0, 1]])
+
+
+def test_axiom_memos_miss_once_per_distinct_table_and_order():
+    # the order-4 classes share 188 tables and 212 orders
+    _clear_axiom_memos()
+    built = sum(1 for _ in enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True)))
+    assert built == 4753
+    assert core._table_violations.cache_info().misses == 188
+    assert core._order_facts.cache_info().misses == 212
 
 
 def test_validate_malformed_input_raises():
@@ -356,6 +425,12 @@ def test_subset_mask_behaviour():
         m | SubsetMask(3, 0b1)
 
 
+@pytest.mark.parametrize("bits", [1.5, True, "1", None])
+def test_subset_mask_rejects_a_mask_that_is_not_an_int(bits):
+    with pytest.raises(ValueError, match="is not an int"):
+        SubsetMask(2, bits)
+
+
 def test_structure_equality_and_key_roundtrip():
     S = sl2()
     assert S == sl2()
@@ -378,6 +453,12 @@ def test_structure_key_roundtrips_only_single_digit_tables():
         structure_from_key(structure_key(left_zero))
 
 
+@pytest.mark.parametrize("key", ["n1:0:2", "n2:0000:1x01", "n2:0000:1 01"])
+def test_structure_from_key_rejects_an_order_character_other_than_0_or_1(key):
+    with pytest.raises(ValueError, match="malformed structure key"):
+        structure_from_key(key)
+
+
 def test_json_roundtrip():
     for build in FIXTURES.values():
         S = build()
@@ -398,6 +479,12 @@ def test_structure_from_dict_errors():
         {"order": 2, "table": [[1, 0], [0, 0]], "leq": DISCRETE2}
     )
     assert isinstance(report, ValidationReport)
+
+
+@pytest.mark.parametrize("order", [True, 1.0, "1", None])
+def test_structure_from_dict_rejects_an_order_field_that_is_not_an_int(order):
+    with pytest.raises(ValueError, match="order field .* is not an integer"):
+        structure_from_dict({"order": order, "table": [[0]], "leq": [[True]]})
 
 
 MALFORMED_ROWS = (
