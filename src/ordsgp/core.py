@@ -244,6 +244,20 @@ def _violations(tab, lm):
     )
 
 
+class _Violated(ValueError):
+    """The constructor's error for a well-formed pair that breaks an axiom,
+    naming the first violation; it carries them all, for ``validate``."""
+
+    def __init__(self, violations):
+        first = violations[0]
+        super().__init__(f"not an ordered semigroup: {first.axiom} fails at {first.witness}")
+        self.violations = violations
+
+    def __reduce__(self):
+        # a pool worker's error reaches the parent process pickled
+        return type(self), (self.violations,)
+
+
 class OrderedSemigroup:
     """Validated finite ordered semigroup.
 
@@ -256,9 +270,10 @@ class OrderedSemigroup:
 
     def __init__(self, table, leq):
         tab, lm = _normalize(table, leq)
-        bad = next(_violations(tab, lm), None)
+        violations = _violations(tab, lm)
+        bad = next(violations, None)
         if bad is not None:
-            raise ValueError(f"not an ordered semigroup: {bad.axiom} fails at {bad.witness}")
+            raise _Violated((bad, *violations))
         n = len(tab)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", tab)
@@ -360,13 +375,13 @@ def validate(table, leq):
     Returns a validated :class:`OrderedSemigroup` when every axiom holds,
     otherwise a :class:`ValidationReport` listing every violated axiom with
     a witness.  Malformed input (wrong shape, out-of-range entry) raises
-    ``ValueError`` instead of being reported.
+    ``ValueError`` instead of being reported.  The input is checked once,
+    by the constructor, whose error carries every violation.
     """
-    tab, lm = _normalize(table, leq)
-    violations = tuple(_violations(tab, lm))
-    if violations:
-        return ValidationReport(False, violations)
-    return OrderedSemigroup(tab, lm)
+    try:
+        return OrderedSemigroup(table, leq)
+    except _Violated as exc:
+        return ValidationReport(False, exc.violations)
 
 
 @derived
@@ -381,14 +396,22 @@ def structure_key(S):
     return f"n{S.order}:{t}:{o}"
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def structure_from_key(key):
-    """Rebuild a structure from its :func:`structure_key` string; a key
-    whose table or order part is not n*n characters long (as for a table
-    with a multi-digit entry), or whose order part holds a character other
-    than 0 and 1, is rejected."""
+    """Rebuild a structure from its :func:`structure_key` string.  A key is
+    rejected unless its size part is ``n`` followed by ASCII digits, its
+    table part holds only ASCII digits and its order part only 0 and 1,
+    and both are n*n characters long (which a table with a multi-digit
+    entry is not)."""
     try:
         head, t, o = key.split(":")
-        n = int(head.removeprefix("n"))
+        if head[:1] != "n" or not head[1:] or not set(head[1:]) <= _DIGITS:
+            raise ValueError("size part is not n followed by ASCII digits")
+        if not set(t) <= _DIGITS:
+            raise ValueError("table part holds a character other than an ASCII digit")
+        n = int(head[1:])
         if len(t) != n * n or len(o) != n * n:
             raise ValueError("table or order part is not n*n characters long")
         if not set(o) <= {"0", "1"}:
@@ -551,14 +574,28 @@ def joint_power_exponents(S, specs):
     therefore decided by scanning just the yielded steps.
     """
     table = S.table
-    steps = [S.pow(x, c) for x, c, _ in specs]
-    cur = tuple([S.pow(x, c + d) for x, c, d in specs])
-    seen = set()
+    steps, start = [], []
+    for x, c, d in specs:
+        row = table[x]  # x * x^k = x^(k+1)
+        step = x
+        while c > 1:
+            step = row[step]
+            c -= 1
+        v = step
+        while d > 0:
+            v = row[v]
+            d -= 1
+        steps.append(step)
+        start.append(v)
+    cur = tuple(start)
+    seen = {cur}
     m = 1
-    while cur not in seen:
-        seen.add(cur)
+    while True:
         yield m, cur
         cur = tuple([table[v][step] for v, step in zip(cur, steps)])
+        if cur in seen:
+            return
+        seen.add(cur)
         m += 1
 
 
@@ -596,11 +633,12 @@ def restrict(S, bits):
     if not elems:
         raise ValueError("cannot restrict to the empty subset")
     pos = {x: i for i, x in enumerate(elems)}
+    rows, orders = S.table, S.leq
     try:
-        table = tuple(tuple(pos[S.table[a][b]] for b in elems) for a in elems)
+        table = tuple([tuple([pos[rows[a][b]] for b in elems]) for a in elems])
     except KeyError as exc:
         raise ValueError(f"subset not closed under product: hit {exc.args[0]}") from None
-    leq = tuple(tuple(S.leq[a][b] for b in elems) for a in elems)
+    leq = tuple([tuple([orders[a][b] for b in elems]) for a in elems])
     if len(elems) > _INTERN_MAX_ORDER:
         return OrderedSemigroup(table, leq), elems
     return _interned(table, leq), elems

@@ -4,23 +4,35 @@ table of named readings.
 ``READINGS`` names every reading the suites use: each predicate of the
 public vocabulary, each battery and lemma, and each second reading.
 ``read(S, name)`` is the one entry point and the one cache of a reading on
-S; the functions behind the names do not cache themselves.  A two-reading
-battery is one builder of its (plain, other) pair, and its two names index
-that build, so conditions shared by both readings are computed once.
+S; the functions behind the names do not cache themselves, and no function
+calls another's vocabulary function directly, so a check on a substructure
+(an absorbing search's kernel check) is read, and computed once per
+substructure.  A two-reading battery is one builder of its (plain, other)
+pair, and its two names index that build, so conditions shared by both
+readings are computed once.
 
-Every universally quantified condition goes through ``_forall``: the
-condition yields one ``(case, witness)`` pair per input, in input order,
-and the first case whose witness is None is the counterexample.  A witness
-is found by a nested search function whose loops scan exponents first,
-smallest first, and mediating elements second, lexicographically least
-first, and which returns the first witness found, or None; so the witness
-carries the smallest satisfying exponent and the least mediators for it.
-Existential exponents are bounded through power profiles: the power
-sequence of an element cycles, so its distinct values exhaust all powers.
-A condition over pairs (a, b) reads each element's exponents once.
+Every universally quantified condition goes through ``_forall``, the one
+loop: it calls ``witness(*case)`` on each case, an argument tuple, in
+input order, and collects the witnesses; at the first case whose witness
+is None it stops and builds that case's counterexample, and no other.
+``_forall_elements``, ``_forall_pairs`` and ``_idempotent_pairs`` walk
+every a, every (a, b) and every pair (e, f) of ordered idempotents, with
+the counterexample {"a"}, {"a", "b"} or {"e", "f"}; a condition whose
+counterexample says more (the first failing power, say) passes its own
+builder.  A witness is found by a nested search function whose loops scan
+exponents first, smallest first, and mediating elements second,
+lexicographically least first, and which returns the first witness found,
+or None; so the witness carries the smallest satisfying exponent and the
+least mediators for it.  Existential exponents are bounded through power
+profiles: the power sequence of an element cycles, so its distinct values
+exhaust all powers.  What several conditions read is one cached tuple on
+S: the list of pairs, and per element the exponents, the (a^m, a^2m)
+steps, the least mediator s of each v <= v*s*w, and the ordered inverses.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .congruences import classify_partition, semilattice_decomposition
 from .core import (
@@ -48,20 +60,58 @@ from .relations import (
 SUBSET_SEARCH_CAP = 12
 
 
-def _forall(found):
-    """All witnesses of ``found``'s (case, witness) pairs, or the first case
-    whose witness is None as the counterexample."""
+def _forall(cases, witness, counterexample):
+    """All witnesses ``witness(*case)`` over the argument tuples ``cases``,
+    in input order, or ``counterexample(*case)`` of the first case whose
+    witness is None."""
     wits = []
-    for case, wit in found:
+    for case in cases:
+        wit = witness(*case)
         if wit is None:
-            return PredicateResult(False, counterexample=case)
+            return PredicateResult(False, counterexample=counterexample(*case))
         wits.append(wit)
     return PredicateResult(True, tuple(wits))
 
 
-def _squares(S):
-    """(a, a*a) for every element a."""
-    return [(a, row[a]) for a, row in enumerate(S.table)]
+def _case_a(a):
+    return {"a": a}
+
+
+def _case_ab(a, b):
+    return {"a": a, "b": b}
+
+
+def _case_ef(e, f):
+    return {"e": e, "f": f}
+
+
+def _forall_elements(S, witness, counterexample=_case_a):
+    """_forall over every element a, with the witness ``witness(a)``."""
+    return _forall(zip(S.elements()), witness, counterexample)
+
+
+def _forall_pairs(S, witness):
+    """_forall over every (a, b), with the witness ``witness(a, b)``."""
+    return _forall(_pairs(S), witness, _case_ab)
+
+
+def _idempotent_pairs(S, witness):
+    """_forall over every pair (e, f) of ordered idempotents, with the
+    witness ``witness(e, f)``."""
+    return _forall(_pairs_of_idempotents(S), witness, _case_ef)
+
+
+@derived
+def _pairs(S):
+    """Every pair (a, b) of elements, in lexicographic order; cached on S."""
+    return tuple(product(S.elements(), repeat=2))
+
+
+@derived
+def _pairs_of_idempotents(S):
+    """Every pair (e, f) of ordered idempotents, in lexicographic order;
+    cached on S."""
+    return tuple(product(ordered_idempotents(S), repeat=2))
 
 
 @derived
@@ -71,51 +121,49 @@ def _exponents(S):
     return tuple(power_profile(S, a).exponents() for a in S.elements())
 
 
+@derived
+def _square_steps(S):
+    """The steps (m, (a^m, a^2m)) of the joint powers of a and a^2 up to
+    their first repeat, for each element a, indexed by it; cached on S."""
+    return tuple(
+        tuple(joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))) for a in S.elements()
+    )
+
+
+@derived
 def _inverse_masks(S):
-    """The ordered inverses of each element as a bitmask, indexed by it."""
-    return [_inverses_bits(S, v) for v in S.elements()]
-
-
-def _forall_pairs(elems, witness):
-    """_forall over every (a, b), with the witness ``witness(a, b)``."""
-    return _forall(({"a": a, "b": b}, witness(a, b)) for a in elems for b in elems)
-
-
-def _idempotent_pairs(S, witness):
-    """_forall over every pair (e, f) of ordered idempotents, with the
-    witness ``witness(e, f)``."""
-    idem = list(ordered_idempotents(S))
-    return _forall(({"e": e, "f": f}, witness(e, f)) for e in idem for f in idem)
+    """The ordered inverses of each element as a bitmask, indexed by it;
+    cached on S."""
+    return tuple(_inverses_bits(S, v) for v in S.elements())
 
 
 # -- structure-level predicates -------------------------------------------
 
 def _p_regular(S):
     prof = regularity_profile(S)
-    return _forall(
-        ({"a": a}, {"a": a, "x": x} if regular else None)
-        for a, (regular, x) in enumerate(zip(prof.regular, prof.witness))
-    )
+    regular, xs = prof.regular, prof.witness
+    return _forall_elements(S, lambda a: {"a": a, "x": xs[a]} if regular[a] else None)
 
 
 def _p_completely_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
 
-    def witness(a, a2):
+    def witness(a):
+        a2 = table[a][a]
         la, row = leq[a], table[a2]
         for x in elems:
             if la[table[row[x]][a2]]:
                 return {"a": a, "x": x}
         return None
 
-    return _forall(({"a": a}, witness(a, a2)) for a, a2 in _squares(S))
+    return _forall_elements(S, witness)
 
 
 def _p_intra_regular(S):
     table, leq, elems = S.table, S.leq, S.elements()
 
-    def witness(a, a2):
-        la = leq[a]
+    def witness(a):
+        a2, la = table[a][a], leq[a]
         for s in elems:
             row = table[table[s][a2]]
             for t in elems:
@@ -123,57 +171,55 @@ def _p_intra_regular(S):
                     return {"a": a, "s": s, "t": t}
         return None
 
-    return _forall(({"a": a}, witness(a, a2)) for a, a2 in _squares(S))
+    return _forall_elements(S, witness)
 
 
 def _p_pi_regular(S):
     prof = regularity_profile(S)
-    return _forall(
-        ({"a": a}, {"a": a, "m": m, "x": x})
-        for a, (m, x) in enumerate(zip(prof.smallest_regular_power, prof.witness))
-    )
+    ms, xs = prof.smallest_regular_power, prof.witness
+    return _forall_elements(S, lambda a: {"a": a, "m": ms[a], "x": xs[a]})
 
 
 def _p_completely_pi_regular(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, leq, elems, steps = S.table, S.leq, S.elements(), _square_steps(S)
 
     def witness(a):
-        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
+        for m, (u, w) in steps[a]:
             lu, row = leq[u], table[w]
             for x in elems:
                 if lu[table[row[x]][w]]:
                     return {"a": a, "m": m, "x": x}
         return None
 
-    return _forall(({"a": a}, witness(a)) for a in elems)
+    return _forall_elements(S, witness)
 
 
 def _p_left_pi_regular(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, leq, elems, steps = S.table, S.leq, S.elements(), _square_steps(S)
 
     def witness(a):
-        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
+        for m, (u, w) in steps[a]:
             lu = leq[u]
             for s in elems:
                 if lu[table[s][w]]:
                     return {"a": a, "m": m, "s": s}
         return None
 
-    return _forall(({"a": a}, witness(a)) for a in elems)
+    return _forall_elements(S, witness)
 
 
 def _p_right_pi_regular(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, leq, elems, steps = S.table, S.leq, S.elements(), _square_steps(S)
 
     def witness(a):
-        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (a, 2, 0))):
+        for m, (u, w) in steps[a]:
             lu, row = leq[u], table[w]
             for s in elems:
                 if lu[row[s]]:
                     return {"a": a, "m": m, "s": s}
         return None
 
-    return _forall(({"a": a}, witness(a)) for a in elems)
+    return _forall_elements(S, witness)
 
 
 def _only_ideal_is_all(S, ideal_of):
@@ -209,7 +255,7 @@ def _p_left_archimedean(S):
                     return {"a": a, "b": b, "n": n, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _p_right_archimedean(S):
@@ -224,7 +270,7 @@ def _p_right_archimedean(S):
                     return {"a": a, "b": b, "n": n, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _p_archimedean(S):
@@ -240,7 +286,7 @@ def _p_archimedean(S):
                         return {"a": a, "b": b, "n": n, "s": s, "t": t}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _p_weakly_commutative(S):
@@ -255,7 +301,7 @@ def _p_weakly_commutative(S):
                     return {"a": a, "b": b, "n": n, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _p_right_weakly_commutative(S):
@@ -269,7 +315,7 @@ def _p_right_weakly_commutative(S):
                     return {"a": a, "b": b, "n": n, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _p_left_weakly_commutative(S):
@@ -284,7 +330,7 @@ def _p_left_weakly_commutative(S):
                     return {"a": a, "b": b, "n": n, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 # -- subsemigroup and ideal searches --------------------------------------
@@ -293,10 +339,10 @@ def _subset_masks(n, base):
     """Every mask on n elements that contains ``base``, fewest elements
     first, then by value."""
     free = ((1 << n) - 1) & ~base
-    subs = [free]
+    subs = [free]  # every submask of free, descending
     while subs[-1]:
         subs.append((subs[-1] - 1) & free)
-    return sorted((base | sub for sub in subs), key=lambda m: (m.bit_count(), m))
+    return sorted([base | sub for sub in reversed(subs)], key=int.bit_count)
 
 
 def _closed_under_product(S, bits):
@@ -322,13 +368,13 @@ def _nil_exponents(S, bits):
     return tuple(exps)
 
 
-# Kernel tag -> simplicity checks the absorbing subset must pass as an
-# ordered semigroup in its own right, besides pi-regularity.
+# Kernel tag -> the readings the absorbing subset must pass as an ordered
+# semigroup in its own right, besides pi-regularity.
 _KERNEL_CHECKS = {
-    "left_simple": (_p_left_simple,),
-    "right_simple": (_p_right_simple,),
-    "t_simple": (_p_left_simple, _p_right_simple),
-    "simple": (_p_simple,),
+    "left_simple": ("left-simple",),
+    "right_simple": ("right-simple",),
+    "t_simple": ("left-simple", "right-simple"),
+    "simple": ("simple",),
 }
 
 
@@ -371,7 +417,7 @@ def _absorbing_search(S, candidate, kernel_tag, label, **extra):
     checks = _KERNEL_CHECKS[kernel_tag]
     for mask in _absorbing_candidates(S, candidate):
         sub, elems = restrict(S, mask)
-        if all(check(sub).holds for check in checks):
+        if all(read(sub, name).holds for name in checks):
             exps = dict(enumerate(_nil_exponents(S, mask)))
             return PredicateResult(True, data={label: list(elems), "exponents": exps, **extra})
     return PredicateResult(
@@ -396,18 +442,14 @@ def nil_extension_search(S, kernel_tag):
 
 def _conj(*parts):
     """All-of combination; keeps the first counterexample, tags its source."""
-    names = [name for name, _ in parts]
-    flags = {}
+    flags, failed = {}, None
     for name, res in parts:
         flags[name] = res.holds
-    for name, res in parts:
-        if not res.holds:
-            return PredicateResult(
-                False,
-                counterexample={"failed": name, **(res.counterexample or {})},
-                data=flags,
-            )
-    return PredicateResult(True, ({"parts": names},), data=flags)
+        if failed is None and not res.holds:
+            failed = {"failed": name, **(res.counterexample or {})}
+    if failed is None:
+        return PredicateResult(True, ({"parts": list(flags)},), data=flags)
+    return PredicateResult(False, counterexample=failed, data=flags)
 
 
 def _one_lstar_class(S):
@@ -422,68 +464,77 @@ def lstar_unique_idempotent(S):
     return is_rho_unique(S, starred(S, "L"), E)
 
 
+@derived
+def _mediators(S):
+    """The least s with v <= v*s*w, or None, for each v and w, indexed by
+    v and then w; cached on S."""
+    table, leq, elems = S.table, S.leq, S.elements()
+    out = []
+    for v in elems:
+        lv, row, least = leq[v], table[v], [None] * S.order
+        for s in elems:
+            vs = table[row[s]]
+            for w in elems:
+                if least[w] is None and lv[vs[w]]:
+                    least[w] = s
+        out.append(tuple(least))
+    return tuple(out)
+
+
 def _thm2_c4(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+    exps, mediators = _exponents(S), _mediators(S)
 
     def witness(a, b):
         for m, v in exps[a]:
-            lv, row = leq[v], table[v]
-            for s in elems:
-                if lv[table[row[s]][b]]:
-                    return {"a": a, "b": b, "m": m, "s": s}
+            s = mediators[v][b]
+            if s is not None:
+                return {"a": a, "b": b, "m": m, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _thm2_c5(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
-    powers = [power_profile(S, b).powers for b in elems]
+    exps = _exponents(S)
+    powers = [sum(1 << w for _, w in exps[b]) for b in S.elements()]
+    reach = [
+        sum(1 << w for w, s in enumerate(least) if s is not None) for least in _mediators(S)
+    ]
 
     def witness(a, b):
         for m, v in exps[a]:
-            lv, row = leq[v], table[v]
-            if all(any(lv[table[row[s]][w]] for s in elems) for w in powers[b]):
+            if not powers[b] & ~reach[v]:
                 return {"a": a, "b": b, "m": m}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _thm2_c6(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    mediators = _mediators(S)
 
     def witness(a, b):
         for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0))):
-            lu, row = leq[u], table[u]
-            for s in elems:
-                if lu[table[row[s]][w]]:
-                    return {"a": a, "b": b, "m": m, "s": s}
+            s = mediators[u][w]
+            if s is not None:
+                return {"a": a, "b": b, "m": m, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def theorem2_conditions(S):
     """Battery of eight equivalent characterizations of a left pi-t-simple
     ordered semigroup (suite id ``thm2``), in source numbering."""
+    pi_regular = ("pi_regular", read(S, "pi-regular"))
     return (
         read(S, "left-pi-t-simple"),
-        _conj(
-            ("pi_regular", read(S, "pi-regular")),
-            ("lstar_unique_idempotent", read(S, "lstar-unique-idempotent")),
-        ),
-        _conj(
-            ("pi_regular", read(S, "pi-regular")),
-            ("lstar_one_class", _one_lstar_class(S)),
-        ),
+        _conj(pi_regular, ("lstar_unique_idempotent", read(S, "lstar-unique-idempotent"))),
+        _conj(pi_regular, ("lstar_one_class", _one_lstar_class(S))),
         read(S, "thm2-c4"),
         _thm2_c5(S),
         _thm2_c6(S),
-        _conj(
-            ("pi_regular", read(S, "pi-regular")),
-            ("left_archimedean", read(S, "left-archimedean")),
-        ),
+        _conj(pi_regular, ("left_archimedean", read(S, "left-archimedean"))),
         nil_extension_search(S, "left_simple"),
     )
 
@@ -506,18 +557,17 @@ def _thm4_c2(S):
 
 
 def _thm4_c4(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, mediators = S.table, _mediators(S)
 
     def witness(a, b):
         specs = ((table[a][b], 1, 0), (table[b][a], 1, 1))
         for m, (u, w) in joint_power_exponents(S, specs):
-            lu, row = leq[u], table[u]
-            for s in elems:
-                if lu[table[row[s]][w]]:
-                    return {"a": a, "b": b, "m": m, "s": s}
+            s = mediators[u][w]
+            if s is not None:
+                return {"a": a, "b": b, "m": m, "s": s}
         return None
 
-    return _forall_pairs(elems, witness)
+    return _forall_pairs(S, witness)
 
 
 def _thm4_readings(S):
@@ -551,13 +601,14 @@ def _ideal_generators(S, side):
     """Per element v: the ordered idempotents generating (Sv] (side "left")
     or (vS], and whether they are R-unique (L-unique); cached on S."""
     ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
-    idempotents = list(ordered_idempotents(S))
+    idempotents, cls = list(ordered_idempotents(S)), rel.class_of
     ideals = [ideal_of(S, v) for v in S.elements()]
-    out = []
+    by_ideal = {}
     for ideal in ideals:
-        gens = [e for e in idempotents if ideals[e] == ideal]
-        out.append((gens, bool(gens) and all(rel.same(gens[0], e) for e in gens[1:])))
-    return out
+        if ideal not in by_ideal:
+            gens = [e for e in idempotents if ideals[e] == ideal]
+            by_ideal[ideal] = gens, len({cls[e] for e in gens}) == 1
+    return [by_ideal[ideal] for ideal in ideals]
 
 
 def _pi_inverse_side(S, side, all_powers=False):
@@ -568,22 +619,24 @@ def _pi_inverse_side(S, side, all_powers=False):
     is the first power with generators."""
     gens, exps = _ideal_generators(S, side), _exponents(S)
 
-    def found(a):
-        bad = works = None
+    def works(a):
         for m, v in exps[a]:
             generators, unique = gens[v]
             if unique:
-                works = works or {"a": a, "m": m, "generators": generators}
-            elif generators:
-                bad = bad or {"a": a, "m": m, "generators": generators}
-        if all_powers:
-            return bad, None if bad else {"a": a}
-        return bad, works
+                return {"a": a, "m": m, "generators": generators}
+        return None
 
-    res = _forall(found(a) for a in S.elements())
-    if all_powers and res.holds:
-        return PredicateResult(True, ({"reading": "all-powers"},))
-    return res
+    def bad(a):
+        for m, v in exps[a]:
+            generators, unique = gens[v]
+            if generators and not unique:
+                return {"a": a, "m": m, "generators": generators}
+        return None
+
+    if not all_powers:
+        return _forall_elements(S, works, bad)
+    res = _forall_elements(S, lambda a: None if bad(a) else {"a": a}, bad)
+    return PredicateResult(True, ({"reading": "all-powers"},)) if res.holds else res
 
 
 @derived
@@ -610,9 +663,7 @@ def _p_pi_inverse(S):
                 return {"a": a, "m": m, "inverses": inverses[v][0]}
         return None
 
-    return _forall(
-        ({"a": a, "m": 1, "pair": inverses[a][1]}, witness(a)) for a in S.elements()
-    )
+    return _forall_elements(S, witness, lambda a: {"a": a, "m": 1, "pair": inverses[a][1]})
 
 
 def _thm5_c2(S, all_powers=False):
@@ -622,20 +673,21 @@ def _thm5_c2(S, all_powers=False):
     pair = [p for _, p in _unrelated_inverses(S, "R")]
     exps = _exponents(S)
 
-    def found(a):
-        powers = exps[a]
-        if all_powers:
-            for m, v in powers:
-                if pair[v]:
-                    return {"a": a, "m": m, "pair": pair[v]}, None
-            return None, {"a": a}
-        case = {"a": a, "m": 1, "pair": pair[a]}
-        for m, v in powers:
-            if pair[v] is None:
-                return case, {"a": a, "m": m}
-        return case, None
+    def bad(a):
+        for m, v in exps[a]:
+            if pair[v]:
+                return {"a": a, "m": m, "pair": pair[v]}
+        return None
 
-    return _forall(found(a) for a in S.elements())
+    def works(a):
+        for m, v in exps[a]:
+            if pair[v] is None:
+                return {"a": a, "m": m}
+        return None
+
+    if all_powers:
+        return _forall_elements(S, lambda a: None if bad(a) else {"a": a}, bad)
+    return _forall_elements(S, works, lambda a: {"a": a, "m": 1, "pair": pair[a]})
 
 
 def _thm5_c3(S):
@@ -686,7 +738,7 @@ def _thm5_c5(S):
     works, that is m = 1."""
     steps = list(joint_power_exponents(S, tuple((x, 1, 0) for x in S.elements())))
     inverses = _inverse_masks(S)
-    some, every = [], []
+    scans = []  # (e, first failing m's offence, first working m) per e
     for e in ordered_idempotents(S):
         se, es = _sa(S, e), _as(S, e)
         bad = works = None
@@ -696,11 +748,22 @@ def _thm5_c5(S):
                 works = works or {"e": e, "m": m}
             else:
                 bad = bad or {"e": e, "m": m, "x": off[0], "inverse": off[1]}
-        some.append((bad, works))
-        every.append((bad, None if bad else {"e": e}))
+            if bad and works:
+                break
+        scans.append((e, bad, works))
         if works is None:
             break  # both readings fail by this e
-    return _forall(some), _forall(every)
+
+    def some(e, bad, works):
+        return works
+
+    def every(e, bad, works):
+        return None if bad else {"e": e}
+
+    def offence(e, bad, works):
+        return bad
+
+    return _forall(scans, some, offence), _forall(scans, every, offence)
 
 
 def _thm5_readings(S):
@@ -735,17 +798,22 @@ def theorem6_condition(S):
 
 def _thm51_c1(S):
     """m = 1 restriction of the right pi-inverse definition."""
-    return _forall(
-        ({"a": a, "generators": gens}, {"a": a, "generators": gens} if unique else None)
-        for a, (gens, unique) in enumerate(_ideal_generators(S, "left"))
-    )
+    gens = _ideal_generators(S, "left")
+
+    def case(a):
+        return {"a": a, "generators": gens[a][0]}
+
+    return _forall_elements(S, lambda a: case(a) if gens[a][1] else None, case)
 
 
 def _thm51_c2(S):
-    return _forall(
-        ({"a": a, "pair": pair}, None if pair else {"a": a, "inverses": inverses})
-        for a, (inverses, pair) in enumerate(_unrelated_inverses(S, "R"))
-    )
+    unrelated = _unrelated_inverses(S, "R")
+
+    def witness(a):
+        inverses, pair = unrelated[a]
+        return None if pair else {"a": a, "inverses": inverses}
+
+    return _forall_elements(S, witness, lambda a: {"a": a, "pair": unrelated[a][1]})
 
 
 def _thm51_c3(S):
@@ -770,7 +838,7 @@ def _thm51_c4(S):
     for e in E:
         for f in E:
             lhs = right[e] & right[f]
-            rhs = _close(S, _prod(S, 1 << table[e][f], S.full))
+            rhs = _as(S, table[e][f])
             if lhs != rhs:
                 return PredicateResult(
                     False,
@@ -786,10 +854,18 @@ def _thm51_c4(S):
 
 def _thm51_c5(S):
     inverses = _inverse_masks(S)
+
+    def offence(e):
+        return _es_offence(_sa(S, e), _as(S, e), inverses, S.elements())
+
+    def counterexample(e):
+        x, inverse = offence(e)
+        return {"e": e, "x": x, "inverse": inverse}
+
     return _forall(
-        ({"e": e, "x": off[0], "inverse": off[1]} if off else None, None if off else {"e": e})
-        for e in ordered_idempotents(S)
-        for off in (_es_offence(_sa(S, e), _as(S, e), inverses, S.elements()),)
+        zip(ordered_idempotents(S)),
+        lambda e: None if offence(e) else {"e": e},
+        counterexample,
     )
 
 
@@ -910,7 +986,7 @@ def lemma3_predicate(S):
                 return {"a": a, "m": m, "e": gens[v][0][0]}
         return None
 
-    return _forall(({"a": a}, witness(a)) for a in S.elements())
+    return _forall_elements(S, witness)
 
 
 def lemma7_predicate(S):

@@ -31,6 +31,7 @@ from ordsgp.harness import iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
     _closed_under_product,
+    _square_steps,
     named_predicate,
     nil_extension_search,
 )
@@ -316,6 +317,13 @@ def test_joint_power_exponents_matches_the_naive_listing():
         for specs in shapes:
             got = list(joint_power_exponents(S, specs))
             assert got == naive_joint_powers(S, specs), (structure_key(S), specs)
+        # the shared (m, (a^m, a^2m)) steps of the pi-regularity predicates
+        steps = _square_steps(S)
+        assert len(steps) == S.order
+        for a in elems:
+            specs = ((a, 1, 0), (a, 2, 0))
+            assert steps[a] == tuple(joint_power_exponents(S, specs)), structure_key(S)
+            assert list(steps[a]) == naive_joint_powers(S, specs), structure_key(S)
 
 
 def naive_bits(mask):
@@ -457,6 +465,40 @@ def test_structure_key_roundtrips_only_single_digit_tables():
 def test_structure_from_key_rejects_an_order_character_other_than_0_or_1(key):
     with pytest.raises(ValueError, match="malformed structure key"):
         structure_from_key(key)
+
+
+@pytest.mark.parametrize("key", ["1:0:1", "n+1:0:1", "n 1:0:1", "n1:\u0660:1"])
+def test_structure_from_key_rejects_keys_that_structure_key_never_writes(key):
+    # int() would read a sign, a space or any Unicode decimal digit
+    with pytest.raises(ValueError, match="malformed structure key"):
+        structure_from_key(key)
+
+
+def test_validate_normalizes_and_walks_the_violations_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(core, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(core, name, wrapper)
+
+    counting("_normalize")
+    counting("_compatibility_violations")
+    assert isinstance(validate([[0, 0], [0, 1]], [[True, True], [False, True]]), OrderedSemigroup)
+    assert calls == ["_normalize", "_compatibility_violations"]
+    # a pair that breaks axioms is listed in full from the same one walk
+    calls.clear()
+    table, leq = [[0, 0], [1, 1]], [[True, True], [True, True]]
+    report = validate(table, leq)
+    assert isinstance(report, ValidationReport)
+    assert [(v.axiom, v.witness) for v in report.violations] == oracles.axiom_violations(
+        table, leq
+    )
+    assert calls == ["_normalize", "_compatibility_violations"]
 
 
 def test_json_roundtrip():

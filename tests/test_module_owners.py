@@ -8,7 +8,8 @@ enumerated.  The named readings live in ``predicates.py`` above
 ``predicates``; every import is at module level, so a cycle between
 modules fails at import time.  ``OrderedSemigroup.cached`` has one caller,
 the ``derived`` decorator of ``core.py``, and that decorator is applied only
-to module-level functions.
+to module-level functions.  A vocabulary predicate of ``predicates.py`` is
+evaluated only through ``read``, so each one is computed once per structure.
 """
 
 import ast
@@ -123,3 +124,24 @@ def test_derived_decorates_only_module_level_functions():
                 assert id(node) in top, (path.name, node.lineno)
                 decorated += 1
     assert decorated > 0
+
+
+def test_vocabulary_functions_are_reached_only_through_read():
+    # a ``_p_*`` function is named only as a value of the PREDICATES table,
+    # so no function body calls one, directly or through another table, and
+    # every check goes through ``read`` and its cache on the structure
+    tree = parse(PACKAGE / "predicates.py")
+    table = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PREDICATES"
+    )
+    named = [node for node in table.value.values if isinstance(node, ast.Name)]
+    assert sum(node.id.startswith("_p_") for node in named) > 10
+    listed = {id(node) for node in named}
+    stray = [
+        (node.id, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id.startswith("_p_") and id(node) not in listed
+    ]
+    assert stray == []

@@ -8,6 +8,7 @@ from ordsgp import (
     FIXTURES,
     GenerationConfig,
     OrderedSemigroup,
+    PredicateResult,
     enumerate_ordered_semigroups,
     green,
     lemma3_predicate,
@@ -29,6 +30,7 @@ from ordsgp import (
 from ordsgp.harness import iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
+    READINGS,
     _closed_under_product,
     _is_ideal,
     _nil_exponents,
@@ -103,6 +105,38 @@ def test_golden_named_predicate_digest_order3():
             digest.update(json.dumps(blob, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "fd41a5725003145e73a13ecd9147dda5c4f08f36f93eadfa5a543dfa50ec0eea"
+    )
+
+
+def flat_results(value):
+    """The PredicateResults of a reading, in order: one result, a battery's
+    tuple of them, or a two-reading build's pair of batteries."""
+    if isinstance(value, PredicateResult):
+        yield value
+    else:
+        for item in value:
+            yield from flat_results(item)
+
+
+def test_golden_every_reading_digest():
+    # every reading of READINGS, with its full witness list, counterexample
+    # and data (a report shows only the first witness), over the order <= 3
+    # catalog and the order-4 discrete classes, hashed by repr so that dict
+    # order and tuple-versus-list are pinned too
+    digest = hashlib.sha256()
+    structures = itertools.chain(
+        iter_catalog(3),
+        enumerate_ordered_semigroups(
+            GenerationConfig(4, up_to_iso=True, order_mode="discrete_only")
+        ),
+    )
+    for S in structures:
+        for name in READINGS:
+            for r in flat_results(read(S, name)):
+                blob = (name, r.holds, r.witnesses, r.counterexample, r.data)
+                digest.update(repr(blob).encode())
+    assert digest.hexdigest() == (
+        "eb563beb5f8482190da5feec826330e4288263e1f5022696edd0d33f3e556839"
     )
 
 
