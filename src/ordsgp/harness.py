@@ -46,13 +46,9 @@ VERDICT_HYPOTHESIS = "hypothesis_not_met"
 VERDICT_DISCREPANCY = "DISCREPANCY"
 
 
-def _key(name):
-    return name.replace("-", "_")
-
-
 def _truths(result):
     if isinstance(result, tuple):
-        return tuple(r.holds for r in result)
+        return [r.holds for r in result]
     return result.holds
 
 
@@ -130,6 +126,23 @@ _SUITES = {
 THEOREM_IDS = tuple(_SUITES)
 
 
+def _keyed(names):
+    return tuple((name.replace("-", "_"), name) for name in names)
+
+
+# _SUITES with each hypothesis and each reading of a conjunction paired with
+# its snake_case key once, not on every verdict
+_PLANS = {
+    tid: (
+        kind,
+        _keyed(hypotheses),
+        tuple(_keyed(spec) if isinstance(spec, tuple) else spec for spec in specs),
+        readings,
+    )
+    for tid, (kind, hypotheses, specs, readings) in _SUITES.items()
+}
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     theorem: str
@@ -165,7 +178,7 @@ def _conditions(S, specs):
     out = []
     for spec in specs:
         if isinstance(spec, tuple):
-            out.append(_conj(*((_key(name), read(S, name)) for name in spec)))
+            out.append(_conj(*((key, read(S, name)) for key, name in spec)))
         else:
             result = read(S, spec)
             out.extend(result if isinstance(result, tuple) else (result,))
@@ -181,7 +194,7 @@ class _Outcome(NamedTuple):
 
 def _suite(theorem_id):
     try:
-        return _SUITES[theorem_id]
+        return _PLANS[theorem_id]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
 
@@ -192,7 +205,7 @@ def _outcome(S, theorem_id):
     verdict needs no condition, so the conditions are None when the
     hypothesis fails."""
     kind, hypotheses, specs, readings = _suite(theorem_id)
-    hypothesis = {_key(name): read(S, name).holds for name in hypotheses}
+    hypothesis = {key: read(S, name).holds for key, name in hypotheses}
     diagnostics = {
         name: _truths(read(S, plain)) == _truths(read(S, other))
         for name, plain, other in readings
@@ -312,7 +325,7 @@ def _verify_chunk(ids, S):
     out = []
     for tid in ids:
         _, _, verdict, diagnostics = _outcome(S, tid)
-        disagreements = tuple(name for name, agree in diagnostics.items() if not agree)
+        disagreements = tuple([name for name, agree in diagnostics.items() if not agree])
         out.append((tid, verdict, disagreements))
     return tuple(out)
 

@@ -19,15 +19,18 @@ is None it stops and builds that case's counterexample, and no other.
 every a, every (a, b) and every pair (e, f) of ordered idempotents, with
 the counterexample {"a"}, {"a", "b"} or {"e", "f"}; a condition whose
 counterexample says more (the first failing power, say) passes its own
-builder.  A witness is found by a nested search function whose loops scan
-exponents first, smallest first, and mediating elements second,
-lexicographically least first, and which returns the first witness found,
-or None; so the witness carries the smallest satisfying exponent and the
-least mediators for it.  Existential exponents are bounded through power
-profiles: the power sequence of an element cycles, so its distinct values
-exhaust all powers.  What several conditions read is one cached tuple on
-S: the list of pairs, and per element the exponents, the (a^m, a^2m)
-steps, the least mediator s of each v <= v*s*w, and the ordered inverses.
+builder.  A witness is found by a nested search function that scans
+exponents, smallest first, and returns the first witness found, or None.
+The least mediator s of an inequality v <= s*w, v <= w*s or v <= u*s*w is
+read from a least-solution table of ``relations``; a witness with two
+mediators (s, t) scans s in ascending order and reads the least t for it.
+So the witness carries the smallest satisfying exponent and the
+lexicographically least mediators for it.  The order reaches this module
+only through ``relations``, the down-set closures and the ideals: it names
+no ``leq``.  Existential exponents are bounded through power profiles: the
+power sequence of an element cycles, so its distinct values exhaust all
+powers.  What several conditions read is one cached tuple on S: the list
+of pairs, and per element the exponents and the (a^m, a^2m) steps.
 """
 
 from __future__ import annotations
@@ -49,10 +52,13 @@ from .core import (
     restrict,
 )
 from .relations import (
-    _inverses_bits,
+    _factors,
+    _inverse_masks,
+    _middles,
     green,
     is_rho_unique,
     ordered_idempotents,
+    regular_power_value,
     regularity_profile,
     starred,
 )
@@ -130,13 +136,6 @@ def _square_steps(S):
     )
 
 
-@derived
-def _inverse_masks(S):
-    """The ordered inverses of each element as a bitmask, indexed by it;
-    cached on S."""
-    return tuple(_inverses_bits(S, v) for v in S.elements())
-
-
 # -- structure-level predicates -------------------------------------------
 
 def _p_regular(S):
@@ -146,29 +145,25 @@ def _p_regular(S):
 
 
 def _p_completely_regular(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, middles = S.table, _middles(S)
 
     def witness(a):
         a2 = table[a][a]
-        la, row = leq[a], table[a2]
-        for x in elems:
-            if la[table[row[x]][a2]]:
-                return {"a": a, "x": x}
-        return None
+        x = middles[a][a2][a2]
+        return None if x is None else {"a": a, "x": x}
 
     return _forall_elements(S, witness)
 
 
 def _p_intra_regular(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, right = S.table, _factors(S, "right")
 
     def witness(a):
-        a2, la = table[a][a], leq[a]
-        for s in elems:
-            row = table[table[s][a2]]
-            for t in elems:
-                if la[row[t]]:
-                    return {"a": a, "s": s, "t": t}
+        a2 = table[a][a]
+        for s, row in enumerate(table):
+            t = right[a][row[a2]]
+            if t is not None:
+                return {"a": a, "s": s, "t": t}
         return None
 
     return _forall_elements(S, witness)
@@ -181,42 +176,28 @@ def _p_pi_regular(S):
 
 
 def _p_completely_pi_regular(S):
-    table, leq, elems, steps = S.table, S.leq, S.elements(), _square_steps(S)
+    steps, middles = _square_steps(S), _middles(S)
 
     def witness(a):
         for m, (u, w) in steps[a]:
-            lu, row = leq[u], table[w]
-            for x in elems:
-                if lu[table[row[x]][w]]:
-                    return {"a": a, "m": m, "x": x}
+            x = middles[u][w][w]
+            if x is not None:
+                return {"a": a, "m": m, "x": x}
         return None
 
     return _forall_elements(S, witness)
 
 
-def _p_left_pi_regular(S):
-    table, leq, elems, steps = S.table, S.leq, S.elements(), _square_steps(S)
+def _pi_regular_side(S, side):
+    """Some a^m <= s*a^2m (side "left") or a^m <= a^2m*s, with the least m
+    and the least s for it."""
+    steps, factors = _square_steps(S), _factors(S, side)
 
     def witness(a):
         for m, (u, w) in steps[a]:
-            lu = leq[u]
-            for s in elems:
-                if lu[table[s][w]]:
-                    return {"a": a, "m": m, "s": s}
-        return None
-
-    return _forall_elements(S, witness)
-
-
-def _p_right_pi_regular(S):
-    table, leq, elems, steps = S.table, S.leq, S.elements(), _square_steps(S)
-
-    def witness(a):
-        for m, (u, w) in steps[a]:
-            lu, row = leq[u], table[w]
-            for s in elems:
-                if lu[row[s]]:
-                    return {"a": a, "m": m, "s": s}
+            s = factors[u][w]
+            if s is not None:
+                return {"a": a, "m": m, "s": s}
         return None
 
     return _forall_elements(S, witness)
@@ -244,90 +225,59 @@ def _p_simple(S):
     return _only_ideal_is_all(S, _sas)
 
 
-def _p_left_archimedean(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+def _archimedean_side(S, side):
+    """Some a^n <= s*b (side "left") or a^n <= b*s, for every a and b, with
+    the least n and the least s for it."""
+    exps, factors = _exponents(S), _factors(S, side)
 
     def witness(a, b):
         for n, v in exps[a]:
-            lv = leq[v]
-            for s in elems:
-                if lv[table[s][b]]:
-                    return {"a": a, "b": b, "n": n, "s": s}
-        return None
-
-    return _forall_pairs(S, witness)
-
-
-def _p_right_archimedean(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
-
-    def witness(a, b):
-        row = table[b]
-        for n, v in exps[a]:
-            lv = leq[v]
-            for s in elems:
-                if lv[row[s]]:
-                    return {"a": a, "b": b, "n": n, "s": s}
+            s = factors[v][b]
+            if s is not None:
+                return {"a": a, "b": b, "n": n, "s": s}
         return None
 
     return _forall_pairs(S, witness)
 
 
 def _p_archimedean(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+    table, exps, right = S.table, _exponents(S), _factors(S, "right")
 
     def witness(a, b):
         for n, v in exps[a]:
-            lv = leq[v]
-            for s in elems:
-                row = table[table[s][b]]
-                for t in elems:
-                    if lv[row[t]]:
-                        return {"a": a, "b": b, "n": n, "s": s, "t": t}
+            for s, row in enumerate(table):
+                t = right[v][row[b]]
+                if t is not None:
+                    return {"a": a, "b": b, "n": n, "s": s, "t": t}
         return None
 
     return _forall_pairs(S, witness)
 
 
 def _p_weakly_commutative(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+    table, exps, middles = S.table, _exponents(S), _middles(S)
 
     def witness(a, b):
-        row = table[b]
         for n, v in exps[table[a][b]]:
-            lv = leq[v]
-            for s in elems:
-                if lv[table[row[s]][a]]:
-                    return {"a": a, "b": b, "n": n, "s": s}
+            s = middles[v][b][a]
+            if s is not None:
+                return {"a": a, "b": b, "n": n, "s": s}
         return None
 
     return _forall_pairs(S, witness)
 
 
-def _p_right_weakly_commutative(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+def _weakly_commutative_side(S, side):
+    """Some (ab)^n <= s*a (side "left") or (ab)^n <= b*s, for every a and b,
+    with the least n and the least s for it."""
+    table, exps, factors = S.table, _exponents(S), _factors(S, side)
 
     def witness(a, b):
+        w = a if side == "left" else b
         for n, v in exps[table[a][b]]:
-            lv = leq[v]
-            for s in elems:
-                if lv[table[s][a]]:
-                    return {"a": a, "b": b, "n": n, "s": s}
-        return None
-
-    return _forall_pairs(S, witness)
-
-
-def _p_left_weakly_commutative(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
-
-    def witness(a, b):
-        row = table[b]
-        for n, v in exps[table[a][b]]:
-            lv = leq[v]
-            for s in elems:
-                if lv[row[s]]:
-                    return {"a": a, "b": b, "n": n, "s": s}
+            s = factors[v][w]
+            if s is not None:
+                return {"a": a, "b": b, "n": n, "s": s}
         return None
 
     return _forall_pairs(S, witness)
@@ -464,29 +414,12 @@ def lstar_unique_idempotent(S):
     return is_rho_unique(S, starred(S, "L"), E)
 
 
-@derived
-def _mediators(S):
-    """The least s with v <= v*s*w, or None, for each v and w, indexed by
-    v and then w; cached on S."""
-    table, leq, elems = S.table, S.leq, S.elements()
-    out = []
-    for v in elems:
-        lv, row, least = leq[v], table[v], [None] * S.order
-        for s in elems:
-            vs = table[row[s]]
-            for w in elems:
-                if least[w] is None and lv[vs[w]]:
-                    least[w] = s
-        out.append(tuple(least))
-    return tuple(out)
-
-
 def _thm2_c4(S):
-    exps, mediators = _exponents(S), _mediators(S)
+    exps, middles = _exponents(S), _middles(S)
 
     def witness(a, b):
         for m, v in exps[a]:
-            s = mediators[v][b]
+            s = middles[v][v][b]
             if s is not None:
                 return {"a": a, "b": b, "m": m, "s": s}
         return None
@@ -498,7 +431,8 @@ def _thm2_c5(S):
     exps = _exponents(S)
     powers = [sum(1 << w for _, w in exps[b]) for b in S.elements()]
     reach = [
-        sum(1 << w for w, s in enumerate(least) if s is not None) for least in _mediators(S)
+        sum(1 << w for w, s in enumerate(rows[v]) if s is not None)
+        for v, rows in enumerate(_middles(S))
     ]
 
     def witness(a, b):
@@ -511,11 +445,11 @@ def _thm2_c5(S):
 
 
 def _thm2_c6(S):
-    mediators = _mediators(S)
+    middles = _middles(S)
 
     def witness(a, b):
         for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0))):
-            s = mediators[u][w]
+            s = middles[u][u][w]
             if s is not None:
                 return {"a": a, "b": b, "m": m, "s": s}
         return None
@@ -557,12 +491,12 @@ def _thm4_c2(S):
 
 
 def _thm4_c4(S):
-    table, mediators = S.table, _mediators(S)
+    table, middles = S.table, _middles(S)
 
     def witness(a, b):
         specs = ((table[a][b], 1, 0), (table[b][a], 1, 1))
         for m, (u, w) in joint_power_exponents(S, specs):
-            s = mediators[u][w]
+            s = middles[u][u][w]
             if s is not None:
                 return {"a": a, "b": b, "m": m, "s": s}
         return None
@@ -691,15 +625,13 @@ def _thm5_c2(S, all_powers=False):
 
 
 def _thm5_c3(S):
-    table, leq, elems, exps = S.table, S.leq, S.elements(), _exponents(S)
+    table, exps, middles = S.table, _exponents(S), _middles(S)
 
     def witness(e, f):
-        row = table[f]
         for n, v in exps[table[e][f]]:
-            lv = leq[v]
-            for s in elems:
-                if lv[table[row[s]][f]]:
-                    return {"e": e, "f": f, "n": n, "s": s}
+            s = middles[v][f][f]
+            if s is not None:
+                return {"e": e, "f": f, "n": n, "s": s}
         return None
 
     return _idempotent_pairs(S, witness)
@@ -817,15 +749,14 @@ def _thm51_c2(S):
 
 
 def _thm51_c3(S):
-    table, leq, elems = S.table, S.leq, S.elements()
+    table, middles = S.table, _middles(S)
 
     def witness(e, f):
-        lef, row = leq[table[e][f]], table[f]
-        for s in elems:
-            fse = table[table[row[s]][e]]
-            for t in elems:
-                if lef[table[fse[t]][f]]:
-                    return {"e": e, "f": f, "s": s, "t": t}
+        least = middles[table[e][f]]
+        for s, fs in enumerate(table[f]):
+            t = least[table[fs][e]][f]
+            if t is not None:
+                return {"e": e, "f": f, "s": s, "t": t}
         return None
 
     return _idempotent_pairs(S, witness)
@@ -993,8 +924,7 @@ def lemma7_predicate(S):
     """L*-related elements have all products inverse*power R*-related."""
     Ls, Rs = starred(S, "L"), starred(S, "R")
     table = S.table
-    smallest = regularity_profile(S).smallest_regular_power
-    regular = [power_profile(S, a).value(m) for a, m in enumerate(smallest)]
+    regular = [regular_power_value(S, a) for a in S.elements()]
     inverses = _inverse_masks(S)
     checked = 0
     for a in S.elements():
@@ -1026,16 +956,18 @@ PREDICATES = {
     "intra-regular": _p_intra_regular,
     "pi-regular": _p_pi_regular,
     "completely-pi-regular": _p_completely_pi_regular,
-    "left-pi-regular": _p_left_pi_regular,
-    "right-pi-regular": _p_right_pi_regular,
+    "left-pi-regular": lambda S: _pi_regular_side(S, "left"),
+    "right-pi-regular": lambda S: _pi_regular_side(S, "right"),
     "left-simple": _p_left_simple,
     "right-simple": _p_right_simple,
     "simple": _p_simple,
-    "left-archimedean": _p_left_archimedean,
-    "right-archimedean": _p_right_archimedean,
+    # a side names where the least factor s stands: right weak
+    # commutativity is (ab)^n <= s*a, left weak commutativity (ab)^n <= b*s
+    "left-archimedean": lambda S: _archimedean_side(S, "left"),
+    "right-archimedean": lambda S: _archimedean_side(S, "right"),
     "archimedean": _p_archimedean,
-    "left-weakly-commutative": _p_left_weakly_commutative,
-    "right-weakly-commutative": _p_right_weakly_commutative,
+    "left-weakly-commutative": lambda S: _weakly_commutative_side(S, "right"),
+    "right-weakly-commutative": lambda S: _weakly_commutative_side(S, "left"),
     "weakly-commutative": _p_weakly_commutative,
     # some left simple (right simple; left and right simple) pi-regular
     # subsemigroup absorbs a power of every element

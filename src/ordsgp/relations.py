@@ -7,10 +7,7 @@ from dataclasses import dataclass
 from .core import (
     PredicateResult,
     SubsetMask,
-    _close,
     _principal_bits,
-    _prod,
-    _sas,
     bits_iter,
     derived,
     power_profile,
@@ -111,18 +108,69 @@ def ordered_idempotents(S):
 
 
 @derived
-def _inverses_bits(S, a):
-    bits = 0
-    table = S.table
-    for b in S.elements():
-        if S.leq[a][table[table[a][b]][a]] and S.leq[b][table[table[b][a]][b]]:
-            bits |= 1 << b
-    return bits
+def _inverse_masks(S):
+    """The ordered inverses of each element as a bitmask, indexed by it;
+    cached on S."""
+    table, leq, elems = S.table, S.leq, S.elements()
+    return tuple(
+        sum(
+            1 << b
+            for b in elems
+            if leq[a][table[table[a][b]][a]] and leq[b][table[table[b][a]][b]]
+        )
+        for a in elems
+    )
 
 
 def ordered_inverses(S, a):
     """V(a) = {b : a <= a*b*a and b <= b*a*b}."""
-    return SubsetMask(S.order, _inverses_bits(S, a))
+    return SubsetMask(S.order, _inverse_masks(S)[a])
+
+
+# -- least solutions ------------------------------------------------------
+# Each table walks s in ascending order and marks every v of the down-set
+# (p] of the product p that no earlier s marked, so an entry is the least
+# s, or None.  A larger order only adds solutions: an entry can only fall
+# or fill.
+
+@derived
+def _factors(S, side):
+    """The least s with v <= s*w (side "left") or v <= w*s (side "right"),
+    or None, for each v and w, indexed by v and then w; cached on S."""
+    table, below, elems = S.table, S.below, S.elements()
+    out = [[None] * S.order for _ in elems]
+    for w in elems:
+        todo = S.full
+        for s, p in enumerate([row[w] for row in table] if side == "left" else table[w]):
+            new = todo & below[p]
+            if new:
+                todo ^= new
+                for v in bits_iter(new):
+                    out[v][w] = s
+                if not todo:
+                    break
+    return out
+
+
+@derived
+def _middles(S):
+    """The least s with v <= u*s*w, or None, for each v, u and w, indexed
+    by v, then u, then w; cached on S."""
+    table, below, elems = S.table, S.below, S.elements()
+    out = [[[None] * S.order for _ in elems] for _ in elems]
+    for u in elems:
+        row = table[u]
+        for w in elems:
+            todo = S.full
+            for s in elems:
+                new = todo & below[table[row[s]][w]]
+                if new:
+                    todo ^= new
+                    for v in bits_iter(new):
+                        out[v][u][w] = s
+                    if not todo:
+                        break
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,26 +189,16 @@ class RegularityProfile:
     witness: tuple
 
 
-def _regular_value(S, v):
-    """First x with v <= v*x*v, or None."""
-    table = S.table
-    for x in S.elements():
-        if S.leq[v][table[table[v][x]][v]]:
-            return x
-    return None
-
-
 @derived
 def regularity_profile(S):
+    table, middles, right = S.table, _middles(S), _factors(S, "right")
     completely, intra, smallest, witness = [], [], [], []
-    table = S.table
     for a in S.elements():
         a2 = table[a][a]
-        a2sa2 = _close(S, _prod(S, _prod(S, 1 << a2, S.full), 1 << a2))
-        completely.append(bool(a2sa2 >> a & 1))
-        intra.append(bool(_sas(S, a2) >> a & 1))
+        completely.append(middles[a][a2][a2] is not None)
+        intra.append(any(right[a][row[a2]] is not None for row in table))
         for m, v in power_profile(S, a).exponents():
-            x = _regular_value(S, v)
+            x = middles[v][v][v]
             if x is not None:
                 smallest.append(m)
                 witness.append(x)

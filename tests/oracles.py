@@ -140,6 +140,35 @@ def is_regular_element(table, leq, v):
     return any(leq[v][table[table[v][x]][v]] for x in range(n))
 
 
+def is_completely_regular_element(table, leq, a):
+    """a lies in (a^2 S a^2]."""
+    n, a2 = len(table), table[a][a]
+    return a in closure(leq, set_product(table, set_product(table, {a2}, range(n)), {a2}))
+
+
+def is_intra_regular_element(table, leq, a):
+    """a lies in (S a^2 S]."""
+    n, a2 = len(table), table[a][a]
+    return a in closure(leq, set_product(table, set_product(table, range(n), {a2}), range(n)))
+
+
+def least_factor(table, leq, v, w, side):
+    """The least s with v <= s*w (side "left") or v <= w*s, or None."""
+    for s in range(len(table)):
+        product = table[s][w] if side == "left" else table[w][s]
+        if leq[v][product]:
+            return s
+    return None
+
+
+def least_middle(table, leq, v, u, w):
+    """The least s with v <= u*s*w, or None."""
+    for s in range(len(table)):
+        if leq[v][table[table[u][s]][w]]:
+            return s
+    return None
+
+
 def smallest_regular_power(table, leq, a):
     # powers cycle within n + 1 steps, so this bound is exhaustive
     for m in range(1, len(table) + 2):

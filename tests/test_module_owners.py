@@ -9,7 +9,9 @@ enumerated.  The named readings live in ``predicates.py`` above
 modules fails at import time.  ``OrderedSemigroup.cached`` has one caller,
 the ``derived`` decorator of ``core.py``, and that decorator is applied only
 to module-level functions.  A vocabulary predicate of ``predicates.py`` is
-evaluated only through ``read``, so each one is computed once per structure.
+evaluated only through ``read``, so each one is computed once per structure,
+and ``predicates.py`` names no ``leq``: it reads the order through other
+modules.
 """
 
 import ast
@@ -145,3 +147,10 @@ def test_vocabulary_functions_are_reached_only_through_read():
         if isinstance(node, ast.Name) and node.id.startswith("_p_") and id(node) not in listed
     ]
     assert stray == []
+
+
+def test_predicates_read_the_order_only_through_other_modules():
+    # the order reaches the vocabulary only through ``relations`` (its
+    # least-solution tables among them), the down-set closures and the
+    # ideals
+    assert "leq" not in set(names(parse(PACKAGE / "predicates.py")))

@@ -1,4 +1,4 @@
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -24,7 +24,9 @@ from ordsgp.enumeration import (
     enumerate_tables,
 )
 from ordsgp.core import OrderedSemigroup
+from ordsgp.harness import iter_catalog
 from ordsgp.predicates import named_predicate
+from ordsgp.relations import _factors, _middles
 
 import oracles
 
@@ -100,25 +102,52 @@ def test_every_structure_is_pi_regular_and_witness_rechecks():
             assert S.leq[v][S.table[S.table[v][x]][v]]
 
 
+def order_four_classes():
+    return enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
+
+
 def test_regularity_flags_agree_with_the_predicates():
-    # law: the profile's per-element mask tests and the predicates' mediator
-    # scans decide the same facts, over the order <= 3 catalog and one
-    # structure of every order-4 isomorphism class
-    catalog = chain(
-        small_catalog(3), enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
-    )
+    # law: the profile's flags and the predicates match the oracles'
+    # definitions (a <= axa for some x, a in (a^2Sa^2], a in (Sa^2S]), over
+    # the order <= 3 catalog and one structure of every order-4
+    # isomorphism class
+    oracle = {
+        "regular": oracles.is_regular_element,
+        "completely-regular": oracles.is_completely_regular_element,
+        "intra-regular": oracles.is_intra_regular_element,
+    }
     counted = 0
-    for S in catalog:
+    for S in chain(small_catalog(3), order_four_classes()):
         prof = regularity_profile(S)
         for name, flags in (
             ("regular", prof.regular),
             ("completely-regular", prof.completely_regular),
             ("intra-regular", prof.intra_regular),
         ):
+            expected = tuple(oracle[name](S.table, S.leq, a) for a in S.elements())
+            assert flags == expected, (S, name)
             result = named_predicate(S, name)
             assert result.holds == all(flags), (S, name)
             if not result.holds:
                 assert result.counterexample == {"a": flags.index(False)}, (S, name)
+        counted += 1
+    assert counted == 992 + 4753
+
+
+def test_least_solution_tables_match_the_oracles():
+    # each table entry is the first s of a plain scan of its defining
+    # inequality, over the order <= 3 catalog and the order-4 classes
+    counted = 0
+    for S in chain(iter_catalog(3), order_four_classes()):
+        table, leq, elems = S.table, S.leq, S.elements()
+        middles = _middles(S)
+        for side in ("left", "right"):
+            factors = _factors(S, side)
+            assert factors == [
+                [oracles.least_factor(table, leq, v, w, side) for w in elems] for v in elems
+            ], (S, side)
+        for v, u, w in product(elems, repeat=3):
+            assert middles[v][u][w] == oracles.least_middle(table, leq, v, u, w), (S, v, u, w)
         counted += 1
     assert counted == 992 + 4753
 
