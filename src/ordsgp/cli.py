@@ -105,7 +105,7 @@ def _analysis(S):
             "witness": list(profile.witness),
         },
         "predicates": {name: named_predicate(S, name).holds for name in PREDICATE_NAMES},
-        "suites": {tid: _outcome(S, tid).verdict for tid in THEOREM_IDS},
+        "suites": {tid: _outcome(S, tid)[1] for tid in THEOREM_IDS},  # the verdict of each row
     }
 
 

@@ -290,6 +290,8 @@ class OrderedSemigroup:
 
     def pow(self, a, m):
         """a**m for m >= 1 under the semigroup product."""
+        _check_element(self, a)
+        _check_exponent(m)
         v = a
         for _ in range(m - 1):
             v = self.table[v][a]
@@ -345,6 +347,17 @@ def _derive(S, key):
 
 def _derive_at(S, key):
     return key[0](S, key[1])
+
+
+def _check_element(S, a):
+    """The one check of an element argument: an int of S's carrier."""
+    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < S.order:
+        raise ValueError(f"element {a!r} outside carrier of size {S.order}")
+
+
+def _check_exponent(m):
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"exponent {m!r} must be an integer >= 1")
 
 
 def derived(f):
@@ -515,6 +528,7 @@ def _principal_bits(S, a, kind):
 
 def principal_ideal(S, a, kind):
     """Principal left/right/two-sided/bi-ideal generated by a."""
+    _check_element(S, a)
     return SubsetMask(S.order, _principal_bits(S, a, kind))
 
 
@@ -537,6 +551,7 @@ class PowerProfile:
 
     def value(self, m):
         """Value of a^m for any exponent m >= 1."""
+        _check_exponent(m)
         if m <= len(self.powers):
             return self.powers[m - 1]
         return self.powers[self.index - 1 + (m - self.index) % self.period]
@@ -550,6 +565,7 @@ class PowerProfile:
 @derived
 def power_profile(S, a):
     """Index, period, and distinct values of the power sequence of a."""
+    _check_element(S, a)
     seen = {a: 1}
     powers = [a]
     v = a

@@ -6,13 +6,13 @@ values agree, ``DISCREPANCY`` when they do not while the hypothesis holds,
 and ``hypothesis_not_met`` otherwise.  Law and implication suites demand
 that every condition hold once the hypothesis (antecedent) does.
 
-``_outcome`` is the one verdict rule: it gives a suite's hypothesis truth
-values, verdict and reading diagnostics on one structure, and its
-condition results when the hypothesis holds.  ``verify`` renders an
-``EquivalenceReport`` from it, computing a gated suite's conditions
-itself.  A catalog run walks (table, leq) pairs, takes the verdict rows
-of each isomorphism class from ``_outcome`` on the class's first pair,
-and renders a report only for a DISCREPANCY row, the one row whose
+``_outcome`` is the one verdict rule: it gives a suite's verdict row
+``(suite id, verdict, disagreeing diagnostics)`` on one structure.
+``verify`` is the one renderer: it writes an ``EquivalenceReport`` around
+that row, with the hypothesis truth values, every condition result and the
+diagnostics.  A catalog run walks (table, leq) pairs, takes the verdict
+rows of each isomorphism class from ``_outcome`` on the class's first
+pair, and renders a report only for a DISCREPANCY row, the one row whose
 report the suite report keeps, from the pair it belongs to.
 """
 
@@ -25,7 +25,6 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice, starmap
-from typing import NamedTuple
 
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
@@ -37,7 +36,7 @@ from .enumeration import (
     _sample_pairs,
     enumerate_ordered_semigroups,
 )
-from .predicates import PREDICATES, _conj, named_predicate, read
+from .predicates import _conj, _predicate_key, read
 
 WORKERS_ENV = "ORDSGP_WORKERS"
 
@@ -126,23 +125,6 @@ _SUITES = {
 THEOREM_IDS = tuple(_SUITES)
 
 
-def _keyed(names):
-    return tuple((name.replace("-", "_"), name) for name in names)
-
-
-# _SUITES with each hypothesis and each reading of a conjunction paired with
-# its snake_case key once, not on every verdict
-_PLANS = {
-    tid: (
-        kind,
-        _keyed(hypotheses),
-        tuple(_keyed(spec) if isinstance(spec, tuple) else spec for spec in specs),
-        readings,
-    )
-    for tid, (kind, hypotheses, specs, readings) in _SUITES.items()
-}
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     theorem: str
@@ -178,62 +160,56 @@ def _conditions(S, specs):
     out = []
     for spec in specs:
         if isinstance(spec, tuple):
-            out.append(_conj(*((key, read(S, name)) for key, name in spec)))
+            out.append(_conj(*((name.replace("-", "_"), read(S, name)) for name in spec)))
         else:
             result = read(S, spec)
             out.extend(result if isinstance(result, tuple) else (result,))
     return out
 
 
-class _Outcome(NamedTuple):
-    hypothesis: dict
-    conditions: list | None
-    verdict: str
-    diagnostics: dict
-
-
 def _suite(theorem_id):
     try:
-        return _PLANS[theorem_id]
+        return _SUITES[theorem_id]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem_id!r}") from None
 
 
 def _outcome(S, theorem_id):
-    """The one verdict rule: one suite's hypothesis truth values, condition
-    results, verdict and reading diagnostics on one structure.  A gated
-    verdict needs no condition, so the conditions are None when the
-    hypothesis fails."""
+    """The one verdict rule: the verdict row ``(suite id, verdict,
+    disagreeing diagnostics)`` of one suite on one structure.  Every
+    hypothesis and every diagnostic pair is read; the conditions are
+    computed only when the hypothesis holds, since a gated verdict needs
+    none."""
     kind, hypotheses, specs, readings = _suite(theorem_id)
-    hypothesis = {key: read(S, name).holds for key, name in hypotheses}
-    diagnostics = {
-        name: _truths(read(S, plain)) == _truths(read(S, other))
-        for name, plain, other in readings
-    }
-    if not all(hypothesis.values()):
-        return _Outcome(hypothesis, None, VERDICT_HYPOTHESIS, diagnostics)
-    conditions = _conditions(S, specs)
-    if kind == "equivalence":
-        ok = len({res.holds for res in conditions}) == 1
-    else:
-        ok = all(res.holds for res in conditions)
-    verdict = VERDICT_EQUIVALENT if ok else VERDICT_DISCREPANCY
-    return _Outcome(hypothesis, conditions, verdict, diagnostics)
+    gated = not all([read(S, name).holds for name in hypotheses])
+    disagreements = tuple(
+        [
+            name
+            for name, plain, other in readings
+            if _truths(read(S, plain)) != _truths(read(S, other))
+        ]
+    )
+    if gated:
+        return theorem_id, VERDICT_HYPOTHESIS, disagreements
+    holds = [res.holds for res in _conditions(S, specs)]
+    ok = len(set(holds)) == 1 if kind == "equivalence" else all(holds)
+    return theorem_id, VERDICT_EQUIVALENT if ok else VERDICT_DISCREPANCY, disagreements
 
 
 def verify(S, theorem_id):
-    """Evaluate one suite on one structure and render the verdict; a gated
-    suite's conditions are computed here for the report."""
-    hypothesis, conditions, verdict, diagnostics = _outcome(S, theorem_id)
-    if conditions is None:
-        conditions = _conditions(S, _suite(theorem_id)[2])
+    """Evaluate one suite on one structure and render its report: the
+    verdict of ``_outcome``, the hypothesis truth values under snake_case
+    keys, every condition result, gated or not, and each diagnostic."""
+    _, verdict, disagreements = _outcome(S, theorem_id)
+    _, hypotheses, specs, readings = _SUITES[theorem_id]
+    conditions = _conditions(S, specs)
     return EquivalenceReport(
         theorem_id,
         structure_key(S),
-        hypothesis,
+        {name.replace("-", "_"): read(S, name).holds for name in hypotheses},
         tuple(_condition_entry(i, res) for i, res in enumerate(conditions, start=1)),
         verdict,
-        diagnostics,
+        {name: name not in disagreements for name, _, _ in readings},
     )
 
 
@@ -246,8 +222,9 @@ def _resolve_ids(theorems):
     if not ids:
         raise ValueError("no theorem ids given")
     for tid in ids:
-        if tid not in _SUITES:
-            raise ValueError(f"unknown theorem id {tid!r}")
+        _suite(tid)
+        if ids.count(tid) > 1:
+            raise ValueError(f"theorem id {tid!r} given more than once")
     return ids
 
 
@@ -320,14 +297,9 @@ def effective_workers(workers=None):
 
 
 def _verify_chunk(ids, S):
-    """Verdict rows of one structure, one per suite id: (suite id, verdict,
-    disagreeing diagnostics), facts of its isomorphism class."""
-    out = []
-    for tid in ids:
-        _, _, verdict, diagnostics = _outcome(S, tid)
-        disagreements = tuple([name for name, agree in diagnostics.items() if not agree])
-        out.append((tid, verdict, disagreements))
-    return tuple(out)
+    """Verdict rows of one structure, one ``_outcome`` row per suite id:
+    facts of its isomorphism class."""
+    return tuple([_outcome(S, tid) for tid in ids])
 
 
 def _verify_batch(payload):
@@ -516,23 +488,20 @@ class SearchResult:
 
 def search_model(satisfy=(), violate=(), max_order=3):
     """First structure, in catalog order, satisfying every named predicate
-    in ``satisfy`` and violating every one in ``violate``."""
+    in ``satisfy`` and violating every one in ``violate``; a bare string is
+    one name."""
     _check_order(max_order, "max_order")
-    satisfy = tuple(satisfy)
-    violate = tuple(violate)
-    for name in satisfy + violate:
-        if name.replace("_", "-") not in PREDICATES:
-            raise ValueError(f"unknown predicate name {name!r}")
-    # (details label, predicate, wanted truth), satisfy before violate
-    wanted = [(name, name, True) for name in satisfy]
-    wanted += [(f"not:{name}", name, False) for name in violate]
+    satisfy, violate = ((x,) if isinstance(x, str) else tuple(x) for x in (satisfy, violate))
+    # (details label, vocabulary key, wanted truth), satisfy before violate
+    wanted = [(name, _predicate_key(name), True) for name in satisfy]
+    wanted += [(f"not:{name}", _predicate_key(name), False) for name in violate]
     checked = 0
     for n in range(1, max_order + 1):
         for S in enumerate_ordered_semigroups(GenerationConfig(n)):
             checked += 1
             details = {}
-            for label, name, holds in wanted:
-                res = named_predicate(S, name)
+            for label, key, holds in wanted:
+                res = read(S, key)
                 details[label] = res.to_dict()
                 if res.holds != holds:
                     break

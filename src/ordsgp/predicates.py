@@ -1021,10 +1021,16 @@ def read(S, name):
     return READINGS[name](S)
 
 
+def _predicate_key(name):
+    """The one check of a predicate name: the key in ``PREDICATES`` of
+    ``name``, a snake_case name read as its kebab-case form."""
+    key = name.replace("_", "-") if isinstance(name, str) else None
+    if key not in PREDICATES:
+        raise ValueError(f"unknown predicate name {name!r}")
+    return key
+
+
 def named_predicate(S, name):
     """Evaluate any predicate from the public kebab-case vocabulary (a
     snake_case name is read as its kebab-case form); cached on S."""
-    key = name.replace("_", "-")
-    if key not in PREDICATES:
-        raise ValueError(f"unknown predicate name {name!r}")
-    return read(S, key)
+    return read(S, _predicate_key(name))

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .core import (
     PredicateResult,
     SubsetMask,
+    _check_element,
     _principal_bits,
     bits_iter,
     derived,
@@ -124,6 +125,7 @@ def _inverse_masks(S):
 
 def ordered_inverses(S, a):
     """V(a) = {b : a <= a*b*a and b <= b*a*b}."""
+    _check_element(S, a)
     return SubsetMask(S.order, _inverse_masks(S)[a])
 
 
@@ -212,6 +214,7 @@ def regularity_profile(S):
 
 
 def smallest_regular_power(S, a):
+    _check_element(S, a)
     return regularity_profile(S).smallest_regular_power[a]
 
 

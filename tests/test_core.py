@@ -273,6 +273,30 @@ def test_power_profile_examples():
     assert (prof.index, prof.period) == (1, 1)
 
 
+def test_per_element_api_refuses_an_element_outside_the_carrier():
+    # a fresh structure: the check of the cached power_profile runs on a miss
+    L = lz2()
+    for bad in (-1, 2, 5, True, 1.0, "0"):
+        for call in (
+            lambda a: power_profile(L, a),
+            lambda a: principal_ideal(L, a, "left"),
+            lambda a: L.pow(a, 1),
+        ):
+            with pytest.raises(ValueError, match=f"element {bad!r} outside carrier of size 2"):
+                call(bad)
+
+
+def test_exponents_below_one_are_refused():
+    N = n2()
+    prof = power_profile(N, 1)
+    for bad in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match=f"exponent {bad!r} must be an integer >= 1"):
+            prof.value(bad)
+        with pytest.raises(ValueError, match="exponent"):
+            N.pow(1, bad)
+    assert (prof.value(1), N.pow(1, 1), prof.value(2), N.pow(1, 3)) == (1, 1, 0, 0)
+
+
 def test_power_profile_cycle_invariant():
     for build in FIXTURES.values():
         S = build()

@@ -242,6 +242,26 @@ def test_run_suite_small_exhaustive():
         run_suite("nope", max_order=1)
 
 
+def test_run_suite_rejects_a_repeated_suite_id():
+    # a repeated id would count each structure twice under that suite
+    for theorems in (("thm2", "thm2"), ["lemma3", "thm2", "lemma3"]):
+        with pytest.raises(ValueError, match="theorem id '(thm2|lemma3)' given more than once"):
+            run_suite(theorems, max_order=2)
+    with pytest.raises(ValueError, match="unknown theorem id 'nope'"):
+        run_suite(("thm2", "nope", "nope"), max_order=1)
+
+
+def test_each_suite_tallies_every_structure_once():
+    rep = run_suite("all", max_order=3)
+    assert rep.config["theorems"] == list(ALL_IDS)
+    for tid, counts in rep.by_theorem.items():
+        assert sum(counts.values()) == rep.structures, tid
+    assert rep.totals == {
+        verdict: sum(counts[verdict] for counts in rep.by_theorem.values())
+        for verdict in rep.totals
+    }
+
+
 def test_run_suite_rejects_an_empty_suite_list():
     # An empty report would have no rows for table() to size its columns by.
     for theorems in ((), []):
@@ -293,10 +313,10 @@ def test_fail_fast_report_is_worker_independent(monkeypatch):
     real_outcome = harness._outcome
 
     def faulty_outcome(S, tid):
-        outcome = real_outcome(S, tid)
+        row = real_outcome(S, tid)
         if S.order == 2:
-            return outcome._replace(verdict="DISCREPANCY")
-        return outcome
+            return tid, "DISCREPANCY", row[2]
+        return row
 
     monkeypatch.setattr(harness, "_outcome", faulty_outcome)
     one, two = (
@@ -315,10 +335,10 @@ def test_fail_fast_pool_stops_within_the_in_flight_window(monkeypatch, tmp_path)
     real_outcome, real_chunk = harness._outcome, harness._verify_chunk
 
     def faulty_outcome(S, tid):
-        outcome = real_outcome(S, tid)
+        row = real_outcome(S, tid)
         if S.order == 2:
-            return outcome._replace(verdict="DISCREPANCY")
-        return outcome
+            return tid, "DISCREPANCY", row[2]
+        return row
 
     def logging_chunk(ids, S):
         with open(log, "a", encoding="utf-8") as fh:
@@ -341,10 +361,10 @@ def test_repeated_class_discrepancies_match_the_labelled_loop(monkeypatch):
     real_outcome = harness._outcome
 
     def faulty_outcome(S, tid):
-        outcome = real_outcome(S, tid)
+        row = real_outcome(S, tid)
         if S.order == 2:
-            return outcome._replace(verdict="DISCREPANCY")
-        return outcome
+            return tid, "DISCREPANCY", row[2]
+        return row
 
     monkeypatch.setattr(harness, "_outcome", faulty_outcome)
     labelled = [verify(S, "thm2").to_dict() for S in iter_catalog(2) if S.order == 2]
@@ -489,6 +509,19 @@ def test_search_model_examples():
         search_model(satisfy=["unknown-pred"], max_order=1)
     with pytest.raises(ValueError):
         search_model(max_order=9)
+
+
+def test_search_model_reads_a_bare_string_as_one_name():
+    for satisfy, violate in (("left-simple", "right-simple"), ("left_simple", ["right-simple"])):
+        res = search_model(satisfy=satisfy, violate=violate, max_order=2)
+        assert res.structure == lz2()
+        assert res.satisfy == (satisfy,)
+        assert set(res.details) == {satisfy, "not:right-simple"}
+    assert search_model(satisfy="regular", max_order=1).satisfy == ("regular",)
+    with pytest.raises(ValueError, match="unknown predicate name 'bogus-name'"):
+        search_model(satisfy="bogus-name", max_order=1)
+    with pytest.raises(ValueError, match="unknown predicate name 3"):
+        search_model(violate=[3], max_order=1)
 
 
 def test_report_schema_shape():

@@ -56,6 +56,9 @@ def test_named_predicate_examples():
     assert by_pair[(1, 0)]["n"] == 2
     with pytest.raises(ValueError):
         named_predicate(t1(), "bogus-name")
+    for bad in (3, None, ("regular",)):
+        with pytest.raises(ValueError, match="unknown predicate name"):
+            named_predicate(t1(), bad)
 
 
 def test_named_predicate_is_cached_per_structure():

@@ -26,7 +26,7 @@ from ordsgp.enumeration import (
 from ordsgp.core import OrderedSemigroup
 from ordsgp.harness import iter_catalog
 from ordsgp.predicates import named_predicate
-from ordsgp.relations import _factors, _middles
+from ordsgp.relations import _factors, _middles, regular_power_value
 
 import oracles
 
@@ -78,6 +78,14 @@ def test_ordered_inverses_examples():
     assert ordered_inverses(sl2(), 1).elements() == [1]
     assert ordered_inverses(n2(), 1).elements() == []
     assert ordered_inverses(lz2(), 0).elements() == [0, 1]
+
+
+def test_per_element_relations_refuse_an_element_outside_the_carrier():
+    L = lz2()
+    for call in (ordered_inverses, smallest_regular_power, regular_power_value):
+        for bad in (-1, 2, None):
+            with pytest.raises(ValueError, match=f"element {bad!r} outside carrier of size 2"):
+                call(L, bad)
 
 
 def test_regularity_profile_examples():
