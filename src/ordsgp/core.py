@@ -27,16 +27,27 @@ def bits_iter(mask):
     return tuple(bits)
 
 
+def _check_element(n, a):
+    """The one check of an element argument: an int of the carrier {0..n-1}."""
+    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < n:
+        raise ValueError(f"element {a!r} outside carrier of size {n}")
+
+
+def _check_mask(n, bits):
+    """The one check of a mask argument: an int with no bit outside {0..n-1}."""
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise ValueError(f"bitmask {bits!r} is not an int")
+    if bits < 0 or bits >> n:
+        raise ValueError(f"bitmask {bits:#x} does not fit a carrier of size {n}")
+
+
 class SubsetMask:
     """Subset of a fixed carrier {0, ..., n-1}, backed by an int bitmask."""
 
     __slots__ = ("n", "bits")
 
     def __init__(self, n, bits=0):
-        if not isinstance(bits, int) or isinstance(bits, bool):
-            raise ValueError(f"bitmask {bits!r} is not an int")
-        if bits < 0 or bits >> n:
-            raise ValueError(f"bitmask {bits:#x} does not fit a carrier of size {n}")
+        _check_mask(n, bits)
         self.n = n
         self.bits = bits
 
@@ -44,8 +55,7 @@ class SubsetMask:
     def from_elements(cls, n, elements):
         bits = 0
         for x in elements:
-            if not 0 <= x < n:
-                raise ValueError(f"element {x} outside carrier of size {n}")
+            _check_element(n, x)
             bits |= 1 << x
         return cls(n, bits)
 
@@ -290,7 +300,7 @@ class OrderedSemigroup:
 
     def pow(self, a, m):
         """a**m for m >= 1 under the semigroup product."""
-        _check_element(self, a)
+        _check_element(self.order, a)
         _check_exponent(m)
         v = a
         for _ in range(m - 1):
@@ -347,12 +357,6 @@ def _derive(S, key):
 
 def _derive_at(S, key):
     return key[0](S, key[1])
-
-
-def _check_element(S, a):
-    """The one check of an element argument: an int of S's carrier."""
-    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < S.order:
-        raise ValueError(f"element {a!r} outside carrier of size {S.order}")
 
 
 def _check_exponent(m):
@@ -480,21 +484,21 @@ def _prod(S, abits, bbits):
 
 
 @derived
-def _sa(S, a):
-    """(Sa] as a bitmask, cached."""
-    return _close(S, _prod(S, S.full, 1 << a))
+def _sa(S):
+    """(Sa] of each element a as a bitmask, indexed by a; cached on S."""
+    return tuple([_close(S, _prod(S, S.full, 1 << a)) for a in S.elements()])
 
 
 @derived
-def _as(S, a):
-    """(aS] as a bitmask, cached."""
-    return _close(S, _prod(S, 1 << a, S.full))
+def _as(S):
+    """(aS] of each element a as a bitmask, indexed by a; cached on S."""
+    return tuple([_close(S, _prod(S, 1 << a, S.full)) for a in S.elements()])
 
 
 @derived
-def _sas(S, a):
-    """(SaS] as a bitmask, cached."""
-    return _close(S, _prod(S, _prod(S, S.full, 1 << a), S.full))
+def _sas(S):
+    """(SaS] of each element a as a bitmask, indexed by a; cached on S."""
+    return tuple([_close(S, _prod(S, _prod(S, S.full, 1 << a), S.full)) for a in S.elements()])
 
 
 def downward_closure(S, A):
@@ -513,11 +517,11 @@ def _principal_bits(S, a, kind):
     """Bitmask of the principal ideal of the given kind generated by a: (a]
     joined with the cached (Sa], (aS] or both and (SaS]."""
     if kind == "left":
-        ideal = _sa(S, a)
+        ideal = _sa(S)[a]
     elif kind == "right":
-        ideal = _as(S, a)
+        ideal = _as(S)[a]
     elif kind == "two_sided":
-        ideal = _sa(S, a) | _as(S, a) | _sas(S, a)
+        ideal = _sa(S)[a] | _as(S)[a] | _sas(S)[a]
     elif kind == "bi":
         bit = 1 << a
         return _close(S, bit | _prod(S, _prod(S, bit, S.full), bit))
@@ -528,7 +532,7 @@ def _principal_bits(S, a, kind):
 
 def principal_ideal(S, a, kind):
     """Principal left/right/two-sided/bi-ideal generated by a."""
-    _check_element(S, a)
+    _check_element(S.order, a)
     return SubsetMask(S.order, _principal_bits(S, a, kind))
 
 
@@ -563,52 +567,39 @@ class PowerProfile:
 
 
 @derived
+def _power_profiles(S):
+    """The :class:`PowerProfile` of each element, indexed by it; cached on S."""
+    out = []
+    for a, row in enumerate(S.table):
+        powers = [a]
+        v = row[a]  # a * a^k = a^(k+1)
+        while v not in powers:
+            powers.append(v)
+            v = row[v]
+        index = powers.index(v) + 1
+        out.append(PowerProfile(a, index, len(powers) + 1 - index, tuple(powers)))
+    return tuple(out)
+
+
 def power_profile(S, a):
     """Index, period, and distinct values of the power sequence of a."""
-    _check_element(S, a)
-    seen = {a: 1}
-    powers = [a]
-    v = a
-    while True:
-        v = S.table[v][a]
-        if v in seen:
-            index = seen[v]
-            period = len(powers) + 1 - index
-            return PowerProfile(a, index, period, tuple(powers))
-        seen[v] = len(powers) + 1
-        powers.append(v)
+    _check_element(S.order, a)
+    return _power_profiles(S)[a]
 
 
-def joint_power_exponents(S, specs):
-    """Yield (m, values) for m = 1, 2, ... until the value tuple repeats.
-
-    ``specs`` is a sequence of (element, stride, offset) triples; entry k of
-    the tuple at step m is element_k ** (stride_k * m + offset_k).  Each step
-    multiplies entry k by the fixed factor element_k ** stride_k, so the
+def _joint_powers(S, elements):
+    """Yield (m, (x^m for each x in elements)) for m = 1, 2, ... until the
+    tuple repeats.  Each step multiplies entry k by elements[k], so the
     tuple sequence is the orbit of a deterministic map and the first repeat
-    starts an exact cycle.  A quantifier over a shared exponent m is
-    therefore decided by scanning just the yielded steps.
-    """
+    starts an exact cycle: a quantifier over a shared exponent m is decided
+    by scanning just the yielded steps."""
     table = S.table
-    steps, start = [], []
-    for x, c, d in specs:
-        row = table[x]  # x * x^k = x^(k+1)
-        step = x
-        while c > 1:
-            step = row[step]
-            c -= 1
-        v = step
-        while d > 0:
-            v = row[v]
-            d -= 1
-        steps.append(step)
-        start.append(v)
-    cur = tuple(start)
+    cur = tuple(elements)
     seen = {cur}
     m = 1
     while True:
         yield m, cur
-        cur = tuple([table[v][step] for v, step in zip(cur, steps)])
+        cur = tuple([table[v][x] for v, x in zip(cur, elements)])
         if cur in seen:
             return
         seen.add(cur)
@@ -631,8 +622,9 @@ def restrict(S, bits):
     """Substructure induced on a product-closed subset.
 
     Returns (sub, elems) where elems maps new labels (ascending) back to the
-    original carrier.  Raises ``ValueError`` when the mask has a bit outside
-    the carrier or the subset is empty or not closed under the product.
+    original carrier.  Raises ``ValueError`` when the mask is not an int or
+    has a bit outside the carrier, or the subset is empty or not closed
+    under the product.
 
     The full carrier gives S itself, so its cached results are reused.  A
     proper substructure of order at most ``_INTERN_MAX_ORDER`` is interned
@@ -641,10 +633,9 @@ def restrict(S, bits):
     pure function of ``(table, leq)``, are computed once per process.
     Larger substructures are built afresh on every call.
     """
+    _check_mask(S.order, bits)
     if bits == S.full:
         return S, tuple(range(S.order))
-    if bits < 0 or bits >> S.order:
-        raise ValueError(f"bitmask {bits:#x} does not fit a carrier of size {S.order}")
     elems = bits_iter(bits)
     if not elems:
         raise ValueError("cannot restrict to the empty subset")

@@ -29,8 +29,10 @@ lexicographically least mediators for it.  The order reaches this module
 only through ``relations``, the down-set closures and the ideals: it names
 no ``leq``.  Existential exponents are bounded through power profiles: the
 power sequence of an element cycles, so its distinct values exhaust all
-powers.  What several conditions read is one cached tuple on S: the list
-of pairs, and per element the exponents and the (a^m, a^2m) steps.
+powers, and a power of a^m, such as a^2m = a^m*a^m or (ba)^(m+1) =
+b(ab)^m a, is read from a^m, so its steps are those of a.  What several
+conditions read is one cached tuple on S: the list of pairs, and per
+element the exponents.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from .core import (
     PredicateResult,
     _as,
     _close,
+    _joint_powers,
+    _power_profiles,
     _prod,
     _sa,
     _sas,
     bits_iter,
     derived,
-    joint_power_exponents,
-    power_profile,
     restrict,
 )
 from .relations import (
@@ -124,16 +126,7 @@ def _pairs_of_idempotents(S):
 def _exponents(S):
     """(m, a^m) for each distinct power of each element a, indexed by a;
     cached on S."""
-    return tuple(power_profile(S, a).exponents() for a in S.elements())
-
-
-@derived
-def _square_steps(S):
-    """The steps (m, (a^m, a^2m)) of the joint powers of a and a^2 up to
-    their first repeat, for each element a, indexed by it; cached on S."""
-    return tuple(
-        tuple(joint_power_exponents(S, ((a, 1, 0), (a, 2, 0)))) for a in S.elements()
-    )
+    return tuple(prof.exponents() for prof in _power_profiles(S))
 
 
 # -- structure-level predicates -------------------------------------------
@@ -176,10 +169,11 @@ def _p_pi_regular(S):
 
 
 def _p_completely_pi_regular(S):
-    steps, middles = _square_steps(S), _middles(S)
+    table, exps, middles = S.table, _exponents(S), _middles(S)
 
     def witness(a):
-        for m, (u, w) in steps[a]:
+        for m, u in exps[a]:
+            w = table[u][u]  # a^2m
             x = middles[u][w][w]
             if x is not None:
                 return {"a": a, "m": m, "x": x}
@@ -191,11 +185,11 @@ def _p_completely_pi_regular(S):
 def _pi_regular_side(S, side):
     """Some a^m <= s*a^2m (side "left") or a^m <= a^2m*s, with the least m
     and the least s for it."""
-    steps, factors = _square_steps(S), _factors(S, side)
+    table, exps, factors = S.table, _exponents(S), _factors(S, side)
 
     def witness(a):
-        for m, (u, w) in steps[a]:
-            s = factors[u][w]
+        for m, u in exps[a]:
+            s = factors[u][table[u][u]]
             if s is not None:
                 return {"a": a, "m": m, "s": s}
         return None
@@ -203,9 +197,8 @@ def _pi_regular_side(S, side):
     return _forall_elements(S, witness)
 
 
-def _only_ideal_is_all(S, ideal_of):
-    for a in S.elements():
-        bits = ideal_of(S, a)
+def _only_ideal_is_all(S, ideals):
+    for a, bits in enumerate(ideals):
         if bits != S.full:
             return PredicateResult(
                 False, counterexample={"a": a, "ideal": list(bits_iter(bits))}
@@ -214,15 +207,15 @@ def _only_ideal_is_all(S, ideal_of):
 
 
 def _p_left_simple(S):
-    return _only_ideal_is_all(S, _sa)
+    return _only_ideal_is_all(S, _sa(S))
 
 
 def _p_right_simple(S):
-    return _only_ideal_is_all(S, _as)
+    return _only_ideal_is_all(S, _as(S))
 
 
 def _p_simple(S):
-    return _only_ideal_is_all(S, _sas)
+    return _only_ideal_is_all(S, _sas(S))
 
 
 def _archimedean_side(S, side):
@@ -448,7 +441,7 @@ def _thm2_c6(S):
     middles = _middles(S)
 
     def witness(a, b):
-        for m, (u, w) in joint_power_exponents(S, ((a, 1, 0), (b, 1, 0))):
+        for m, (u, w) in _joint_powers(S, (a, b)):
             s = middles[u][u][w]
             if s is not None:
                 return {"a": a, "b": b, "m": m, "s": s}
@@ -491,12 +484,12 @@ def _thm4_c2(S):
 
 
 def _thm4_c4(S):
-    table, middles = S.table, _middles(S)
+    table, exps, middles = S.table, _exponents(S), _middles(S)
 
     def witness(a, b):
-        specs = ((table[a][b], 1, 0), (table[b][a], 1, 1))
-        for m, (u, w) in joint_power_exponents(S, specs):
-            s = middles[u][u][w]
+        row = table[b]
+        for m, u in exps[table[a][b]]:
+            s = middles[u][u][table[row[u]][a]]  # b(ab)^m a = (ba)^(m+1)
             if s is not None:
                 return {"a": a, "b": b, "m": m, "s": s}
         return None
@@ -534,9 +527,8 @@ def theorem4_conditions(S):
 def _ideal_generators(S, side):
     """Per element v: the ordered idempotents generating (Sv] (side "left")
     or (vS], and whether they are R-unique (L-unique); cached on S."""
-    ideal_of, rel = (_sa, green(S, "R")) if side == "left" else (_as, green(S, "L"))
+    ideals, rel = (_sa(S), green(S, "R")) if side == "left" else (_as(S), green(S, "L"))
     idempotents, cls = list(ordered_idempotents(S)), rel.class_of
-    ideals = [ideal_of(S, v) for v in S.elements()]
     by_ideal = {}
     for ideal in ideals:
         if ideal not in by_ideal:
@@ -638,8 +630,7 @@ def _thm5_c3(S):
 
 
 def _thm5_c4(S):
-    right = [_as(S, x) for x in S.elements()]
-    exps = _exponents(S)
+    right, exps = _as(S), _exponents(S)
 
     def witness(e, f):
         for n, v in exps[S.table[e][f]]:
@@ -668,14 +659,13 @@ def _thm5_c5(S):
     readings "for some m" and "for every m", from one scan of each e's
     offences.  The counterexample is the first m that fails; when no m
     works, that is m = 1."""
-    steps = list(joint_power_exponents(S, tuple((x, 1, 0) for x in S.elements())))
-    inverses = _inverse_masks(S)
+    steps = list(_joint_powers(S, S.elements()))
+    left, right, inverses = _sa(S), _as(S), _inverse_masks(S)
     scans = []  # (e, first failing m's offence, first working m) per e
     for e in ordered_idempotents(S):
-        se, es = _sa(S, e), _as(S, e)
         bad = works = None
         for m, values in steps:
-            off = _es_offence(se, es, inverses, values)
+            off = _es_offence(left[e], right[e], inverses, values)
             if off is None:
                 works = works or {"e": e, "m": m}
             else:
@@ -763,13 +753,12 @@ def _thm51_c3(S):
 
 
 def _thm51_c4(S):
-    table = S.table
+    table, right = S.table, _as(S)
     E = list(ordered_idempotents(S))
-    right = {e: _as(S, e) for e in E}
     for e in E:
         for f in E:
             lhs = right[e] & right[f]
-            rhs = _as(S, table[e][f])
+            rhs = right[table[e][f]]
             if lhs != rhs:
                 return PredicateResult(
                     False,
@@ -784,10 +773,10 @@ def _thm51_c4(S):
 
 
 def _thm51_c5(S):
-    inverses = _inverse_masks(S)
+    left, right, inverses = _sa(S), _as(S), _inverse_masks(S)
 
     def offence(e):
-        return _es_offence(_sa(S, e), _as(S, e), inverses, S.elements())
+        return _es_offence(left[e], right[e], inverses, S.elements())
 
     def counterexample(e):
         x, inverse = offence(e)

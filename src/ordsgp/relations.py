@@ -8,6 +8,7 @@ from .core import (
     PredicateResult,
     SubsetMask,
     _check_element,
+    _power_profiles,
     _principal_bits,
     bits_iter,
     derived,
@@ -125,7 +126,7 @@ def _inverse_masks(S):
 
 def ordered_inverses(S, a):
     """V(a) = {b : a <= a*b*a and b <= b*a*b}."""
-    _check_element(S, a)
+    _check_element(S.order, a)
     return SubsetMask(S.order, _inverse_masks(S)[a])
 
 
@@ -195,11 +196,11 @@ class RegularityProfile:
 def regularity_profile(S):
     table, middles, right = S.table, _middles(S), _factors(S, "right")
     completely, intra, smallest, witness = [], [], [], []
-    for a in S.elements():
+    for a, prof in enumerate(_power_profiles(S)):
         a2 = table[a][a]
         completely.append(middles[a][a2][a2] is not None)
         intra.append(any(right[a][row[a2]] is not None for row in table))
-        for m, v in power_profile(S, a).exponents():
+        for m, v in prof.exponents():
             x = middles[v][v][v]
             if x is not None:
                 smallest.append(m)
@@ -214,7 +215,7 @@ def regularity_profile(S):
 
 
 def smallest_regular_power(S, a):
-    _check_element(S, a)
+    _check_element(S.order, a)
     return regularity_profile(S).smallest_regular_power[a]
 
 
@@ -242,6 +243,8 @@ def starred(S, kind):
 
 def is_rho_unique(S, partition, subset):
     """All members of subset fall in a single class of the partition."""
+    if partition.n != S.order:
+        raise ValueError("partition does not cover the carrier")
     members = list(S.subset(subset))
     for i in range(1, len(members)):
         if not partition.same(members[0], members[i]):

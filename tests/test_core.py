@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -12,11 +13,13 @@ from ordsgp import (
     downward_closure,
     lz2,
     n2,
+    ordered_inverses,
     power_profile,
     principal_ideal,
     restrict,
     rz2,
     sl2,
+    smallest_regular_power,
     structure_from_dict,
     structure_from_key,
     structure_key,
@@ -25,13 +28,13 @@ from ordsgp import (
     validate,
 )
 from ordsgp import core
-from ordsgp.core import _discrete, derived, joint_power_exponents
+from ordsgp.core import _discrete, _joint_powers, derived
 from ordsgp.enumeration import GenerationConfig, _pairs, enumerate_ordered_semigroups
 from ordsgp.harness import iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
     _closed_under_product,
-    _square_steps,
+    _exponents,
     named_predicate,
     nil_extension_search,
 )
@@ -286,6 +289,46 @@ def test_per_element_api_refuses_an_element_outside_the_carrier():
                 call(bad)
 
 
+def test_per_element_api_checks_the_element_before_any_cached_answer():
+    # element 1 is computed first on the same S, so 1.0 and True would find
+    # its answer if the check ran only on a cache miss
+    S = n2()
+    calls = (
+        lambda a: power_profile(S, a),
+        lambda a: principal_ideal(S, a, "left"),
+        lambda a: ordered_inverses(S, a),
+        lambda a: smallest_regular_power(S, a),
+        lambda a: S.pow(a, 2),
+    )
+    for call in calls:
+        call(1)
+        for bad in (1.0, True, -1, S.order):
+            message = re.escape(f"element {bad!r} outside carrier of size 2")
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+
+
+def test_element_and_mask_arguments_are_type_checked():
+    S = n2()
+    for bad in (1.0, True, "0", None, 2, -1):
+        message = re.escape(f"element {bad!r} outside carrier of size 2")
+        for call in (
+            lambda: SubsetMask.from_elements(2, [bad]),
+            lambda: S.subset([0, bad]),
+            lambda: downward_closure(S, [bad]),
+            lambda: subset_product(S, [0], [bad]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    for T in (S, t1()):  # True equals the full mask 1 of the one-element carrier
+        for bad in (1.5, True, None, "1"):
+            with pytest.raises(ValueError, match=re.escape(f"bitmask {bad!r} is not an int")):
+                restrict(T, bad)
+        for bad in (-1, 1 << T.order):
+            with pytest.raises(ValueError, match=f"does not fit a carrier of size {T.order}"):
+                restrict(T, bad)
+
+
 def test_exponents_below_one_are_refused():
     N = n2()
     prof = power_profile(N, 1)
@@ -309,10 +352,10 @@ def test_power_profile_cycle_invariant():
                 assert prof.value(m) == oracles.power(S.table, a, m)
 
 
-def test_joint_power_exponents_covers_all_values():
+def test_joint_powers_covers_all_values():
     S = n2()
-    seen = dict(joint_power_exponents(S, ((1, 1, 0), (1, 2, 0))))
-    # m = 1 gives (a, a^2) = (1, 0); any later m gives (0, 0)
+    seen = dict(_joint_powers(S, (1, 0)))
+    # m = 1 gives (1, 0); any later m gives (0, 0)
     assert seen[1] == (1, 0)
     assert seen[2] == (0, 0)
 
@@ -330,24 +373,35 @@ def naive_joint_powers(S, specs):
         m += 1
 
 
-def test_joint_power_exponents_matches_the_naive_listing():
-    # every spec shape the predicates pass, on every order <= 3 structure
+def test_joint_powers_match_the_naive_listing():
+    # every element tuple the predicates pass, on every order <= 3 structure
     for S in iter_catalog(3):
-        elems, table = S.elements(), S.table
-        shapes = [((a, 1, 0), (a, 2, 0)) for a in elems]
-        shapes += [((a, 1, 0), (b, 1, 0)) for a in elems for b in elems]
-        shapes += [((table[a][b], 1, 0), (table[b][a], 1, 1)) for a in elems for b in elems]
-        shapes.append(tuple((x, 1, 0) for x in elems))
-        for specs in shapes:
-            got = list(joint_power_exponents(S, specs))
-            assert got == naive_joint_powers(S, specs), (structure_key(S), specs)
-        # the shared (m, (a^m, a^2m)) steps of the pi-regularity predicates
-        steps = _square_steps(S)
-        assert len(steps) == S.order
-        for a in elems:
-            specs = ((a, 1, 0), (a, 2, 0))
-            assert steps[a] == tuple(joint_power_exponents(S, specs)), structure_key(S)
-            assert list(steps[a]) == naive_joint_powers(S, specs), structure_key(S)
+        elems = S.elements()
+        shapes = [(a, b) for a in elems for b in elems]
+        shapes.append(tuple(elems))
+        for elements in shapes:
+            got = list(_joint_powers(S, elements))
+            specs = [(x, 1, 0) for x in elements]
+            assert got == naive_joint_powers(S, specs), (structure_key(S), elements)
+
+
+def test_power_steps_are_read_from_the_exponents_of_one_element():
+    # law: a^2m = a^m*a^m and (ba)^(m+1) = b*(ab)^m*a, so the strided steps
+    # of the pi-regularity conditions and of thm4 (4) are the exponents of a
+    # and of ab, over the order <= 3 catalog and the order-4 classes
+    order4 = enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
+    counted = 0
+    for S in itertools.chain(iter_catalog(3), order4):
+        table, exps = S.table, _exponents(S)
+        for a in S.elements():
+            squares = [(m, (v, table[v][v])) for m, v in exps[a]]
+            assert squares == naive_joint_powers(S, ((a, 1, 0), (a, 2, 0))), (S, a)
+            for b in S.elements():
+                ab, ba = table[a][b], table[b][a]
+                steps = [(m, (u, table[table[b][u]][a])) for m, u in exps[ab]]
+                assert steps == naive_joint_powers(S, ((ab, 1, 0), (ba, 1, 1))), (S, a, b)
+        counted += 1
+    assert counted == 992 + 4753
 
 
 def naive_bits(mask):

@@ -8,7 +8,9 @@ enumerated.  The named readings live in ``predicates.py`` above
 ``predicates``; every import is at module level, so a cycle between
 modules fails at import time.  ``OrderedSemigroup.cached`` has one caller,
 the ``derived`` decorator of ``core.py``, and that decorator is applied only
-to module-level functions.  A vocabulary predicate of ``predicates.py`` is
+to module-level functions; in ``core.py`` it is applied only to functions of
+S alone, so a per-element fact is one tuple per structure, never an entry
+keyed on an element.  A vocabulary predicate of ``predicates.py`` is
 evaluated only through ``read``, so each one is computed once per structure,
 and ``predicates.py`` names no ``leq``: it reads the order through other
 modules.
@@ -126,6 +128,16 @@ def test_derived_decorates_only_module_level_functions():
                 assert id(node) in top, (path.name, node.lineno)
                 decorated += 1
     assert decorated > 0
+
+
+def test_core_derived_functions_take_the_structure_alone():
+    signatures = [
+        (node.name, ast.unparse(node.args))
+        for node in parse(PACKAGE / "core.py").body
+        if isinstance(node, ast.FunctionDef)
+        and any(ast.unparse(d) == "derived" for d in node.decorator_list)
+    ]
+    assert signatures and all(args == "S" for _, args in signatures), signatures
 
 
 def test_vocabulary_functions_are_reached_only_through_read():

@@ -4,6 +4,7 @@ import pytest
 
 from ordsgp import (
     Partition,
+    classify_partition,
     green,
     is_rho_unique,
     lz2,
@@ -158,6 +159,16 @@ def test_least_solution_tables_match_the_oracles():
             assert middles[v][u][w] == oracles.least_middle(table, leq, v, u, w), (S, v, u, w)
         counted += 1
     assert counted == 992 + 4753
+
+
+def test_is_rho_unique_refuses_a_partition_of_another_carrier():
+    S, other = n2(), Partition(3, (0, 1, 2))
+    for call in (
+        lambda: is_rho_unique(S, other, S.subset([0])),
+        lambda: classify_partition(S, other),
+    ):
+        with pytest.raises(ValueError, match="partition does not cover the carrier"):
+            call()
 
 
 def test_starred_examples():
