@@ -5,19 +5,20 @@ least one, eta (Tamura, Semigroup Forum 4, 1972; Kehayopulu's relation N on
 ordered semigroups).  The search therefore scans only the partitions of the
 eta-classes, and ``PARTITION_CAP`` bounds their number, not the order.
 
-The certificates of the semilattice congruences are the one cache of this
-layer, on S.  A decomposition search is one plain scan over them that gives
-both readings, over all semilattice congruences and over complete ones; each
-class check reads the class substructure cached on S and applies the class
-predicate it is given.  This layer lies below ``predicates``, which builds
-the batteries on it, and imports nothing from it.
+Eta and the semilattice congruences are memoised on the table, and the
+completeness flags on S.  A decomposition search is one plain scan over
+them that gives both readings, over all semilattice congruences and over
+complete ones; each class check reads the class substructure cached on S
+and applies the class predicate it is given.  This layer lies below
+``predicates``, which builds the batteries on it, and imports nothing from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .core import PredicateResult, bits_iter, derived, restrict
+from .core import _MEMO_SIZE, PredicateResult, bits_iter, derived, restrict
 from .relations import Partition
 
 PARTITION_CAP = 10
@@ -42,24 +43,37 @@ class CongruenceCertificate:
         return self.is_congruence and self.is_semilattice
 
 
+def _congruence_gap(table, partition):
+    """The first pair (a, b) of one class and element c with c*a, c*b (side
+    "left") or a*c, b*c in different classes, or None for a congruence."""
+    cls = partition.class_of
+    for mask in partition.classes:
+        a, *rest = bits_iter(mask)
+        for b in rest:
+            for c, row in enumerate(table):
+                if cls[row[a]] != cls[row[b]]:
+                    return {"pair": (a, b), "c": c, "side": "left"}
+                if cls[table[a][c]] != cls[table[b][c]]:
+                    return {"pair": (a, b), "c": c, "side": "right"}
+    return None
+
+
+def _complete_gap(S, partition):
+    """The first a <= b with a and a*b in different classes, or None."""
+    cls = partition.class_of
+    for a in S.elements():
+        for b in S.elements():
+            if S.leq[a][b] and cls[a] != cls[S.table[a][b]]:
+                return {"a": a, "b": b}
+    return None
+
+
 def classify_partition(S, partition):
     """Evaluate compatibility, the semilattice laws, and completeness."""
     if partition.n != S.order:
         raise ValueError("partition does not cover the carrier")
     table = S.table
     cls = partition.class_of
-
-    def congruence_gap():
-        for mask in partition.classes:
-            members = list(bits_iter(mask))
-            a = members[0]
-            for b in members[1:]:
-                for c in S.elements():
-                    if cls[table[c][a]] != cls[table[c][b]]:
-                        return {"pair": (a, b), "c": c, "side": "left"}
-                    if cls[table[a][c]] != cls[table[b][c]]:
-                        return {"pair": (a, b), "c": c, "side": "right"}
-        return None
 
     def semilattice_gap():
         for a in S.elements():
@@ -71,17 +85,10 @@ def classify_partition(S, partition):
                     return {"a": a, "b": b, "law": "a*b ~ b*a"}
         return None
 
-    def complete_gap():
-        for a in S.elements():
-            for b in S.elements():
-                if S.leq[a][b] and cls[a] != cls[table[a][b]]:
-                    return {"a": a, "b": b}
-        return None
-
     gaps = {
-        "congruence": congruence_gap(),
+        "congruence": _congruence_gap(table, partition),
         "semilattice": semilattice_gap(),
-        "complete": complete_gap(),
+        "complete": _complete_gap(S, partition),
     }
     counterexamples = {k: v for k, v in gaps.items() if v is not None}
     return CongruenceCertificate(
@@ -117,11 +124,12 @@ def all_partitions(n):
     return (p for k in range(1, n + 1) for p in grow([0], 1, k))
 
 
-def _eta(S):
-    """The least semilattice congruence: the equivalence generated by
-    a ~ a*a and a*b ~ b*a, closed under multiplication on both sides."""
-    table = S.table
-    parent = list(S.elements())
+@lru_cache(maxsize=_MEMO_SIZE)
+def _eta(table):
+    """The least semilattice congruence of a table: the equivalence generated
+    by a ~ a*a and a*b ~ b*a, closed under multiplication on both sides."""
+    elems = range(len(table))
+    parent = list(elems)
 
     def find(x):
         while parent[x] != x:
@@ -135,38 +143,43 @@ def _eta(S):
         parent[max(x, y)] = min(x, y)
         return True
 
-    for a in S.elements():
+    for a in elems:
         union(a, table[a][a])
-        for b in S.elements():
+        for b in elems:
             union(table[a][b], table[b][a])
     changed = True
     while changed:
         changed = False
-        for x in S.elements():
+        for x in elems:
             r = find(x)
-            for c in S.elements():
+            for c in elems:
                 changed |= union(table[c][x], table[c][r])
                 changed |= union(table[x][c], table[r][c])
-    return Partition(S.order, [find(x) for x in S.elements()])
+    return Partition(len(table), [find(x) for x in elems])
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _semilattice_congruences(table):
+    """The semilattice congruences of a table, coarsest first: the
+    partitions of the eta-classes, lifted through eta's labels, that are
+    congruences.  Being coarser than eta, each keeps a ~ a*a and a*b ~ b*a."""
+    eta = _eta(table)
+    lifted = (
+        Partition(len(table), [p.class_of[c] for c in eta.class_of])
+        for p in all_partitions(eta.num_classes)
+    )
+    return tuple(p for p in lifted if _congruence_gap(table, p) is None)
 
 
 @derived
-def _semilattice_certificates(S):
-    """Certificates of the semilattice congruences, coarsest first; cached
-    on S.  Only the partitions of the eta-classes are classified, lifted
-    through eta's restricted-growth labels, which keeps the coarsest-first
-    order of :func:`all_partitions` on the whole carrier."""
-    eta = _eta(S)
-    certs = (
-        classify_partition(S, Partition(S.order, [p.class_of[c] for c in eta.class_of]))
-        for p in all_partitions(eta.num_classes)
-    )
-    return tuple(cert for cert in certs if cert.is_semilattice_congruence())
+def _complete(S):
+    """Whether each semilattice congruence is complete; cached on S."""
+    return tuple(_complete_gap(S, p) is None for p in _semilattice_congruences(S.table))
 
 
 def enumerate_semilattice_congruences(S):
     """All semilattice congruences, coarsest first."""
-    return tuple(cert.partition for cert in _semilattice_certificates(S))
+    return _semilattice_congruences(S.table)
 
 
 def semilattice_decomposition(S, class_predicate):
@@ -180,21 +193,21 @@ def semilattice_decomposition(S, class_predicate):
     of a semilattice congruence are closed under the product; the closure
     is still checked explicitly before restricting.
     """
-    certs = _semilattice_certificates(S)
+    congruences, complete = _semilattice_congruences(S.table), _complete(S)
     plain = None
-    for cert in certs:
-        if (plain is None or cert.is_complete) and all(
-            _class_holds(S, mask, class_predicate) for mask in cert.partition.classes
+    for partition, is_complete in zip(congruences, complete):
+        if (plain is None or is_complete) and all(
+            _class_holds(S, mask, class_predicate) for mask in partition.classes
         ):
-            found = PredicateResult(True, data={"partition": cert.partition.to_lists()})
+            found = PredicateResult(True, data={"partition": partition.to_lists()})
             plain = plain or found
-            if cert.is_complete:
+            if is_complete:
                 return plain, found
 
     def miss(candidates):
         return PredicateResult(False, counterexample={"semilattice_congruences": candidates})
 
-    return plain or miss(len(certs)), miss(sum(cert.is_complete for cert in certs))
+    return plain or miss(len(congruences)), miss(sum(complete))
 
 
 @derived

@@ -8,7 +8,7 @@ are int bitmasks, so every set operation is a couple of machine words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 
@@ -68,6 +68,8 @@ class SubsetMask:
         return other
 
     def __contains__(self, x):
+        if isinstance(x, bool) or not isinstance(x, int):
+            _check_element(self.n, x)  # raises: an int outside is simply no member
         return 0 <= x < self.n and bool(self.bits >> x & 1)
 
     def __iter__(self):
@@ -181,15 +183,15 @@ def _normalize(table, leq):
     return tab, lm
 
 
-# The table part and the order part of the violation stream are memoised
-# process-wide, each keyed on one matrix: the order-4 catalog has 3492
-# tables and 219 orders, so both bounds hold every structure up to order 4.
-# Only tuples that ``_normalize`` has type-checked reach them, so a table
-# of bools never meets a cached int table that compares equal to it.
-_AXIOM_MEMO_SIZE = 1 << 12
+# Every fact of one matrix alone (a part of the violation stream, the powers,
+# the semilattice congruences, the closed subsets) is an lru_cache keyed on
+# it under this one bound, which holds the 3492 tables and 219 orders of the
+# order-4 catalog.  Only tuples that ``_normalize`` has type-checked reach
+# them, so a table of bools never meets an int table that compares equal.
+_MEMO_SIZE = 1 << 12
 
 
-@lru_cache(maxsize=_AXIOM_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _table_violations(tab):
     """The associativity violations of a normalised table, in (a, b, c) order."""
     rng = range(len(tab))
@@ -202,7 +204,7 @@ def _table_violations(tab):
     )
 
 
-@lru_cache(maxsize=_AXIOM_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _order_facts(lm):
     """(violations, below) of a normalised order matrix: its reflexivity,
     antisymmetry and transitivity violations in stream order, and the
@@ -548,10 +550,6 @@ class PowerProfile:
     index: int
     period: int
     powers: tuple
-    _exponents: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_exponents", tuple(enumerate(self.powers, start=1)))
 
     def value(self, m):
         """Value of a^m for any exponent m >= 1."""
@@ -560,17 +558,12 @@ class PowerProfile:
             return self.powers[m - 1]
         return self.powers[self.index - 1 + (m - self.index) % self.period]
 
-    def exponents(self):
-        """(m, a^m) for each distinct power, in increasing exponent order;
-        built once with the profile."""
-        return self._exponents
 
-
-@derived
-def _power_profiles(S):
-    """The :class:`PowerProfile` of each element, indexed by it; cached on S."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _power_profiles(table):
+    """The :class:`PowerProfile` of each element of a table, indexed by it."""
     out = []
-    for a, row in enumerate(S.table):
+    for a, row in enumerate(table):
         powers = [a]
         v = row[a]  # a * a^k = a^(k+1)
         while v not in powers:
@@ -581,10 +574,17 @@ def _power_profiles(S):
     return tuple(out)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _exponents(table):
+    """(m, a^m) for each distinct power of each element a of a table, in
+    increasing exponent order, indexed by a: the one store of power steps."""
+    return tuple(tuple(enumerate(prof.powers, 1)) for prof in _power_profiles(table))
+
+
 def power_profile(S, a):
     """Index, period, and distinct values of the power sequence of a."""
     _check_element(S.order, a)
-    return _power_profiles(S)[a]
+    return _power_profiles(S.table)[a]
 
 
 def _joint_powers(S, elements):

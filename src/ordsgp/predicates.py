@@ -31,21 +31,23 @@ no ``leq``.  Existential exponents are bounded through power profiles: the
 power sequence of an element cycles, so its distinct values exhaust all
 powers, and a power of a^m, such as a^2m = a^m*a^m or (ba)^(m+1) =
 b(ab)^m a, is read from a^m, so its steps are those of a.  What several
-conditions read is one cached tuple on S: the list of pairs, and per
-element the exponents.
+conditions read of the table alone is memoised on it: the exponents and
+the closed subsets that absorb a power of every element.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .congruences import classify_partition, semilattice_decomposition
 from .core import (
+    _MEMO_SIZE,
     PredicateResult,
     _as,
     _close,
+    _exponents,
     _joint_powers,
-    _power_profiles,
     _prod,
     _sa,
     _sas,
@@ -100,7 +102,7 @@ def _forall_elements(S, witness, counterexample=_case_a):
 
 def _forall_pairs(S, witness):
     """_forall over every (a, b), with the witness ``witness(a, b)``."""
-    return _forall(_pairs(S), witness, _case_ab)
+    return _forall(_pairs(S.order), witness, _case_ab)
 
 
 def _idempotent_pairs(S, witness):
@@ -109,10 +111,10 @@ def _idempotent_pairs(S, witness):
     return _forall(_pairs_of_idempotents(S), witness, _case_ef)
 
 
-@derived
-def _pairs(S):
-    """Every pair (a, b) of elements, in lexicographic order; cached on S."""
-    return tuple(product(S.elements(), repeat=2))
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """Every pair (a, b) of {0..n-1}, in lexicographic order."""
+    return tuple(product(range(n), repeat=2))
 
 
 @derived
@@ -120,13 +122,6 @@ def _pairs_of_idempotents(S):
     """Every pair (e, f) of ordered idempotents, in lexicographic order;
     cached on S."""
     return tuple(product(ordered_idempotents(S), repeat=2))
-
-
-@derived
-def _exponents(S):
-    """(m, a^m) for each distinct power of each element a, indexed by a;
-    cached on S."""
-    return tuple(prof.exponents() for prof in _power_profiles(S))
 
 
 # -- structure-level predicates -------------------------------------------
@@ -169,7 +164,7 @@ def _p_pi_regular(S):
 
 
 def _p_completely_pi_regular(S):
-    table, exps, middles = S.table, _exponents(S), _middles(S)
+    table, exps, middles = S.table, _exponents(S.table), _middles(S)
 
     def witness(a):
         for m, u in exps[a]:
@@ -185,7 +180,7 @@ def _p_completely_pi_regular(S):
 def _pi_regular_side(S, side):
     """Some a^m <= s*a^2m (side "left") or a^m <= a^2m*s, with the least m
     and the least s for it."""
-    table, exps, factors = S.table, _exponents(S), _factors(S, side)
+    table, exps, factors = S.table, _exponents(S.table), _factors(S, side)
 
     def witness(a):
         for m, u in exps[a]:
@@ -221,7 +216,7 @@ def _p_simple(S):
 def _archimedean_side(S, side):
     """Some a^n <= s*b (side "left") or a^n <= b*s, for every a and b, with
     the least n and the least s for it."""
-    exps, factors = _exponents(S), _factors(S, side)
+    exps, factors = _exponents(S.table), _factors(S, side)
 
     def witness(a, b):
         for n, v in exps[a]:
@@ -234,7 +229,7 @@ def _archimedean_side(S, side):
 
 
 def _p_archimedean(S):
-    table, exps, right = S.table, _exponents(S), _factors(S, "right")
+    table, exps, right = S.table, _exponents(S.table), _factors(S, "right")
 
     def witness(a, b):
         for n, v in exps[a]:
@@ -248,7 +243,7 @@ def _p_archimedean(S):
 
 
 def _p_weakly_commutative(S):
-    table, exps, middles = S.table, _exponents(S), _middles(S)
+    table, exps, middles = S.table, _exponents(S.table), _middles(S)
 
     def witness(a, b):
         for n, v in exps[table[a][b]]:
@@ -263,7 +258,7 @@ def _p_weakly_commutative(S):
 def _weakly_commutative_side(S, side):
     """Some (ab)^n <= s*a (side "left") or (ab)^n <= b*s, for every a and b,
     with the least n and the least s for it."""
-    table, exps, factors = S.table, _exponents(S), _factors(S, side)
+    table, exps, factors = S.table, _exponents(S.table), _factors(S, side)
 
     def witness(a, b):
         w = a if side == "left" else b
@@ -288,9 +283,9 @@ def _subset_masks(n, base):
     return sorted([base | sub for sub in reversed(subs)], key=int.bit_count)
 
 
-def _closed_under_product(S, bits):
+def _closed_under_product(table, bits):
     for a in bits_iter(bits):
-        row = S.table[a]
+        row = table[a]
         for b in bits_iter(bits):
             if not bits >> row[b] & 1:
                 return False
@@ -301,7 +296,7 @@ def _nil_exponents(S, bits):
     """Smallest power of each element landing inside bits, as a tuple
     indexed by element, or None."""
     exps = []
-    for powers in _exponents(S):
+    for powers in _exponents(S.table):
         for m, v in powers:
             if bits >> v & 1:
                 exps.append(m)
@@ -330,55 +325,51 @@ def _is_ideal(S, bits):
     )
 
 
-@derived
-def _absorbing_candidates(S, candidate):
-    """The mask of each subset, fewest elements first, that passes
-    ``candidate`` and absorbs a power of every element; cached on S per
-    candidate.
-
-    Every candidate is closed under the product, and a closed subset
-    absorbs a power of every element exactly when it holds every
-    idempotent: an idempotent is its own only power, and the powers of a
-    power of a include the idempotent power of a.  So only the supersets
-    of E(S) are tested: 2^k masks for the k non-idempotent elements, the
-    count that ``SUBSET_SEARCH_CAP`` bounds."""
-    idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
-    if S.order - idempotents.bit_count() > SUBSET_SEARCH_CAP:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _closed_supersets(table):
+    """Each product-closed mask of a table that absorbs a power of every
+    element, fewest elements first, then by value.  A closed subset does so
+    exactly when it holds every idempotent: an idempotent is its own only
+    power, and the powers of a power of a include the idempotent power of
+    a.  So only the supersets of E(S) are tested: 2^k masks for the k
+    non-idempotent elements, the count that ``SUBSET_SEARCH_CAP`` bounds."""
+    n = len(table)
+    idempotents = sum(1 << a for a in range(n) if table[a][a] == a)
+    if n - idempotents.bit_count() > SUBSET_SEARCH_CAP:
         raise ValueError(
             f"subset search capped at {SUBSET_SEARCH_CAP} non-idempotent elements"
         )
-    return tuple(mask for mask in _subset_masks(S.order, idempotents) if candidate(S, mask))
+    return tuple(m for m in _subset_masks(n, idempotents) if _closed_under_product(table, m))
 
 
-def _absorbing_search(S, candidate, kernel_tag, label, **extra):
-    """First subset, fewest elements first, that passes ``candidate``,
-    absorbs a power of every element, and passes the tag's simplicity
-    checks as an ordered semigroup in its own right.  It is pi-regular as
-    well, as every finite ordered semigroup is: some power of each element
-    is idempotent, hence regular.  The subset is reported under ``label``
-    in the result data."""
+def _absorbing_search(S, masks, kernel_tag, label, **extra):
+    """First of the closed absorbing ``masks`` whose subset passes the tag's
+    simplicity checks as an ordered semigroup in its own right.  It is
+    pi-regular as well, as every finite ordered semigroup is: some power of
+    each element is idempotent, hence regular.  The subset is reported
+    under ``label`` in the result data."""
     checks = _KERNEL_CHECKS[kernel_tag]
-    for mask in _absorbing_candidates(S, candidate):
+    for mask in masks:
         sub, elems = restrict(S, mask)
         if all(read(sub, name).holds for name in checks):
             exps = dict(enumerate(_nil_exponents(S, mask)))
             return PredicateResult(True, data={label: list(elems), "exponents": exps, **extra})
-    return PredicateResult(
-        False, counterexample={"searched_subsets": (1 << S.order) - 1}
-    )
+    return PredicateResult(False, counterexample={"searched_subsets": (1 << S.order) - 1})
 
 
 def _t_simple_search(S, kernel_tag):
-    return _absorbing_search(S, _closed_under_product, kernel_tag, "subsemigroup")
+    return _absorbing_search(S, _closed_supersets(S.table), kernel_tag, "subsemigroup")
 
 
 @derived
 def nil_extension_search(S, kernel_tag):
     """First two-sided ideal K with the tagged property such that every
-    element has a power inside K."""
+    element has a power inside K.  An ideal is closed under the product, as
+    K*K lies in S*K, so the ideals are filtered from the closed subsets."""
     if not isinstance(kernel_tag, str) or kernel_tag not in _KERNEL_CHECKS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
-    return _absorbing_search(S, _is_ideal, kernel_tag, "kernel", tag=kernel_tag)
+    ideals = (m for m in _closed_supersets(S.table) if _is_ideal(S, m))
+    return _absorbing_search(S, ideals, kernel_tag, "kernel", tag=kernel_tag)
 
 
 # -- the eight-way battery for left pi-t-simple ---------------------------
@@ -408,7 +399,7 @@ def lstar_unique_idempotent(S):
 
 
 def _thm2_c4(S):
-    exps, middles = _exponents(S), _middles(S)
+    exps, middles = _exponents(S.table), _middles(S)
 
     def witness(a, b):
         for m, v in exps[a]:
@@ -421,7 +412,7 @@ def _thm2_c4(S):
 
 
 def _thm2_c5(S):
-    exps = _exponents(S)
+    exps = _exponents(S.table)
     powers = [sum(1 << w for _, w in exps[b]) for b in S.elements()]
     reach = [
         sum(1 << w for w, s in enumerate(rows[v]) if s is not None)
@@ -484,7 +475,7 @@ def _thm4_c2(S):
 
 
 def _thm4_c4(S):
-    table, exps, middles = S.table, _exponents(S), _middles(S)
+    table, exps, middles = S.table, _exponents(S.table), _middles(S)
 
     def witness(a, b):
         row = table[b]
@@ -543,7 +534,7 @@ def _pi_inverse_side(S, side, all_powers=False):
     "left") or (a^mS] are R-unique (L-unique).  The counterexample is the
     first power whose generators are not unique; when no power works, that
     is the first power with generators."""
-    gens, exps = _ideal_generators(S, side), _exponents(S)
+    gens, exps = _ideal_generators(S, side), _exponents(S.table)
 
     def works(a):
         for m, v in exps[a]:
@@ -581,7 +572,7 @@ def _unrelated_inverses(S, kind):
 
 def _p_pi_inverse(S):
     # when no power works, the first offending power is m = 1
-    inverses, exps = _unrelated_inverses(S, "H"), _exponents(S)
+    inverses, exps = _unrelated_inverses(S, "H"), _exponents(S.table)
 
     def witness(a):
         for m, v in exps[a]:
@@ -597,7 +588,7 @@ def _thm5_c2(S, all_powers=False):
     ``all_powers``, for every m.  The counterexample is the first m whose
     inverses are not; when no m works, that is m = 1."""
     pair = [p for _, p in _unrelated_inverses(S, "R")]
-    exps = _exponents(S)
+    exps = _exponents(S.table)
 
     def bad(a):
         for m, v in exps[a]:
@@ -617,7 +608,7 @@ def _thm5_c2(S, all_powers=False):
 
 
 def _thm5_c3(S):
-    table, exps, middles = S.table, _exponents(S), _middles(S)
+    table, exps, middles = S.table, _exponents(S.table), _middles(S)
 
     def witness(e, f):
         for n, v in exps[table[e][f]]:
@@ -630,7 +621,7 @@ def _thm5_c3(S):
 
 
 def _thm5_c4(S):
-    right, exps = _as(S), _exponents(S)
+    right, exps = _as(S), _exponents(S.table)
 
     def witness(e, f):
         for n, v in exps[S.table[e][f]]:
@@ -898,7 +889,7 @@ def cor_cpr_conditions(S):
 def lemma3_predicate(S):
     """For every a some (Sa^m] is generated by an ordered idempotent, the
     least one reported."""
-    gens, exps = _ideal_generators(S, "left"), _exponents(S)
+    gens, exps = _ideal_generators(S, "left"), _exponents(S.table)
 
     def witness(a):
         for m, v in exps[a]:

@@ -8,7 +8,7 @@ from .core import (
     PredicateResult,
     SubsetMask,
     _check_element,
-    _power_profiles,
+    _exponents,
     _principal_bits,
     bits_iter,
     derived,
@@ -196,11 +196,11 @@ class RegularityProfile:
 def regularity_profile(S):
     table, middles, right = S.table, _middles(S), _factors(S, "right")
     completely, intra, smallest, witness = [], [], [], []
-    for a, prof in enumerate(_power_profiles(S)):
+    for a, steps in enumerate(_exponents(table)):
         a2 = table[a][a]
         completely.append(middles[a][a2][a2] is not None)
         intra.append(any(right[a][row[a2]] is not None for row in table))
-        for m, v in prof.exponents():
+        for m, v in steps:
             x = middles[v][v][v]
             if x is not None:
                 smallest.append(m)

@@ -177,7 +177,7 @@ def test_eta_scan_equals_the_bell_scan():
         bell = tuple(cert.partition for cert in certs)
         found = enumerate_semilattice_congruences(S)
         assert found == bell, S
-        eta = _eta(S)
+        eta = _eta(S.table)
         assert found[-1] == eta, S
         assert all(eta.refines(p) for p in found), S
         for name in ("left-pi-t-simple", "right-pi-t-simple", "pi-t-simple"):

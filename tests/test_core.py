@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 import re
 
@@ -11,6 +12,7 @@ from ordsgp import (
     SubsetMask,
     ValidationReport,
     downward_closure,
+    enumerate_semilattice_congruences,
     lz2,
     n2,
     ordered_inverses,
@@ -28,13 +30,14 @@ from ordsgp import (
     validate,
 )
 from ordsgp import core
-from ordsgp.core import _discrete, _joint_powers, derived
+from ordsgp.congruences import _semilattice_congruences
+from ordsgp.core import _discrete, _exponents, _joint_powers, derived
 from ordsgp.enumeration import GenerationConfig, _pairs, enumerate_ordered_semigroups
 from ordsgp.harness import iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
+    _closed_supersets,
     _closed_under_product,
-    _exponents,
     named_predicate,
     nil_extension_search,
 )
@@ -208,6 +211,22 @@ def test_axiom_memos_miss_once_per_distinct_table_and_order():
     assert core._order_facts.cache_info().misses == 212
 
 
+def test_table_memos_miss_once_per_distinct_table():
+    # the powers, the semilattice congruences and the closed subsets read
+    # the table alone: the 4753 order-4 classes share 188 tables, and every
+    # class of one table gets the one memoised object
+    memos = (_exponents, _semilattice_congruences, _closed_supersets)
+    for memo in memos:
+        memo.cache_clear()
+    first = {}
+    for S in enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True)):
+        facts = tuple(memo(S.table) for memo in memos)
+        assert facts[1] is enumerate_semilattice_congruences(S)
+        assert all(map(operator.is_, first.setdefault(S.table, facts), facts)), S
+    assert len(first) == 188
+    assert [memo.cache_info().misses for memo in memos] == [188] * 3
+
+
 def test_validate_malformed_input_raises():
     with pytest.raises(ValueError):
         validate([], [])
@@ -329,6 +348,16 @@ def test_element_and_mask_arguments_are_type_checked():
                 restrict(T, bad)
 
 
+def test_membership_refuses_a_non_element():
+    # an int outside the carrier is no member; any other argument is refused
+    mask = n2().subset([0, 1])
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"element {bad!r} outside carrier")):
+            bad in mask
+    assert [x in mask for x in (0, 1, 2, -1)] == [True, True, False, False]
+    assert [x in n2().subset([1]) for x in (0, 1)] == [False, True]
+
+
 def test_exponents_below_one_are_refused():
     N = n2()
     prof = power_profile(N, 1)
@@ -392,7 +421,7 @@ def test_power_steps_are_read_from_the_exponents_of_one_element():
     order4 = enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
     counted = 0
     for S in itertools.chain(iter_catalog(3), order4):
-        table, exps = S.table, _exponents(S)
+        table, exps = S.table, _exponents(S.table)
         for a in S.elements():
             squares = [(m, (v, table[v][v])) for m, v in exps[a]]
             assert squares == naive_joint_powers(S, ((a, 1, 0), (a, 2, 0))), (S, a)
@@ -426,7 +455,7 @@ def test_power_profile_exponents_enumerate_the_powers():
     for S in iter_catalog(3):
         for a in S.elements():
             prof = power_profile(S, a)
-            assert prof.exponents() == tuple(enumerate(prof.powers, 1))
+            assert _exponents(S.table)[a] == tuple(enumerate(prof.powers, 1))
 
 
 def test_cached_builds_once_per_key_and_never_on_a_hit():
@@ -677,7 +706,7 @@ def test_interned_substructures_agree_with_fresh_builds():
     checked = set()
     for S in iter_catalog(3):
         for mask in range(1, S.full):
-            if not _closed_under_product(S, mask):
+            if not _closed_under_product(S.table, mask):
                 continue
             sub, _ = restrict(S, mask)
             if id(sub) in checked:

@@ -10,10 +10,11 @@ modules fails at import time.  ``OrderedSemigroup.cached`` has one caller,
 the ``derived`` decorator of ``core.py``, and that decorator is applied only
 to module-level functions; in ``core.py`` it is applied only to functions of
 S alone, so a per-element fact is one tuple per structure, never an entry
-keyed on an element.  A vocabulary predicate of ``predicates.py`` is
-evaluated only through ``read``, so each one is computed once per structure,
-and ``predicates.py`` names no ``leq``: it reads the order through other
-modules.
+keyed on an element.  No ``lru_cache`` function takes a structure S: a
+process-wide memo is keyed on matrices or ints.  A vocabulary
+predicate of ``predicates.py`` is evaluated only through ``read``, so each
+one is computed once per structure, and ``predicates.py`` names no ``leq``:
+it reads the order through other modules.
 """
 
 import ast
@@ -138,6 +139,20 @@ def test_core_derived_functions_take_the_structure_alone():
         and any(ast.unparse(d) == "derived" for d in node.decorator_list)
     ]
     assert signatures and all(args == "S" for _, args in signatures), signatures
+
+
+def test_lru_cache_functions_take_no_structure():
+    # a process-wide memo keyed on a structure would keep every structure
+    # alive; a fact of S is ``derived`` and cached on S, a fact of the
+    # table alone is an lru_cache of the table
+    memos = [
+        (path.name, node.name, [arg.arg for arg in node.args.args])
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef)
+        and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+    ]
+    assert len(memos) > 5 and not [m for m in memos if "S" in m[2]], memos
 
 
 def test_vocabulary_functions_are_reached_only_through_read():

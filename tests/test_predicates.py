@@ -31,9 +31,11 @@ from ordsgp.harness import iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
     READINGS,
+    _closed_supersets,
     _closed_under_product,
     _is_ideal,
     _nil_exponents,
+    _subset_masks,
     lstar_unique_idempotent,
     read,
 )
@@ -317,17 +319,26 @@ def test_duality_law_over_iso_classes():
 def test_closed_subsets_absorb_powers_exactly_over_the_idempotents():
     # the absorbing searches test only the supersets of E(S): a candidate
     # subset absorbs a power of every element exactly when it holds every
-    # idempotent, over the order <= 3 catalog and every order-4 class
+    # idempotent, over the order <= 3 catalog and every order-4 class.  An
+    # ideal is closed, so the ideals filtered from the memoised closed
+    # supersets of E(S) are those of the whole scan of the supersets
     order4 = enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))
     candidates = absorbing = 0
     for S in itertools.chain(iter_catalog(3), order4):
         idempotents = sum(1 << a for a in S.elements() if S.table[a][a] == a)
         for mask in range(1, 1 << S.order):
-            if _closed_under_product(S, mask) or _is_ideal(S, mask):
+            closed = _closed_under_product(S.table, mask)
+            assert closed or not _is_ideal(S, mask), (S.to_dict(), mask)
+            if closed or _is_ideal(S, mask):
                 absorbs = _nil_exponents(S, mask) is not None
                 assert absorbs == (mask & idempotents == idempotents), (S.to_dict(), mask)
                 candidates += 1
                 absorbing += absorbs
+        scan = _subset_masks(S.order, idempotents)
+        supersets = _closed_supersets(S.table)
+        assert supersets == tuple(m for m in scan if _closed_under_product(S.table, m)), S
+        ideals = [m for m in supersets if _is_ideal(S, m)]
+        assert ideals == [m for m in scan if _is_ideal(S, m)], S
     assert (candidates, absorbing) == (53424, 13944)
 
 

@@ -11,7 +11,9 @@ import importlib
 import sys
 from pathlib import Path
 
-from ordsgp import OrderedSemigroup, harness
+from ordsgp import OrderedSemigroup, core, harness
+from ordsgp.congruences import _eta, _semilattice_congruences
+from ordsgp.predicates import _closed_supersets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from spans import LAYERS, Tracer  # noqa: E402
@@ -47,6 +49,17 @@ def test_tracer_hooks_are_reached_and_restored():
         importlib.import_module(f"ordsgp.{layer}")
     expected = harness.run_suite("all", max_order=3, workers=1).to_dict()
     before = bindings()
+    # the table memos are warm now: clear them, so that the traced run
+    # reaches the hooks behind them, such as the subset search
+    table_memos = (
+        core._power_profiles,
+        core._exponents,
+        _eta,
+        _semilattice_congruences,
+        _closed_supersets,
+    )
+    for memo in table_memos:
+        memo.cache_clear()
     tracer = Tracer()
     tracer.install()
     try:
