@@ -161,8 +161,8 @@ def _rows(matrix, name):
     return tuple(map(tuple, rows))
 
 
-def _normalize(table, leq):
-    """Shape-, type- and range-check raw input; returns canonical tuples."""
+def _normalize_table(table):
+    """Shape-, type- and range-check a raw table; returns it as tuples."""
     tab = _rows(table, "table")
     n = len(tab)
     if n < 1:
@@ -173,6 +173,13 @@ def _normalize(table, leq):
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ValueError(f"table entry ({i},{j}) = {v!r} outside carrier 0..{n - 1}")
+    return tab
+
+
+def _normalize(table, leq):
+    """Shape-, type- and range-check raw input; returns canonical tuples."""
+    tab = _normalize_table(table)
+    n = len(tab)
     lm = _rows(leq, "order matrix")
     if len(lm) != n or any(len(row) != n for row in lm):
         raise ValueError(f"order matrix is not {n}x{n}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, starmap
 
-from .core import OrderedSemigroup, _discrete, bits_iter
+from .core import OrderedSemigroup, _discrete, _normalize_table, bits_iter
 
 # Largest order whose tables, and so whose catalogs, are enumerated exhaustively.
 EXHAUSTIVE_TABLE_CAP = 4
@@ -236,7 +236,9 @@ def enumerate_compatible_orders(table):
     element preserves the order on both sides), in ``all_partial_orders``
     order; includes the discrete order, which is compatible with every
     associative table.  An order is compatible exactly when the requirement
-    mask of each of its strict cells lies inside its own cell mask."""
+    mask of each of its strict cells lies inside its own cell mask.  The
+    table is checked as the constructor checks it, but for associativity."""
+    table = _normalize_table(table)
     required = _requirement_masks(table)
     for leq, mask, strict in _order_masks(len(table)):
         outside = ~mask

@@ -24,7 +24,7 @@ import time
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice, starmap
+from itertools import chain, islice, starmap, tee
 
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
@@ -303,20 +303,18 @@ def _verify_chunk(ids, S):
 
 
 def _verify_batch(payload):
-    """Pool task: rows of each (table, leq) pair.  Structures are built
-    here, from pairs, because OrderedSemigroup does not pickle."""
-    ids, batch = payload
-    return [_verify_chunk(ids, OrderedSemigroup(table, leq)) for table, leq in batch]
+    """Pool task: the rows of a batch of pairs (a structure does not pickle)."""
+    return list(_rows(*payload, 1))
 
 
 def _structure_rows(ids, pairs, workers):
     """(pair, verdict rows) per catalog (table, leq) pair, in catalog order.
 
     Verdicts and diagnostics do not change under isomorphism, so only the
-    first pair of each isomorphism class is built and verified; a later
-    one takes its rows from a memo keyed by ``_class_key``.  The memo holds
-    each distinct rows value once: a catalog of thousands of classes gives
-    only a handful.
+    first pair of each isomorphism class is built and verified, by
+    ``_rows``; a later one takes its rows from a memo keyed by
+    ``_class_key``.  The memo holds each distinct rows value once: a
+    catalog of thousands of classes gives only a handful.
 
     No pair goes unvalidated.  Building a pair runs the validator, which
     raises ValueError on a pair that is not an ordered semigroup, and the
@@ -328,68 +326,43 @@ def _structure_rows(ids, pairs, workers):
     order carried onto T0.  So the pair is a relabelling of that structure,
     and relabelling preserves associativity, the partial-order axioms and
     compatibility."""
-    memo = {}
-    distinct = {}
+    memo, distinct = {}, {}
 
-    def entries():
+    def keyed():  # first is decided once for both branches: ``_rows`` runs ahead
         for pair in pairs:
             key = _class_key(*pair)
             first = key not in memo
-            memo.setdefault(key, None)  # filled in before a later member comes back
+            memo.setdefault(key, None)  # filled in when the walk reaches it
             yield key, pair, first
 
-    with closing(_first_rows(ids, entries(), workers)) as verified:
-        for key, pair, rows in verified:
-            if rows is None:
-                rows = memo[key]
-            else:
-                rows = memo[key] = distinct.setdefault(rows, rows)
-            yield pair, rows
+    walk, ahead = tee(keyed())
+    with closing(_rows(ids, (p for _, p, first in ahead if first), workers)) as rows:
+        for key, pair, first in walk:
+            if first:
+                found = next(rows)
+                memo[key] = distinct.setdefault(found, found)
+            yield pair, memo[key]
 
 
-def _first_rows(ids, entries, workers):
-    """(key, pair, verdict rows of the pair) per (key, pair, first) entry,
-    in order, with None for the rows of an entry that is not first.
-
-    The inline path builds the structure of each first entry.  The pool
-    path sends the first entries' pairs, which the workers build, in
-    batches of up to 64 first entries, with the entries that are not first
-    among them, and keeps at most ``2 * workers`` batches in flight, so a
-    consumer that stops early (``fail_fast``) and closes this generator
+def _rows(ids, pairs, workers):
+    """The verdict rows of each (table, leq) pair, in order, inline or in a
+    pool.  The pool path sends batches of up to 64 pairs, which the
+    workers build, and keeps at most ``2 * workers`` batches in flight, so
+    a consumer that stops early (``fail_fast``) and closes this generator
     leaves only those to finish; queued batches are cancelled."""
     if workers == 1:
-        for key, pair, first in entries:
-            yield key, pair, _verify_chunk(ids, OrderedSemigroup(*pair)) if first else None
+        yield from (_verify_chunk(ids, OrderedSemigroup(*pair)) for pair in pairs)
         return
-
-    def batches():
-        while True:
-            batch, firsts = [], []
-            for entry in entries:
-                batch.append(entry)
-                _, pair, first = entry
-                if first:
-                    firsts.append(pair)
-                    if len(firsts) == 64:
-                        break
-            if not batch:
-                return
-            yield batch, (ids, tuple(firsts))
-
-    pending = batches()
+    pairs = iter(pairs)
+    window = deque()
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-
-    def submit(count):
-        return [(batch, pool.submit(_verify_batch, b)) for batch, b in islice(pending, count)]
-
     try:
-        window = deque(submit(2 * workers))
-        while window:
-            batch, future = window.popleft()
-            rows = iter(future.result())
-            for key, pair, first in batch:
-                yield key, pair, next(rows) if first else None
-            window.extend(submit(1))
+        for batch in iter(lambda: tuple(islice(pairs, 64)), ()):
+            window.append(pool.submit(_verify_batch, (ids, batch)))
+            if len(window) == 2 * workers:
+                yield from window.popleft().result()
+        for future in window:
+            yield from future.result()
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -998,6 +998,8 @@ READINGS = {
 def read(S, name):
     """The reading ``name`` of ``READINGS`` on S, computed once and cached
     on S."""
+    if not isinstance(name, str) or name not in READINGS:
+        raise ValueError(f"unknown reading name {name!r}")
     return READINGS[name](S)
 
 

@@ -40,6 +40,7 @@ from ordsgp.predicates import (
     _closed_under_product,
     named_predicate,
     nil_extension_search,
+    read,
 )
 from ordsgp.relations import green, starred
 
@@ -493,10 +494,12 @@ def test_derived_argument_errors_store_nothing_and_raise_every_time():
         (green, "X", "unknown Green relation 'X'"),
         (starred, "X", "unknown starred relation 'X'"),
         (nil_extension_search, "bogus", "unknown kernel tag 'bogus'"),
+        (read, "bogus", "unknown reading name 'bogus'"),
         # an unhashable argument reaches the function's own check
         (green, ["L"], r"unknown Green relation \['L'\]"),
         (starred, ["L"], r"unknown starred relation \['L'\]"),
         (nil_extension_search, ["simple"], r"unknown kernel tag \['simple'\]"),
+        (read, ["x"], r"unknown reading name \['x'\]"),
     )
     for fn, arg, message in bad:
         for _ in range(2):

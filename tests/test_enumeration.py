@@ -21,6 +21,7 @@ from ordsgp.enumeration import (
     _class_key,
     _least_tables,
     _orbit_map,
+    _order_masks,
     _relabel,
     all_partial_orders,
 )
@@ -180,6 +181,18 @@ def test_compatible_orders_examples():
     assert len(list(enumerate_compatible_orders(N2_TABLE))) == 3
     # the two-element group admits only the discrete order
     assert len(list(enumerate_compatible_orders(Z2_TABLE))) == 1
+    # a malformed table gets the constructor's table error before any
+    # per-n memo is read
+    memo = _order_masks.cache_info()
+    bad = [
+        ([[0, 1]], "table row 0 has length 2, expected 1"),
+        ([[0, 5], [0, 0]], r"table entry \(0,1\) = 5 outside carrier 0..1"),
+        ([], "empty carrier"),
+    ]
+    for table, message in bad:
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_compatible_orders(table))
+    assert _order_masks.cache_info() == memo
 
 
 def test_compatible_orders_match_oracle_filter():

@@ -3,6 +3,8 @@ import hashlib
 import json
 import subprocess
 import sys
+from contextlib import closing
+from itertools import islice
 
 import pytest
 
@@ -450,6 +452,40 @@ def test_structure_rows_raise_the_validator_error_on_a_first_pair(table, leq, me
     # table outside the associative store is built by its key
     with pytest.raises(ValueError, match=f"not an ordered semigroup: {message}"):
         list(harness._structure_rows(THEOREM_IDS, [(table, leq)], workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_equal_the_rows_of_each_pair(workers):
+    # 130 pairs span three pool batches of up to 64
+    pairs = [(S.table, S.leq) for S in islice(iter_catalog(3), 130)]
+    expected = [harness._verify_chunk(THEOREM_IDS, OrderedSemigroup(*p)) for p in pairs]
+    assert list(harness._rows(THEOREM_IDS, pairs, workers)) == expected
+
+
+def test_rows_read_at_most_the_window_ahead():
+    # at 2 workers at most 2 * 2 batches of 64 pairs are in flight
+    read = []
+
+    def counting():
+        for S in iter_catalog(3):
+            read.append(S)
+            yield S.table, S.leq
+
+    with closing(harness._rows(THEOREM_IDS, counting(), 2)) as rows:
+        assert next(rows) == harness._verify_chunk(THEOREM_IDS, read[0])
+        assert 64 <= len(read) <= 2 * 2 * 64
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_structure_rows_with_a_repeated_pair_object(workers):
+    # whether a pair is first is decided once per keyed pair, not by each
+    # branch of the walk: the pool branch runs ahead, and a repeated pair
+    # object would be first to it and later to the walk
+    order2 = [(S.table, S.leq) for S in iter_catalog(2)]
+    p, q = order2[-1], order2[-2]
+    pairs = [p, p, q, p] + order2
+    labelled = [(x, harness._verify_chunk(THEOREM_IDS, OrderedSemigroup(*x))) for x in pairs]
+    assert list(harness._structure_rows(THEOREM_IDS, iter(pairs), workers)) == labelled
 
 
 def test_run_suite_builds_one_structure_per_class(monkeypatch):
