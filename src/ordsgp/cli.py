@@ -7,9 +7,11 @@ non-idempotent elements than the subset searches accept or more classes of
 its least semilattice congruence than the partition scan accepts; an empty
 catalog or a negative sample count, such as ``verify --max-order 0``; and
 an ``--out`` file that cannot be written, such as one in a missing
-directory).  Machine output goes to stdout as canonical JSON (sorted keys,
-compact separators) so identical runs are byte-identical; human-oriented
-notes go to stderr.
+directory), 141 closed pipe (the reader of stdout stopped early, as
+``ordsgp enumerate --order 4 | head -1`` does; 128 + SIGPIPE, the code a
+shell gives a process that SIGPIPE ended).  Machine output goes to stdout
+as canonical JSON (sorted keys, compact separators) so identical runs are
+byte-identical; human-oriented notes go to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_DISCREPANCY = 3
 EXIT_USAGE = 64
+EXIT_CLOSED_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,6 +44,24 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _structure_lines(structures):
+    """The canonical JSON line of each structure, ``_dump(S.to_dict())``
+    with a newline: the one structure writer.  A table is encoded when it
+    differs from the last structure's, and each order once per call, so a
+    catalog walk, which yields the orders of one table together, encodes
+    each of its tables and orders once.  The two texts are kept apart: an
+    int table such as ((1, 0), (0, 1)) equals an order of bools."""
+    table = table_text = None
+    orders = {}
+    for S in structures:
+        if S.table != table:
+            table, table_text = S.table, _dump(S.table)
+        order_text = orders.get(S.leq)
+        if order_text is None:
+            order_text = orders[S.leq] = _dump(S.leq)
+        yield f'{{"leq":{order_text},"order":{S.order},"table":{table_text}}}\n'
 
 
 def _load_structure(path):
@@ -152,8 +173,8 @@ def cmd_enumerate(args):
         return EXIT_USAGE
     count = 0
     try:
-        for S in enumerate_ordered_semigroups(config):
-            sink.write(_dump(S.to_dict()) + "\n")
+        for line in _structure_lines(enumerate_ordered_semigroups(config)):
+            sink.write(line)
             count += 1
     finally:
         if args.out:
@@ -207,9 +228,8 @@ def cmd_verify(args):
         file=sys.stderr,
     )
     if report.totals["DISCREPANCY"]:
-        for entry in report.discrepancies:
-            offender = structure_from_key(entry["structure_key"])
-            print(_dump(offender.to_dict()), file=sys.stderr)
+        offenders = (structure_from_key(e["structure_key"]) for e in report.discrepancies)
+        sys.stderr.writelines(_structure_lines(offenders))
         return EXIT_DISCREPANCY
     return EXIT_OK
 
@@ -223,7 +243,7 @@ def cmd_search(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if result.found:
-        print(_dump(result.structure.to_dict()))
+        sys.stdout.writelines(_structure_lines([result.structure]))
         print(
             f"found after {result.checked} structures: {structure_key(result.structure)}",
             file=sys.stderr,
@@ -277,7 +297,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "theorem", None) not in (None, "all") and args.theorem not in THEOREM_IDS:
         parser.error(f"unknown theorem id {args.theorem!r}")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the interpreter's own
+        # flush of what is still buffered cannot fail again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -5,8 +5,19 @@ import sys
 
 import pytest
 
-from ordsgp import FIXTURES, OrderedSemigroup, cli, lz2, structure_from_dict
+from ordsgp import (
+    FIXTURES,
+    GenerationConfig,
+    OrderedSemigroup,
+    cli,
+    enumerate_ordered_semigroups,
+    harness,
+    lz2,
+    structure_from_dict,
+    structure_from_key,
+)
 from ordsgp.cli import main
+from ordsgp.harness import iter_catalog
 
 from conftest import child_env
 
@@ -221,6 +232,100 @@ BROKEN = {
 def test_stdout_digest(capsys, argv, digest):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--order", "4"],
+            "73b5fc2633c877c302484891437989535af99a631fc16c1116bf26b1f95c66a4",
+        ),
+        (
+            # the Z2 table ((1, 0), (0, 1)) and the discrete order both occur
+            ["--order", "2"],
+            "8fe829f690d2856045b7b296ffd65a1be9f1be4ba3b6167f5caa3f60e59fc415",
+        ),
+        (
+            ["--order", "4", "--up-to-iso", "--orders", "discrete"],
+            "f9ce8b63a6341029b3959b052b225fc83d6b3fea5525e2036ce8193325afcff9",
+        ),
+        (
+            ["--order", "4", "--orders", "discrete", "--limit", "7"],
+            "ea40c3efb6040845953476a0bcd3cfb754e170e7fb13eb8d5c1bd01025274b57",
+        ),
+    ],
+    ids=["order4", "order2", "order4-iso-discrete", "order4-discrete-limit7"],
+)
+def test_enumerate_stdout_digest(capsys, argv, digest):
+    assert main(["enumerate", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_enumerate_out_file_digest(tmp_path):
+    out = tmp_path / "iso4.ndjson"
+    assert main(["enumerate", "--order", "4", "--up-to-iso", "--out", str(out)]) == 0
+    digests = [
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out, tmp_path / "iso4.ndjson.manifest.json")
+    ]
+    assert digests == [
+        "079909444c6e32322ee1b5a9bb3401678ca4161d83dcba157f14521b8f80ad5a",
+        "bc9a5cb3e290b1c14d3b9e466e045d6974f1cf013b567afa2b8cf97a3b0b209d",
+    ]
+
+
+def old_line(S):
+    """The reference line of S: its canonical dump, as `cli._dump` writes it."""
+    return json.dumps(S.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_structure_lines_equal_the_canonical_dump():
+    for structures in (
+        list(iter_catalog(3)),
+        list(enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True))),
+    ):
+        assert list(cli._structure_lines(structures)) == list(map(old_line, structures))
+    # the Z2 table ((1, 0), (0, 1)) compares equal to the discrete order of order 2
+    z2 = OrderedSemigroup([[1, 0], [0, 1]], [[True, False], [False, True]])
+    sl2 = structure_from_dict(SL2)
+    both = [z2, sl2, z2, OrderedSemigroup(sl2.table, z2.leq)]
+    assert list(cli._structure_lines(both)) == list(map(old_line, both))
+
+
+@pytest.mark.parametrize("fail_fast", [[], ["--fail-fast"]])
+def test_verify_writes_each_offender_as_a_structure_line(capsys, monkeypatch, fail_fast):
+    real_outcome = harness._outcome
+
+    def faulty_outcome(S, tid):
+        row = real_outcome(S, tid)
+        if S.order == 2:
+            return tid, "DISCREPANCY", row[2]
+        return row
+
+    monkeypatch.setenv("ORDSGP_WORKERS", "1")
+    monkeypatch.setattr(harness, "_outcome", faulty_outcome)
+    assert main(["verify", "--theorem", "thm2", "--max-order", "2", *fail_fast]) == 3
+    captured = capsys.readouterr()
+    keys = [d["structure_key"] for d in json.loads(captured.out)["discrepancies"]]
+    assert len(keys) == (1 if fail_fast else 20)  # the order-2 structures
+    offenders = captured.err.splitlines(keepends=True)[-len(keys):]
+    assert offenders == [old_line(structure_from_key(k)) for k in keys]
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordsgp.cli", "enumerate", "--order", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env("1"),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the 107688 lines outgrow any pipe buffer
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE == 141
+    assert json.loads(first)["order"] == 4
+    assert b"Traceback" not in err
 
 
 def test_analyze_json_digest_on_the_fixtures(tmp_path, capsys):
