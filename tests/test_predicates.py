@@ -27,7 +27,8 @@ from ordsgp import (
     theorem6_condition,
     theorem51_conditions,
 )
-from ordsgp.harness import iter_catalog
+from ordsgp import harness
+from ordsgp.harness import THEOREM_IDS, iter_catalog
 from ordsgp.predicates import (
     PREDICATE_NAMES,
     READINGS,
@@ -142,6 +143,23 @@ def test_golden_every_reading_digest():
                 digest.update(repr(blob).encode())
     assert digest.hexdigest() == (
         "eb563beb5f8482190da5feec826330e4288263e1f5022696edd0d33f3e556839"
+    )
+
+
+def test_golden_order4_reading_and_row_digests():
+    # every reading and every verdict row on all 4753 order-4 classes, in
+    # stream order: the non-discrete classes that the digest above leaves
+    # out are where the least-solution tables and regularity facts vary
+    readings, rows = hashlib.sha256(), hashlib.sha256()
+    for S in enumerate_ordered_semigroups(GenerationConfig(4, up_to_iso=True)):
+        for name in READINGS:
+            readings.update(repr(read(S, name)).encode())
+        rows.update(repr(harness._verify_chunk(THEOREM_IDS, S)).encode())
+    assert readings.hexdigest() == (
+        "5a7669470c463bf3a220d6122b36acd91b486276e4fa804369dbb035a6f07fee"
+    )
+    assert rows.hexdigest() == (
+        "15a5d3013ce050b021e6022844a0da6bad6948d431ac0e34af1457e4713cb067"
     )
 
 
