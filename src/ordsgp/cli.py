@@ -167,7 +167,12 @@ def cmd_enumerate(args):
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        for path in [args.out, args.out + ".manifest.json"] if args.out else []:
+            _check_writable(path)  # both, before the run, which writes them in turn
         sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -190,11 +190,11 @@ def _normalize(table, leq):
     return tab, lm
 
 
-# Every fact of one matrix alone (a part of the violation stream, the powers,
-# the semilattice congruences, the closed subsets) is an lru_cache keyed on
-# it under this one bound, which holds the 3492 tables and 219 orders of the
-# order-4 catalog.  Only tuples that ``_normalize`` has type-checked reach
-# them, so a table of bools never meets an int table that compares equal.
+# Every fact of one matrix alone (its violations, powers, semilattice
+# congruences, closed subsets, compatible orders) is an lru_cache keyed on it
+# under this one bound, which holds the 3492 labelled tables and 219 orders
+# of the order-4 catalog.  Only tuples that ``_normalize`` has type-checked
+# reach them, so a table of bools never meets an int table that compares equal.
 _MEMO_SIZE = 1 << 12
 
 

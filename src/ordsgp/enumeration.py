@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, starmap
 
-from .core import OrderedSemigroup, _discrete, _normalize_table, bits_iter
+from .core import _MEMO_SIZE, OrderedSemigroup, _discrete, _normalize_table, bits_iter
 
 # Largest order whose tables, and so whose catalogs, are enumerated exhaustively.
 EXHAUSTIVE_TABLE_CAP = 4
@@ -235,23 +235,26 @@ def enumerate_compatible_orders(table):
     """All partial orders compatible with the table (multiplication by any
     element preserves the order on both sides), in ``all_partial_orders``
     order; includes the discrete order, which is compatible with every
-    associative table.  An order is compatible exactly when the requirement
-    mask of each of its strict cells lies inside its own cell mask.  The
-    table is checked as the constructor checks it, but for associativity."""
-    table = _normalize_table(table)
+    associative table.  The table is checked as the constructor checks it,
+    but for associativity."""
+    return iter(_compatible_orders(_normalize_table(table)))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _compatible_orders(table):
+    """The one store of the compatible orders of a normalised table, in
+    ``all_partial_orders`` order: each order whose every strict cell has its
+    requirement mask inside the order's own cell mask."""
     required = _requirement_masks(table)
+    out = []
     for leq, mask, strict in _order_masks(len(table)):
         outside = ~mask
         for c in strict:
             if required[c] & outside:
                 break
         else:
-            yield leq
-
-
-@lru_cache(maxsize=None)
-def _compatible_orders_cached(table):
-    return tuple(enumerate_compatible_orders(table))
+            out.append(leq)
+    return tuple(out)
 
 
 def enumerate_ordered_semigroups(config):
@@ -296,7 +299,7 @@ def _pairs(config):
         if config.order_mode == "discrete_only":
             orders = discrete
         else:
-            orders = enumerate_compatible_orders(table)
+            orders = _compatible_orders(table)
         images = set()
         for leq in orders:
             if leq in images:
@@ -342,7 +345,7 @@ def _sample_pairs(n, count, seed):
         raise ValueError("count must not be negative")
     tables = tuple(enumerate_tables(n))
     # every table admits the discrete order, so a second one is non-discrete
-    if not any(len(_compatible_orders_cached(t)) > 1 for t in tables):
+    if not any(len(_compatible_orders(t)) > 1 for t in tables):
         raise ValueError(f"no table of order {n} admits a non-discrete compatible order")
     return _draw_pairs(tables, count, random.Random(seed))
 
@@ -354,7 +357,7 @@ def _draw_pairs(tables, count, rng):
         # The discrete order comes first: every table admits it, and it has
         # the fewest true cells, which ``all_partial_orders`` sorts by.  So
         # [1:] is exactly the non-discrete orders that a draw picks from.
-        orders = _compatible_orders_cached(table)[1:]
+        orders = _compatible_orders(table)[1:]
         if not orders:
             continue
         leq = orders[rng.randrange(len(orders))]

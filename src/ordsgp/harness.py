@@ -472,12 +472,7 @@ def search_model(satisfy=(), violate=(), max_order=3):
     for n in range(1, max_order + 1):
         for S in enumerate_ordered_semigroups(GenerationConfig(n)):
             checked += 1
-            details = {}
-            for label, key, holds in wanted:
-                res = read(S, key)
-                details[label] = res.to_dict()
-                if res.holds != holds:
-                    break
-            else:
+            if all(read(S, key).holds == holds for _, key, holds in wanted):
+                details = {label: read(S, key).to_dict() for label, key, _ in wanted}
                 return SearchResult(S, checked, satisfy, violate, details)
     return SearchResult(None, checked, satisfy, violate, {})

@@ -62,7 +62,6 @@ from .relations import (
     green,
     is_rho_unique,
     ordered_idempotents,
-    regular_power_value,
     regularity_profile,
     starred,
 )
@@ -133,26 +132,15 @@ def _p_regular(S):
 
 
 def _p_completely_regular(S):
-    table, middles = S.table, _middles(S)
-
-    def witness(a):
-        a2 = table[a][a]
-        x = middles[a][a2][a2]
-        return None if x is None else {"a": a, "x": x}
-
-    return _forall_elements(S, witness)
+    xs = regularity_profile(S)._completely
+    return _forall_elements(S, lambda a: None if xs[a] is None else {"a": a, "x": xs[a]})
 
 
 def _p_intra_regular(S):
-    table, right = S.table, _factors(S, "right")
+    found = regularity_profile(S)._intra
 
     def witness(a):
-        a2 = table[a][a]
-        for s, row in enumerate(table):
-            t = right[a][row[a2]]
-            if t is not None:
-                return {"a": a, "s": s, "t": t}
-        return None
+        return None if found[a] is None else {"a": a, "s": found[a][0], "t": found[a][1]}
 
     return _forall_elements(S, witness)
 
@@ -903,8 +891,7 @@ def lemma3_predicate(S):
 def lemma7_predicate(S):
     """L*-related elements have all products inverse*power R*-related."""
     Ls, Rs = starred(S, "L"), starred(S, "R")
-    table = S.table
-    regular = [regular_power_value(S, a) for a in S.elements()]
+    table, regular = S.table, regularity_profile(S)._values
     inverses = _inverse_masks(S)
     checked = 0
     for a in S.elements():

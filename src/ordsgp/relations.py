@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     PredicateResult,
@@ -12,7 +12,6 @@ from .core import (
     _principal_bits,
     bits_iter,
     derived,
-    power_profile,
 )
 
 
@@ -182,7 +181,10 @@ class RegularityProfile:
 
     ``witness[a]`` is the least x with a^m <= a^m * x * a^m at
     m = ``smallest_regular_power[a]``.  Finiteness guarantees the power
-    exists: some power is a multiplicative idempotent, hence regular.
+    exists: some power is a multiplicative idempotent, hence regular.  The
+    private fields hold, per element a, what the predicates and starred
+    relations read: the least x with a <= a^2*x*a^2, the least s and the
+    least t for it with a <= s*a^2*t, each or None, and the value a^m.
     """
 
     regular: tuple
@@ -190,27 +192,33 @@ class RegularityProfile:
     intra_regular: tuple
     smallest_regular_power: tuple
     witness: tuple
+    _completely: tuple = field(repr=False)
+    _intra: tuple = field(repr=False)
+    _values: tuple = field(repr=False)
 
 
 @derived
 def regularity_profile(S):
+    """The one producer of every per-element regularity fact; cached on S."""
     table, middles, right = S.table, _middles(S), _factors(S, "right")
-    completely, intra, smallest, witness = [], [], [], []
+    completely, intra, powers = [], [], []
     for a, steps in enumerate(_exponents(table)):
         a2 = table[a][a]
-        completely.append(middles[a][a2][a2] is not None)
-        intra.append(any(right[a][row[a2]] is not None for row in table))
-        for m, v in steps:
-            x = middles[v][v][v]
-            if x is not None:
-                smallest.append(m)
-                witness.append(x)
-                break
-        else:
-            raise AssertionError(f"element {a} has no regular power")
-    regular = tuple(m == 1 for m in smallest)
+        completely.append(middles[a][a2][a2])
+        found = ((s, t) for s, row in enumerate(table) if (t := right[a][row[a2]]) is not None)
+        intra.append(next(found, None))
+        # an idempotent power e has e <= e*e*e, so some power is regular
+        powers.append(next((m, v, x) for m, v in steps if (x := middles[v][v][v]) is not None))
+    smallest, values, witness = zip(*powers)
     return RegularityProfile(
-        regular, tuple(completely), tuple(intra), tuple(smallest), tuple(witness)
+        tuple(m == 1 for m in smallest),
+        tuple(x is not None for x in completely),
+        tuple(st is not None for st in intra),
+        smallest,
+        witness,
+        tuple(completely),
+        tuple(intra),
+        values,
     )
 
 
@@ -221,7 +229,8 @@ def smallest_regular_power(S, a):
 
 def regular_power_value(S, a):
     """a^m for the smallest m making a^m regular."""
-    return power_profile(S, a).value(smallest_regular_power(S, a))
+    _check_element(S.order, a)
+    return regularity_profile(S)._values[a]
 
 
 @derived
@@ -235,10 +244,8 @@ def starred(S, kind):
         raise ValueError(f"unknown starred relation {kind!r}")
     if kind == "H":
         return starred(S, "L").meet(starred(S, "R"))
-    base = green(S, kind)
-    return Partition(
-        S.order, tuple(base.class_of[regular_power_value(S, a)] for a in S.elements())
-    )
+    class_of = green(S, kind).class_of
+    return Partition(S.order, tuple(class_of[v] for v in regularity_profile(S)._values))
 
 
 def is_rho_unique(S, partition, subset):

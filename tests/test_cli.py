@@ -160,6 +160,19 @@ def test_out_file_in_missing_directory_is_usage_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enumerate_unwritable_manifest_is_usage_error_before_the_run(tmp_path, capsys):
+    # the manifest is written after the catalog, so both paths are probed
+    # first: nothing is written, and the error is one line
+    out = tmp_path / "catalog.ndjson"
+    (tmp_path / "catalog.ndjson.manifest.json").mkdir()
+    assert main(["enumerate", "--order", "1", "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert len(captured.err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.ndjson.manifest.json"]
+
+
 def test_verify_ok(capsys):
     code = main(["verify", "--theorem", "thm2", "--max-order", "2"])
     assert code == 0

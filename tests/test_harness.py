@@ -12,9 +12,11 @@ from ordsgp import (
     THEOREM_IDS,
     GenerationConfig,
     OrderedSemigroup,
+    PredicateResult,
     enumerate_ordered_semigroups,
     lz2,
     n2,
+    named_predicate,
     run_suite,
     rz2,
     search_model,
@@ -558,6 +560,25 @@ def test_search_model_reads_a_bare_string_as_one_name():
         search_model(satisfy="bogus-name", max_order=1)
     with pytest.raises(ValueError, match="unknown predicate name 3"):
         search_model(violate=[3], max_order=1)
+
+
+def test_search_model_builds_details_only_for_the_structure_it_returns(monkeypatch):
+    # a rejected structure is tested on truth values alone: one details dict
+    # per wanted name is built, for the returned structure, whichever failed
+    built = []
+    to_dict = PredicateResult.to_dict
+    monkeypatch.setattr(PredicateResult, "to_dict", lambda r: built.append(r) or to_dict(r))
+    res = search_model(
+        satisfy=["right-pi-inverse"], violate=["left-pi-inverse"], max_order=4
+    )
+    assert res.checked == 11 and len(built) == 2
+    assert res.details == {
+        "right-pi-inverse": to_dict(named_predicate(res.structure, "right-pi-inverse")),
+        "not:left-pi-inverse": to_dict(named_predicate(res.structure, "left-pi-inverse")),
+    }
+    built.clear()
+    nothing = search_model(satisfy=["left-simple", "right-simple"], violate=["simple"], max_order=2)
+    assert (nothing.checked, nothing.details, built) == (21, {}, [])
 
 
 def test_report_schema_shape():

@@ -11,7 +11,8 @@ the ``derived`` decorator of ``core.py``, and that decorator is applied only
 to module-level functions; in ``core.py`` it is applied only to functions of
 S alone, so a per-element fact is one tuple per structure, never an entry
 keyed on an element.  No ``lru_cache`` function takes a structure S: a
-process-wide memo is keyed on matrices or ints.  A vocabulary
+process-wide memo is keyed on matrices or ints, and a memo of one table
+or order matrix is bounded by ``core._MEMO_SIZE``.  A vocabulary
 predicate of ``predicates.py`` is evaluated only through ``read``, so each
 one is computed once per structure, and ``predicates.py`` names no ``leq``:
 it reads the order through other modules.
@@ -153,6 +154,22 @@ def test_lru_cache_functions_take_no_structure():
         and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
     ]
     assert len(memos) > 5 and not [m for m in memos if "S" in m[2]], memos
+
+
+def test_matrix_memos_share_the_one_bound():
+    # a memo of one table or order matrix holds an entry per matrix of the
+    # catalog, so each is bounded by ``core._MEMO_SIZE``, never unbounded
+    bounds = [
+        (path.name, node.name, ast.unparse(decorator))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef)
+        and [arg.arg for arg in node.args.args] in (["table"], ["tab"], ["lm"])
+        for decorator in node.decorator_list
+        if "lru_cache" in ast.unparse(decorator)
+    ]
+    assert len(bounds) > 5, bounds
+    assert [b for b in bounds if b[2] != "lru_cache(maxsize=_MEMO_SIZE)"] == [], bounds
 
 
 def test_vocabulary_functions_are_reached_only_through_read():
