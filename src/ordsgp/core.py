@@ -190,11 +190,12 @@ def _normalize(table, leq):
     return tab, lm
 
 
-# Every fact of one matrix alone (its violations, powers, semilattice
-# congruences, closed subsets, compatible orders) is an lru_cache keyed on it
-# under this one bound, which holds the 3492 labelled tables and 219 orders
-# of the order-4 catalog.  Only tuples that ``_normalize`` has type-checked
-# reach them, so a table of bools never meets an int table that compares equal.
+# Every fact of one matrix alone (its violations, requirement masks, powers,
+# semilattice congruences, closed subsets, compatible orders, classes) is an
+# lru_cache keyed on it under this one bound, which holds the 3492 labelled
+# tables and 219 orders of the order-4 catalog.  Only tuples that
+# ``_normalize`` has type-checked reach them, so a table of bools never
+# meets an int table that compares equal.
 _MEMO_SIZE = 1 << 12
 
 
@@ -208,6 +209,20 @@ def _table_violations(tab):
         for b in rng
         for c in rng
         if tab[tab[a][b]][c] != tab[a][tab[b][c]]
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _requirement_masks(table):
+    """Per cell (a, b) of a normalised table, the mask of the cells (x*a, x*b)
+    and (a*x, b*x), cell (c, d) being bit c*n + d: what an order compatible
+    with the table must hold wherever it holds a <= b."""
+    n = len(table)
+    return tuple(
+        sum({1 << (table[x][a] * n + table[x][b]) for x in range(n)}
+            | {1 << (table[a][x] * n + table[b][x]) for x in range(n)})
+        for a in range(n)
+        for b in range(n)
     )
 
 
@@ -236,9 +251,31 @@ def _order_facts(lm):
     return tuple(bad), below
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _order_cells(lm):
+    """(mask, strict) of a normalised order matrix: the int mask of its true
+    cells, cell (a, b) being bit a*n + b, and its true cells with a != b."""
+    n = len(lm)
+    cells = [a * n + b for a in range(n) for b in range(n) if lm[a][b]]
+    return sum(1 << c for c in cells), tuple(c for c in cells if c // n != c % n)
+
+
 def _compatibility_violations(tab, lm):
     """For each pair a < b and each x, in that order: x*a <= x*b, then
-    a*x <= b*x."""
+    a*x <= b*x.  The order holds all of them exactly when each strict cell's
+    requirement mask lies inside its cell mask; only an order that fails
+    that test is walked for the violations."""
+    mask, strict = _order_cells(lm)
+    required = _requirement_masks(tab) if strict else ()
+    outside = ~mask
+    for c in strict:
+        if required[c] & outside:
+            return _compatibility_walk(tab, lm)
+    return ()
+
+
+def _compatibility_walk(tab, lm):
+    """The compatibility violations of ``_compatibility_violations``, listed."""
     rng = range(len(tab))
     for a in rng:
         row_a, above_a = tab[a], lm[a]
@@ -616,10 +653,11 @@ def _joint_powers(S, elements):
 # restrict interns only substructures of at most this order, in a table
 # that lives as long as the process: at most the 992 labelled ordered
 # semigroups of order <= 3, where order 4 would admit up to 107688 more.
+# So the table never reaches the bound ``_MEMO_SIZE`` of the matrix memos.
 _INTERN_MAX_ORDER = 3
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _interned(table, leq):
     """The one instance per process of a re-labelled substructure."""
     return OrderedSemigroup(table, leq)

@@ -8,10 +8,17 @@ structures that the order-4 verification regime draws.  The catalog and
 the sample are walked as raw (table, leq) pairs, which the public streams
 build into validated structures; ``_class_key`` keys a pair unbuilt.
 
+Each fact is computed once per process: per n, the orbit-least tables
+(``_least_tables``, one tuple that every walk and the orbit map read);
+per table, its compatible orders and, for an orbit-least table, its
+isomorphism classes with their orbit sizes (``_table_classes``).  So a
+walk over tables already walked relabels and scans nothing.
+
 Compatible orders are found with int masks over the n*n cells: per table,
-once, the cells each strict pair a <= b forces into the order; per n, once
-(cached), the cells and strict cells of each partial order.  Testing an
-order is then one mask test per strict cell.
+once, the cells each strict pair a <= b forces into the order
+(``core._requirement_masks``, which the validator reads too); per n, once,
+the cells and strict cells of each partial order.  Testing an order is
+then one mask test per strict cell.
 """
 
 from __future__ import annotations
@@ -19,9 +26,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, starmap
+from itertools import islice, permutations, starmap
 
-from .core import _MEMO_SIZE, OrderedSemigroup, _discrete, _normalize_table, bits_iter
+from .core import (
+    _MEMO_SIZE,
+    OrderedSemigroup,
+    _discrete,
+    _normalize_table,
+    _order_cells,
+    _requirement_masks,
+    bits_iter,
+)
 
 # Largest order whose tables, and so whose catalogs, are enumerated exhaustively.
 EXHAUSTIVE_TABLE_CAP = 4
@@ -70,9 +85,10 @@ def enumerate_tables(n):
 
 @lru_cache(maxsize=None)
 def _orbit_map(n):
-    """The process-wide table store, bounded by the cap of ``enumerate_tables``:
-    each labelled table, in lexicographic order, mapped to (T0, p, Aut(T0))
-    where T0 is the orbit-least table of its orbit and the table is p(T0)."""
+    """The process-wide labelled table store, bounded by the cap of
+    ``enumerate_tables``: each labelled table, in lexicographic order, mapped
+    to (T0, p, Aut(T0)) where T0 is the orbit-least table of its orbit and
+    the table is p(T0); T0 and Aut(T0) are the objects of ``_least_tables``."""
     perms = tuple(permutations(range(n)))
     orbits = {}
     for least, automorphisms in _least_tables(n):
@@ -102,12 +118,14 @@ def _class_key(table, leq):
     return least, min(_relabel(leq, a, relabel_entries=False) for a in automorphisms)
 
 
+@lru_cache(maxsize=None)
 def _least_tables(n):
     """Each associative table on {0..n-1} that no relabelling makes
     lexicographically smaller, with its automorphisms, in lexicographic
-    order: one depth-first row-major cell fill.  Row and column n of the
-    working table hold n, the mark of an undefined cell, so a product
-    through an undefined cell is undefined.
+    order, as one tuple per n: the process-wide store that ``_orbit_map``
+    and ``_pairs`` read.  It is one depth-first row-major cell fill.  Row
+    and column n of the working table hold n, the mark of an undefined
+    cell, so a product through an undefined cell is undefined.
 
     A placement fails when a determined triple that reads the cell does
     not associate (``_associates_at``), or when some relabelling p maps the
@@ -120,7 +138,7 @@ def _least_tables(n):
     appends each survivor to the list of a later cell; the appends are
     undone on backtrack.  The inverse is padded with 0, so an entry that
     compares equal on every cell waits in list n*n: those entries are
-    Aut(T)."""
+    Aut(T), in ascending order, so the identity is first."""
     cells = n * n
     table = [[n] * (n + 1) for _ in range(n + 1)]
     waiting = [[] for _ in range(cells + 1)]
@@ -158,7 +176,7 @@ def _least_tables(n):
                 waiting[w].pop()
         table[i][j] = n
 
-    yield from fill(0)
+    return tuple(fill(0))
 
 
 def _associates_at(table, n, i, j):
@@ -209,26 +227,9 @@ def all_partial_orders(n):
 @lru_cache(maxsize=None)
 def _order_masks(n):
     """For each order of ``all_partial_orders(n)``, in that order: (leq, the
-    int mask of its true cells, its strict cells), cell (a, b) being bit
-    a*n + b."""
-    out = []
-    for leq in all_partial_orders(n):
-        cells = [a * n + b for a in range(n) for b in range(n) if leq[a][b]]
-        strict = tuple(c for c in cells if c // n != c % n)
-        out.append((leq, sum(1 << c for c in cells), strict))
-    return tuple(out)
-
-
-def _requirement_masks(table):
-    """Per cell (a, b), the mask of the cells (x*a, x*b) and (a*x, b*x):
-    what a compatible order must hold wherever it holds a <= b."""
-    n = len(table)
-    return [
-        sum({1 << (table[x][a] * n + table[x][b]) for x in range(n)}
-            | {1 << (table[a][x] * n + table[b][x]) for x in range(n)})
-        for a in range(n)
-        for b in range(n)
-    ]
+    int mask of its true cells, its strict cells), as ``core._order_cells``
+    gives them."""
+    return tuple((leq, *_order_cells(leq)) for leq in all_partial_orders(n))
 
 
 def enumerate_compatible_orders(table):
@@ -244,7 +245,8 @@ def enumerate_compatible_orders(table):
 def _compatible_orders(table):
     """The one store of the compatible orders of a normalised table, in
     ``all_partial_orders`` order: each order whose every strict cell has its
-    requirement mask inside the order's own cell mask."""
+    requirement mask (``core._requirement_masks``) inside the order's own
+    cell mask."""
     required = _requirement_masks(table)
     out = []
     for leq, mask, strict in _order_masks(len(table)):
@@ -280,36 +282,53 @@ def enumerate_ordered_semigroups(config):
     ``Aut(T)``-orbit, which is what ``_class_key`` compares.
 
     Only emitted structures are built: this is ``_pairs`` with each pair
-    built.
+    built, and the classes of each orbit-least table are one memo of the
+    table, ``_table_classes``, so a second walk in one process reads them.
     """
     return starmap(OrderedSemigroup, _pairs(config))
 
 
 def _pairs(config):
     """The (table, leq) pairs of ``enumerate_ordered_semigroups``, in its
-    order, none of them built: the one catalog walk."""
+    order, none of them built: the one catalog walk.  Up to isomorphism it
+    reads the one tuple of ``_least_tables`` and, with all orders, each
+    table's ``_table_classes`` without their sizes."""
     n = config.order
-    emitted = 0
-    discrete = (_discrete(n),)
     if config.up_to_iso:
         tables = _least_tables(n)
     else:
         tables = ((table, ()) for table in enumerate_tables(n))
-    for table, automorphisms in tables:
-        if config.order_mode == "discrete_only":
-            orders = discrete
-        else:
-            orders = _compatible_orders(table)
-        images = set()
-        for leq in orders:
-            if leq in images:
-                continue
-            if len(automorphisms) > 1:  # the identity alone maps no order to another
-                images.update(_relabel(leq, p, relabel_entries=False) for p in automorphisms)
-            yield table, leq
-            emitted += 1
-            if config.limit is not None and emitted >= config.limit:
-                return
+    if config.order_mode == "discrete_only":
+        discrete = _discrete(n)
+        pairs = ((table, discrete) for table, _ in tables)
+    elif config.up_to_iso:
+        pairs = (
+            (table, leq)
+            for table, automorphisms in tables
+            for leq, _ in _table_classes(table, automorphisms)
+        )
+    else:
+        pairs = ((table, leq) for table, _ in tables for leq in _compatible_orders(table))
+    yield from islice(pairs, config.limit)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _table_classes(table, automorphisms):
+    """The isomorphism classes of the ordered semigroups on an orbit-least
+    table T with automorphisms ``Aut(T)`` (sorted, so the identity first),
+    in ``all_partial_orders`` order: (leq, |orbit of leq under Aut(T)|)
+    for each compatible order that is no image of an earlier one.  The
+    class then holds n! * |orbit| / |Aut(T)| labelled structures, that is
+    n!/|Aut(T, leq)|."""
+    classes = []
+    images = set()
+    for leq in _compatible_orders(table):
+        if leq in images:
+            continue
+        orbit = {leq, *(_relabel(leq, p, relabel_entries=False) for p in automorphisms[1:])}
+        images |= orbit
+        classes.append((leq, len(orbit)))
+    return tuple(classes)
 
 
 def _relabel(matrix, p, relabel_entries):

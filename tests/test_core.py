@@ -193,6 +193,28 @@ def test_memoised_violation_stream_matches_the_naive_checker():
         assert built >= 992 and raised
 
 
+def test_compatibility_violations_match_the_oracle_on_every_pair():
+    # every labelled table of order <= 3 with every partial order of its
+    # size, incompatible pairs included: the mask test lets through exactly
+    # the compatible pairs, and the walk lists the rest as the oracle does
+    pairs = incompatible = 0
+    for n in (1, 2, 3):
+        orders = [tuple(map(tuple, leq)) for leq in oracles.all_orders(n)]
+        for table in oracles.all_tables(n):
+            tab = tuple(map(tuple, table))
+            for lm in orders:
+                expect = [
+                    (axiom, witness)
+                    for axiom, witness in oracles.axiom_violations(tab, lm)
+                    if axiom.endswith("compatibility")
+                ]
+                got = core._compatibility_violations(tab, lm)
+                assert [(v.axiom, v.witness) for v in got] == expect, (tab, lm)
+                pairs += 1
+                incompatible += bool(expect)
+    assert (pairs, incompatible) == (1 + 8 * 3 + 113 * 19, 1180)
+
+
 def test_axiom_memos_never_serve_a_bool_table_or_an_int_order():
     # True == 1 and hash(True) == hash(1): the memos see only checked input
     OrderedSemigroup(((1, 1), (1, 1)), _discrete(2))

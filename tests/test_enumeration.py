@@ -17,12 +17,16 @@ from ordsgp import (
     structure_key,
     validate,
 )
+from ordsgp import enumeration
 from ordsgp.enumeration import (
     _class_key,
+    _compatible_orders,
     _least_tables,
     _orbit_map,
     _order_masks,
+    _pairs,
     _relabel,
+    _table_classes,
     all_partial_orders,
 )
 from ordsgp.harness import iter_catalog
@@ -322,6 +326,60 @@ def test_orbit_stabiliser_recovers_labelled_counts(iso4, order_mode, labelled):
         stream = iso4 if (n, order_mode) == (4, "all_partial_orders") else iso_stream(n, order_mode)
         sizes = [factorial(n) // oracles.automorphism_count(d["table"], d["leq"]) for d in stream]
         assert sum(sizes) == expected
+
+
+def test_table_classes_orbit_sizes_match_the_oracle():
+    # a class (T, leq) holds n! * |orbit of leq under Aut(T)| / |Aut(T)|
+    # labelled structures, which is n!/|Aut(T, leq)|; the classes of every
+    # orbit-least table are the up-to-iso stream, so the sizes sum to the
+    # labelled counts
+    totals = []
+    for n in (1, 2, 3, 4):
+        total = 0
+        for table, automorphisms in _least_tables(n):
+            for leq, orbit in _table_classes(table, automorphisms):
+                size, rest = divmod(factorial(n) * orbit, len(automorphisms))
+                assert rest == 0
+                assert size == factorial(n) // oracles.automorphism_count(table, leq), (table, leq)
+                total += size
+        totals.append(total)
+    assert totals == [1, 20, 971, 107688]
+    assert sum(totals) == 108680
+
+
+def test_orbit_map_and_the_walk_read_one_store_of_least_tables():
+    # one tuple per n: the orbit map stores its very tables and
+    # automorphism tuples, and the up-to-iso walk yields its very tables
+    least = _least_tables(4)
+    assert least is _least_tables(4)
+    stored = {(id(t0), id(automorphisms)) for t0, _, automorphisms in _orbit_map(4).values()}
+    assert stored == {(id(table), id(automorphisms)) for table, automorphisms in least}
+    walked = {id(table) for table, _ in _pairs(GenerationConfig(4, up_to_iso=True))}
+    assert walked == {id(table) for table, _ in least}
+
+
+def test_a_repeated_walk_does_no_table_work(monkeypatch):
+    config = GenerationConfig(4, up_to_iso=True)
+    first = list(enumerate_ordered_semigroups(config))
+    memos = (_least_tables, _table_classes, _compatible_orders)
+    misses = [memo.cache_info().misses for memo in memos]
+    calls = []
+    for name in ("_relabel", "_associates_at"):
+        original = getattr(enumeration, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, name, counting)
+    assert list(enumerate_ordered_semigroups(config)) == first
+    assert [memo.cache_info().misses for memo in memos] == misses
+    assert calls == []
+    # the counters see the work of a walk that is not memoised
+    table, automorphisms = next(t for t in _least_tables(4) if len(t[1]) > 1)
+    _table_classes.__wrapped__(table, automorphisms)
+    _least_tables.__wrapped__(2)
+    assert set(calls) == {"_relabel", "_associates_at"}
 
 
 def test_canonical_form_examples():
