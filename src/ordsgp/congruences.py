@@ -5,12 +5,14 @@ least one, eta (Tamura, Semigroup Forum 4, 1972; Kehayopulu's relation N on
 ordered semigroups).  The search therefore scans only the partitions of the
 eta-classes, and ``PARTITION_CAP`` bounds their number, not the order.
 
-Eta and the semilattice congruences are memoised on the table, and the
-completeness flags on S.  A decomposition search is one plain scan over
-them that gives both readings, over all semilattice congruences and over
-complete ones; each class check reads the class substructure cached on S
-and applies the class predicate it is given.  This layer lies below
-``predicates``, which builds the batteries on it, and imports nothing from it.
+The semilattice congruences are memoised on the table, so eta, the last
+of them (the only one with as many classes), is computed once per table;
+the completeness flags are cached on S.  A decomposition search is one
+plain scan over them that gives both readings, over all semilattice
+congruences and over complete ones; each class check reads the class
+substructure cached on S and applies the class predicate it is given.
+This layer lies below ``predicates``, which builds the batteries on it,
+and imports nothing from it.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ def all_partitions(n):
     return (p for k in range(1, n + 1) for p in grow([0], 1, k))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _eta(table):
     """The least semilattice congruence of a table: the equivalence generated
     by a ~ a*a and a*b ~ b*a, closed under multiplication on both sides."""

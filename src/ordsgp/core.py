@@ -260,18 +260,24 @@ def _order_cells(lm):
     return sum(1 << c for c in cells), tuple(c for c in cells if c // n != c % n)
 
 
-def _compatibility_violations(tab, lm):
-    """For each pair a < b and each x, in that order: x*a <= x*b, then
-    a*x <= b*x.  The order holds all of them exactly when each strict cell's
-    requirement mask lies inside its cell mask; only an order that fails
-    that test is walked for the violations."""
-    mask, strict = _order_cells(lm)
-    required = _requirement_masks(tab) if strict else ()
+def _compatible(required, mask, strict):
+    """The one compatibility test: whether each strict cell c of an order
+    (``_order_cells``) has its requirement mask ``required[c]``
+    (``_requirement_masks``) inside the order's cell mask."""
     outside = ~mask
     for c in strict:
         if required[c] & outside:
-            return _compatibility_walk(tab, lm)
-    return ()
+            return False
+    return True
+
+
+def _compatibility_violations(tab, lm):
+    """For each pair a < b and each x, in that order: x*a <= x*b, then
+    a*x <= b*x.  Only an order that fails ``_compatible`` is walked."""
+    mask, strict = _order_cells(lm)
+    if not strict or _compatible(_requirement_masks(tab), mask, strict):
+        return ()
+    return _compatibility_walk(tab, lm)
 
 
 def _compatibility_walk(tab, lm):
@@ -604,8 +610,9 @@ class PowerProfile:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _power_profiles(table):
-    """The :class:`PowerProfile` of each element of a table, indexed by it."""
+def _exponents(table):
+    """(m, a^m) for each distinct power of each element a of a table, in
+    increasing exponent order, indexed by a: the one store of power steps."""
     out = []
     for a, row in enumerate(table):
         powers = [a]
@@ -613,22 +620,16 @@ def _power_profiles(table):
         while v not in powers:
             powers.append(v)
             v = row[v]
-        index = powers.index(v) + 1
-        out.append(PowerProfile(a, index, len(powers) + 1 - index, tuple(powers)))
+        out.append(tuple(enumerate(powers, 1)))
     return tuple(out)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _exponents(table):
-    """(m, a^m) for each distinct power of each element a of a table, in
-    increasing exponent order, indexed by a: the one store of power steps."""
-    return tuple(tuple(enumerate(prof.powers, 1)) for prof in _power_profiles(table))
 
 
 def power_profile(S, a):
     """Index, period, and distinct values of the power sequence of a."""
     _check_element(S.order, a)
-    return _power_profiles(S.table)[a]
+    powers = tuple(v for _, v in _exponents(S.table)[a])
+    index = powers.index(S.table[a][powers[-1]]) + 1
+    return PowerProfile(a, index, len(powers) + 1 - index, powers)
 
 
 def _joint_powers(S, elements):

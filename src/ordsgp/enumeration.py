@@ -16,9 +16,9 @@ walk over tables already walked relabels and scans nothing.
 
 Compatible orders are found with int masks over the n*n cells: per table,
 once, the cells each strict pair a <= b forces into the order
-(``core._requirement_masks``, which the validator reads too); per n, once,
-the cells and strict cells of each partial order.  Testing an order is
-then one mask test per strict cell.
+(``core._requirement_masks``); per n, once, the cells and strict cells of
+each partial order.  Testing an order is ``core._compatible``, one mask
+test per strict cell, the very test the validator runs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from itertools import islice, permutations, starmap
 from .core import (
     _MEMO_SIZE,
     OrderedSemigroup,
+    _compatible,
     _discrete,
     _normalize_table,
     _order_cells,
@@ -48,6 +49,13 @@ def _check_int(value, name):
     """Reject the argument ``name`` unless it is an int; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(value, name):
+    """The one check of a count, the argument ``name``: an int, not negative."""
+    _check_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must not be negative")
 
 
 def _check_order(order, name="order"):
@@ -105,7 +113,9 @@ def _class_key(table, leq):
     discrete order, so a discrete pair keys on its own order.
 
     A table outside the store is no associative table on {0..n-1}; the
-    pair is then built, so that the validator raises its own ValueError."""
+    pair is then built, so that the validator raises its own ValueError.
+    Keys compare values and check no entry type: a pair with bools in its
+    table or ints in its order keys like the pair it equals."""
     n = len(table)
     try:
         least, p, automorphisms = _orbit_map(n)[table]
@@ -244,19 +254,11 @@ def enumerate_compatible_orders(table):
 @lru_cache(maxsize=_MEMO_SIZE)
 def _compatible_orders(table):
     """The one store of the compatible orders of a normalised table, in
-    ``all_partial_orders`` order: each order whose every strict cell has its
-    requirement mask (``core._requirement_masks``) inside the order's own
-    cell mask."""
+    ``all_partial_orders`` order: each order that passes ``core._compatible``
+    against the table's requirement masks, read once."""
     required = _requirement_masks(table)
-    out = []
-    for leq, mask, strict in _order_masks(len(table)):
-        outside = ~mask
-        for c in strict:
-            if required[c] & outside:
-                break
-        else:
-            out.append(leq)
-    return tuple(out)
+    orders = _order_masks(len(table))
+    return tuple(leq for leq, mask, strict in orders if _compatible(required, mask, strict))
 
 
 def enumerate_ordered_semigroups(config):
@@ -359,9 +361,7 @@ def sample_structures(n, count, seed):
 def _sample_pairs(n, count, seed):
     """The (table, leq) pairs of ``sample_structures``, none of them built;
     the arguments are checked at the call."""
-    _check_int(count, "count")
-    if count < 0:
-        raise ValueError("count must not be negative")
+    _check_count(count, "count")
     tables = tuple(enumerate_tables(n))
     # every table admits the discrete order, so a second one is non-discrete
     if not any(len(_compatible_orders(t)) > 1 for t in tables):

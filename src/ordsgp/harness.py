@@ -29,6 +29,7 @@ from itertools import chain, islice, starmap, tee
 from .core import OrderedSemigroup, structure_key
 from .enumeration import (
     GenerationConfig,
+    _check_count,
     _check_int,
     _check_order,
     _class_key,
@@ -239,9 +240,7 @@ def _catalog_pairs(max_order, sample_count, sample_seed):
     """The (table, leq) pairs of ``iter_catalog``, in its order, none of
     them built; the arguments are checked at the call."""
     _check_order(max_order, "max_order")
-    _check_int(sample_count, "sample_count")
-    if sample_count < 0:
-        raise ValueError("sample_count must not be negative")
+    _check_count(sample_count, "sample_count")
     walks = [_pairs(GenerationConfig(n)) for n in range(1, min(max_order, 3) + 1)]
     if max_order >= 4:
         walks.append(_pairs(GenerationConfig(4, order_mode="discrete_only")))
@@ -316,16 +315,15 @@ def _structure_rows(ids, pairs, workers):
     ``_class_key``.  The memo holds each distinct rows value once: a
     catalog of thousands of classes gives only a handful.
 
-    No pair goes unvalidated.  Building a pair runs the validator, which
-    raises ValueError on a pair that is not an ordered semigroup, and the
-    first pair of each key is built, inline or in a pool worker.  A table
-    outside the associative store makes ``_class_key`` build the pair
-    itself, so it raises there.  A later pair has the key of a validated
-    structure: its table relabels onto the same orbit-least table T0, and
-    its order carried onto T0 is an ``Aut(T0)``-image of that structure's
-    order carried onto T0.  So the pair is a relabelling of that structure,
-    and relabelling preserves associativity, the partial-order axioms and
-    compatibility."""
+    Precondition: int table entries and bool order entries, as the catalog
+    walks give them.  The first pair of each key is built, inline or in a
+    pool worker, and so validated; a table outside the associative store
+    makes ``_class_key`` build the pair itself.  A later pair has the key
+    of a validated structure: its table relabels onto the same orbit-least
+    table T0, and its order carried onto T0 is an ``Aut(T0)``-image of that
+    structure's order carried onto T0.  So it is a relabelling of that
+    structure, which keeps every axiom; but a key compares values, so its
+    entry types are never checked (a 1 passes for True)."""
     memo, distinct = {}, {}
 
     def keyed():  # first is decided once for both branches: ``_rows`` runs ahead

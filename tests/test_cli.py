@@ -367,10 +367,12 @@ def test_validate_digest_lists_every_violation(tmp_path, capsys):
     )
 
 
-def test_verify_bogus_theorem_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--theorem", "bogus", "--max-order", "2"])
-    assert err.value.code == 64
+def test_verify_bogus_theorem_is_usage_error(capsys):
+    # run_suite is the one check of a suite id: it refuses the id before
+    # any structure is verified
+    assert main(["verify", "--theorem", "bogus", "--max-order", "2"]) == 64
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unknown theorem id 'bogus'\n")
 
 
 def test_order_caps_are_usage_errors(capsys):

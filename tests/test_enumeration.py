@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -18,6 +19,7 @@ from ordsgp import (
     validate,
 )
 from ordsgp import enumeration
+from ordsgp.core import _discrete
 from ordsgp.enumeration import (
     _class_key,
     _compatible_orders,
@@ -345,6 +347,35 @@ def test_table_classes_orbit_sizes_match_the_oracle():
         totals.append(total)
     assert totals == [1, 20, 971, 107688]
     assert sum(totals) == 108680
+
+
+def class_sizes(n, discrete_only):
+    """{(T, leq): labelled structures in its class} for each class of the
+    up-to-iso stream, in its order: n! * |orbit of leq| / |Aut(T)|, the
+    discrete order being alone in its orbit."""
+    sizes = {}
+    for table, automorphisms in _least_tables(n):
+        classes = [(_discrete(n), 1)] if discrete_only else _table_classes(table, automorphisms)
+        for leq, orbit in classes:
+            sizes[table, leq] = factorial(n) * orbit // len(automorphisms)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GenerationConfig(n) for n in (1, 2, 3)]
+    + [GenerationConfig(4, order_mode="discrete_only"), GenerationConfig(4)],
+    ids=["order1", "order2", "order3", "order4-discrete", "order4"],
+)
+def test_class_multiplicities_are_orbit_sizes(config):
+    # the labelled walk meets each class as often as its orbit size says,
+    # and first meets the classes in the order of the up-to-iso stream
+    counts = Counter(_class_key(*pair) for pair in _pairs(config))
+    sizes = class_sizes(config.order, config.order_mode == "discrete_only")
+    assert counts == sizes
+    assert list(counts) == list(sizes)
+    if config == GenerationConfig(4):
+        assert (counts.total(), len(counts)) == (107688, 4753)
 
 
 def test_orbit_map_and_the_walk_read_one_store_of_least_tables():

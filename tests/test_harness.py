@@ -444,15 +444,31 @@ def test_structure_rows_equal_the_labelled_rows(order):
 @pytest.mark.parametrize(
     "table, leq, message",
     [
-        (((1, 0), (0, 0)), ((True, False), (False, True)), "associativity fails"),
-        (((0, 1), (1, 0)), ((True, True), (False, True)), "left-compatibility fails"),
+        (
+            ((1, 0), (0, 0)),
+            ((True, False), (False, True)),
+            "not an ordered semigroup: associativity fails",
+        ),
+        (
+            ((0, 1), (1, 0)),
+            ((True, True), (False, True)),
+            "not an ordered semigroup: left-compatibility fails",
+        ),
+        (((0, 0), (0, 1)), ((1, 0), (0, 1)), r"order entry \(0,0\) = 1 is not a boolean"),
+        (
+            ((False, False), (False, True)),
+            ((True, False), (False, True)),
+            r"table entry \(0,0\) = False outside carrier",
+        ),
     ],
-    ids=["non-associative", "incompatible"],
+    ids=["non-associative", "incompatible", "int-order", "bool-table"],
 )
 def test_structure_rows_raise_the_validator_error_on_a_first_pair(table, leq, message, workers):
     # the first pair of a key is built, inline or in a pool worker, and a
-    # table outside the associative store is built by its key
-    with pytest.raises(ValueError, match=f"not an ordered semigroup: {message}"):
+    # table outside the associative store is built by its key; the last
+    # two pairs equal a catalog pair in value, and alone each is the first
+    # of its key, so the validator refuses its entry types
+    with pytest.raises(ValueError, match=message):
         list(harness._structure_rows(THEOREM_IDS, [(table, leq)], workers))
 
 

@@ -12,14 +12,19 @@ to module-level functions; in ``core.py`` it is applied only to functions of
 S alone, so a per-element fact is one tuple per structure, never an entry
 keyed on an element.  No ``lru_cache`` function takes a structure S: a
 process-wide memo is keyed on matrices or ints, and a memo keyed first on
-a table or order matrix is bounded by ``core._MEMO_SIZE``.  A vocabulary
+a table or order matrix is bounded by ``core._MEMO_SIZE`` and read again
+on a suite pass, so none duplicates another store.  A vocabulary
 predicate of ``predicates.py`` is evaluated only through ``read``, so each
 one is computed once per structure, and ``predicates.py`` names no ``leq``:
 it reads the order through other modules.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from ordsgp.enumeration import GenerationConfig, enumerate_ordered_semigroups
+from ordsgp.harness import run_suite
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ordsgp"
 
@@ -156,13 +161,11 @@ def test_lru_cache_functions_take_no_structure():
     assert len(memos) > 5 and not [m for m in memos if "S" in m[2]], memos
 
 
-def test_matrix_memos_share_the_one_bound():
-    # a memo keyed first on a table or order matrix holds an entry per
-    # matrix of the catalog, or per pair of one, so each is bounded by
-    # ``core._MEMO_SIZE``, never unbounded; the key may hold more than the
-    # matrix, as the classes of a table with its automorphisms do
-    bounds = [
-        (path.name, node.name, ast.unparse(decorator))
+def matrix_memos():
+    """(module path, function name, decorator) of each ``lru_cache``
+    function whose first parameter is a table or order matrix."""
+    return [
+        (path, node.name, ast.unparse(decorator))
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(parse(path))
         if isinstance(node, ast.FunctionDef)
@@ -170,9 +173,36 @@ def test_matrix_memos_share_the_one_bound():
         for decorator in node.decorator_list
         if "lru_cache" in ast.unparse(decorator)
     ]
+
+
+def test_matrix_memos_share_the_one_bound():
+    # a memo keyed first on a table or order matrix holds an entry per
+    # matrix of the catalog, or per pair of one, so each is bounded by
+    # ``core._MEMO_SIZE``, never unbounded; the key may hold more than the
+    # matrix, as the classes of a table with its automorphisms do
+    bounds = [(path.name, name, decorator) for path, name, decorator in matrix_memos()]
     assert len(bounds) > 5, bounds
     assert {"_table_classes", "_interned"} <= {name for _, name, _ in bounds}, bounds
     assert [b for b in bounds if b[2] != "lru_cache(maxsize=_MEMO_SIZE)"] == [], bounds
+
+
+def test_every_matrix_memo_is_read_again():
+    # a memo whose entries are never read a second time is a second store
+    # of a fact that has one elsewhere, or a cache in front of a caller that
+    # is itself cached: over a suite pass and two up-to-iso walks, each
+    # matrix memo must be hit.  The memos are not cleared, so this holds
+    # whether the process has met these tables before or not
+    memos = {
+        f"{path.stem}.{name}": getattr(importlib.import_module(f"ordsgp.{path.stem}"), name)
+        for path, name, _ in matrix_memos()
+    }
+    before = {name: memo.cache_info().hits for name, memo in memos.items()}
+    run_suite("all", max_order=3, workers=1)
+    for _ in range(2):
+        for _ in enumerate_ordered_semigroups(GenerationConfig(3, up_to_iso=True)):
+            pass
+    unread = sorted(name for name, memo in memos.items() if memo.cache_info().hits == before[name])
+    assert len(memos) > 5 and unread == [], unread
 
 
 def test_vocabulary_functions_are_reached_only_through_read():

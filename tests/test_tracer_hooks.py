@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from ordsgp import OrderedSemigroup, core, harness
-from ordsgp.congruences import _eta, _semilattice_congruences
+from ordsgp.congruences import _semilattice_congruences
 from ordsgp.predicates import _closed_supersets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -51,13 +51,7 @@ def test_tracer_hooks_are_reached_and_restored():
     before = bindings()
     # the table memos are warm now: clear them, so that the traced run
     # reaches the hooks behind them, such as the subset search
-    table_memos = (
-        core._power_profiles,
-        core._exponents,
-        _eta,
-        _semilattice_congruences,
-        _closed_supersets,
-    )
+    table_memos = (core._exponents, _semilattice_congruences, _closed_supersets)
     for memo in table_memos:
         memo.cache_clear()
     tracer = Tracer()
