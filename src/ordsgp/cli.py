@@ -9,14 +9,17 @@ catalog or a negative sample count, such as ``verify --max-order 0``; and
 an ``--out`` file that cannot be written, such as one in a missing
 directory), 141 closed pipe (the reader of stdout stopped early, as
 ``ordsgp enumerate --order 4 | head -1`` does; 128 + SIGPIPE, the code a
-shell gives a process that SIGPIPE ended).  Machine output goes to stdout
-as canonical JSON (sorted keys, compact separators) so identical runs are
-byte-identical; human-oriented notes go to stderr.
+shell gives a process that SIGPIPE ended).  A usage error is a
+``ValueError`` that the library or a command raises; ``main`` alone turns
+it into one ``error: <message>`` line on stderr.  Machine output goes to
+stdout as canonical JSON (sorted keys, compact separators) so identical
+runs are byte-identical; human-oriented notes go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -65,18 +68,27 @@ def _structure_lines(structures):
 
 
 def _load_structure(path):
-    """Parsed structure or ValidationReport; exits 2 on parse problems."""
+    """The valid structure in the file at ``path``, or None once the
+    violation report of a structure that breaks an axiom is printed; a file
+    that cannot be read or parsed exits 2."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a decode error is a ValueError
         print(f"cannot read structure file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     try:
-        return structure_from_dict(payload)
+        result = structure_from_dict(payload)
     except ValueError as exc:
         print(f"malformed structure payload: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    if isinstance(result, ValidationReport):
+        violations = [
+            {"axiom": v.axiom, "witness": list(v.witness)} for v in result.violations
+        ]
+        print(_dump({"ok": False, "violations": violations}))
+        return None
+    return result
 
 
 def _check_writable(path):
@@ -92,21 +104,23 @@ def _check_writable(path):
         raise ValueError(f"cannot write output file: {named}") from None
 
 
-def _report_dict(report):
-    return {
-        "ok": report.ok,
-        "violations": [
-            {"axiom": v.axiom, "witness": list(v.witness)} for v in report.violations
-        ],
-    }
+def _output(path, fallback=None):
+    """The one ``--out`` writer: the file at ``path`` opened for writing,
+    or ``fallback``, left open, when there is no path.  A file that cannot
+    be opened is a usage error."""
+    if not path:
+        return contextlib.nullcontext(fallback)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from None
 
 
 def cmd_validate(args):
-    result = _load_structure(args.file)
-    if isinstance(result, ValidationReport):
-        print(_dump(_report_dict(result)))
+    S = _load_structure(args.file)
+    if S is None:
         return EXIT_INVALID
-    print(_dump({"ok": True, "key": structure_key(result)}))
+    print(_dump({"ok": True, "key": structure_key(S)}))
     return EXIT_OK
 
 
@@ -131,15 +145,10 @@ def _analysis(S):
 
 
 def cmd_analyze(args):
-    result = _load_structure(args.file)
-    if isinstance(result, ValidationReport):
-        print(_dump(_report_dict(result)))
+    S = _load_structure(args.file)
+    if S is None:
         return EXIT_INVALID
-    try:
-        analysis = _analysis(result)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    analysis = _analysis(S)
     if args.json:
         print(_dump(analysis))
         return EXIT_OK
@@ -159,71 +168,37 @@ def cmd_analyze(args):
 
 def cmd_enumerate(args):
     mode = "discrete_only" if args.orders == "discrete" else "all_partial_orders"
-    try:
-        config = GenerationConfig(
-            order=args.order, up_to_iso=args.up_to_iso, order_mode=mode, limit=args.limit
-        )
-    except ValueError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        for path in [args.out, args.out + ".manifest.json"] if args.out else []:
-            _check_writable(path)  # both, before the run, which writes them in turn
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = GenerationConfig(
+        order=args.order, up_to_iso=args.up_to_iso, order_mode=mode, limit=args.limit
+    )
+    manifest_path = args.out and args.out + ".manifest.json"
+    for path in [args.out, manifest_path] if args.out else []:
+        _check_writable(path)  # both, before the run, which writes them in turn
     count = 0
-    try:
+    with _output(args.out, sys.stdout) as sink:
         for line in _structure_lines(enumerate_ordered_semigroups(config)):
             sink.write(line)
             count += 1
-    finally:
-        if args.out:
-            sink.close()
-    manifest = {
-        "count": count,
-        "config": {
-            "order": args.order,
-            "orders": args.orders,
-            "up_to_iso": args.up_to_iso,
-            "limit": args.limit,
-        },
-    }
-    if args.out:
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(_dump(manifest) + "\n")
-    else:
-        print(_dump(manifest), file=sys.stderr)
+    settings = {key: getattr(args, key) for key in ("order", "orders", "up_to_iso", "limit")}
+    with _output(manifest_path, sys.stderr) as fh:
+        fh.write(_dump({"count": count, "config": settings}) + "\n")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    try:
-        if args.out:
-            _check_writable(args.out)  # before the run, which may be long
-        report = run_suite(
-            theorems=args.theorem,
-            max_order=args.max_order,
-            sample_count=args.sample_count,
-            sample_seed=args.sample_seed,
-            fail_fast=args.fail_fast,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = report.to_dict()
-    text = _dump(payload)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write output file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        _check_writable(args.out)  # before the run, which may be long
+    report = run_suite(
+        theorems=args.theorem,
+        max_order=args.max_order,
+        sample_count=args.sample_count,
+        sample_seed=args.sample_seed,
+        fail_fast=args.fail_fast,
+    )
+    text = _dump(report.to_dict())
+    if args.out:
+        with _output(args.out) as fh:
+            fh.write(text + "\n")
     print(text)
     print(report.table(), file=sys.stderr)
     print(
@@ -241,11 +216,7 @@ def cmd_verify(args):
 def cmd_search(args):
     satisfy = [s for s in (args.satisfy or "").split(",") if s]
     violate = [s for s in (args.violate or "").split(",") if s]
-    try:
-        result = search_model(satisfy=satisfy, violate=violate, max_order=args.max_order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = search_model(satisfy=satisfy, violate=violate, max_order=args.max_order)
     if result.found:
         sys.stdout.writelines(_structure_lines([result.structure]))
         print(
@@ -301,6 +272,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ValueError as exc:  # the one usage-error path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # Point stdout at the null device, so that the interpreter's own
         # flush of what is still buffered cannot fail again at exit.

@@ -209,9 +209,9 @@ def _associates_at(table, n, i, j):
     return True
 
 
-@lru_cache(maxsize=None)
 def all_partial_orders(n):
-    """Every partial order on {0..n-1} as a leq matrix, discrete first.
+    """Every partial order on {0..n-1} as a leq matrix, discrete first;
+    built anew on each call (``_order_masks`` is the one per-n store).
 
     An order on {0..k} is an order on {0..k-1} with the set D of elements
     below k, down-closed, and the set U above k, up-closed, every d < u."""

@@ -56,6 +56,20 @@ def test_validate_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    # a decode error is a ValueError, yet a parse error, not a usage error
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"order": 1, "table": [[0]], "leq": [[true]]}\xff')
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read structure file: 'utf-8' codec can't decode")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
 @pytest.mark.parametrize(
     "change",
     [
@@ -171,6 +185,25 @@ def test_enumerate_unwritable_manifest_is_usage_error_before_the_run(tmp_path, c
     assert captured.err.startswith("error: cannot write output file")
     assert len(captured.err.splitlines()) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["catalog.ndjson.manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_a_write_that_fails_after_the_probe_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # the probe passes and the later open fails: still one error line and
+    # exit 64, not a traceback; enumerate fails on the manifest, which it
+    # opens after the catalog is written
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    (tmp_path / "catalog.ndjson.manifest.json").mkdir()
+    argv = {
+        "verify": ["verify", "--theorem", "thm2", "--max-order", "1"],
+        "enumerate": ["enumerate", "--order", "1"],
+    }[command]
+    out = tmp_path / ("missing/report.json" if command == "verify" else "catalog.ndjson")
+    assert main(argv + ["--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_verify_ok(capsys):
@@ -392,6 +425,7 @@ def test_order_caps_are_usage_errors(capsys):
             "sample_count must not be negative",
         ),
         (["search", "--satisfy", "regular", "--max-order", "0"], "max_order must be at least 1"),
+        (["enumerate", "--order", "2", "--limit", "0"], "limit must be at least 1 when present"),
     ],
 )
 def test_empty_catalog_is_usage_error(capsys, argv, message):

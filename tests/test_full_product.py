@@ -67,6 +67,6 @@ def test_order6_tables_up_to_isomorphism():
 
 
 def test_order6_partial_orders():
-    # labelled partial orders on six elements, OEIS A001035; uncached, so
-    # the 130023 matrices are not held for the rest of the session
-    assert len(all_partial_orders.__wrapped__(6)) == 130023
+    # labelled partial orders on six elements, OEIS A001035; the function
+    # keeps no cache, so the 130023 matrices are not held for the session
+    assert len(all_partial_orders(6)) == 130023

@@ -12,8 +12,8 @@ to module-level functions; in ``core.py`` it is applied only to functions of
 S alone, so a per-element fact is one tuple per structure, never an entry
 keyed on an element.  No ``lru_cache`` function takes a structure S: a
 process-wide memo is keyed on matrices or ints, and a memo keyed first on
-a table or order matrix is bounded by ``core._MEMO_SIZE`` and read again
-on a suite pass, so none duplicates another store.  A vocabulary
+a table or order matrix is bounded by ``core._MEMO_SIZE``, and every memo
+is read again on a suite pass, so none duplicates another store.  A vocabulary
 predicate of ``predicates.py`` is evaluated only through ``read``, so each
 one is computed once per structure, and ``predicates.py`` names no ``leq``:
 it reads the order through other modules.
@@ -147,17 +147,24 @@ def test_core_derived_functions_take_the_structure_alone():
     assert signatures and all(args == "S" for _, args in signatures), signatures
 
 
+def lru_memos():
+    """(module path, function name, decorator, parameter names) of each
+    ``lru_cache`` function of the package."""
+    return [
+        (path, node.name, ast.unparse(decorator), [arg.arg for arg in node.args.args])
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if "lru_cache" in ast.unparse(decorator)
+    ]
+
+
 def test_lru_cache_functions_take_no_structure():
     # a process-wide memo keyed on a structure would keep every structure
     # alive; a fact of S is ``derived`` and cached on S, a fact of the
     # table alone is an lru_cache of the table
-    memos = [
-        (path.name, node.name, [arg.arg for arg in node.args.args])
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(parse(path))
-        if isinstance(node, ast.FunctionDef)
-        and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
-    ]
+    memos = [(path.name, name, params) for path, name, _, params in lru_memos()]
     assert len(memos) > 5 and not [m for m in memos if "S" in m[2]], memos
 
 
@@ -165,13 +172,9 @@ def matrix_memos():
     """(module path, function name, decorator) of each ``lru_cache``
     function whose first parameter is a table or order matrix."""
     return [
-        (path, node.name, ast.unparse(decorator))
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(parse(path))
-        if isinstance(node, ast.FunctionDef)
-        and [arg.arg for arg in node.args.args][:1] in (["table"], ["tab"], ["lm"])
-        for decorator in node.decorator_list
-        if "lru_cache" in ast.unparse(decorator)
+        (path, name, decorator)
+        for path, name, decorator, params in lru_memos()
+        if params[:1] in (["table"], ["tab"], ["lm"])
     ]
 
 
@@ -190,19 +193,25 @@ def test_every_matrix_memo_is_read_again():
     # a memo whose entries are never read a second time is a second store
     # of a fact that has one elsewhere, or a cache in front of a caller that
     # is itself cached: over a suite pass and two up-to-iso walks, each
-    # matrix memo must be hit.  The memos are not cleared, so this holds
-    # whether the process has met these tables before or not
+    # memo must be hit.  The memos are not cleared, so a matrix memo must
+    # gain hits whether the process has met these tables before or not; a
+    # memo keyed on an int, such as ``_order_masks(n)``, is asked again only
+    # by a process that has not met every table of order n, so its hits
+    # are counted from the start of the process
     memos = {
         f"{path.stem}.{name}": getattr(importlib.import_module(f"ordsgp.{path.stem}"), name)
-        for path, name, _ in matrix_memos()
+        for path, name, _, _ in lru_memos()
     }
-    before = {name: memo.cache_info().hits for name, memo in memos.items()}
+    matrix = {f"{path.stem}.{name}" for path, name, _ in matrix_memos()}
+    before = {name: memos[name].cache_info().hits for name in matrix}
     run_suite("all", max_order=3, workers=1)
     for _ in range(2):
         for _ in enumerate_ordered_semigroups(GenerationConfig(3, up_to_iso=True)):
             pass
-    unread = sorted(name for name, memo in memos.items() if memo.cache_info().hits == before[name])
-    assert len(memos) > 5 and unread == [], unread
+    unread = sorted(
+        name for name, memo in memos.items() if memo.cache_info().hits == before.get(name, 0)
+    )
+    assert len(matrix) > 5 and len(memos) > len(matrix) and unread == [], unread
 
 
 def test_vocabulary_functions_are_reached_only_through_read():

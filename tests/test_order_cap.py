@@ -26,7 +26,7 @@ LIBRARY = {
 CLI = {
     "verify": (["verify", "--theorem", "thm2", "--max-order"], "max_order", "error: "),
     "search": (["search", "--satisfy", "regular", "--max-order"], "max_order", "error: "),
-    "enumerate": (["enumerate", "--order"], "order", "bad configuration: "),
+    "enumerate": (["enumerate", "--order"], "order", "error: "),
 }
 
 
